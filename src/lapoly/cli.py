@@ -161,6 +161,9 @@ def cmd_hstar(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     uni, peak = is_unimodal(h)
     dim = args.d + 1 if args.d % 2 else args.d
     results = {
@@ -192,53 +195,61 @@ def cmd_verify_table(args):
     rows = {}
     all_ok = True
     for d in range(1, args.max_d + 1):
-        structural = hstar_by_method(d, "structural")
-        entry = {"structural": list(structural), "oracles": {}}
-        reference = table.get(d)
-        if reference is not None:
-            entry["reference"] = list(reference)
-            entry["match"] = tuple(structural) == tuple(reference)
-            if not entry["match"]:
-                entry["diff"] = [
-                    {"index": i, "computed": a, "reference": b}
-                    for i, (a, b) in enumerate(zip(structural, reference))
-                    if a != b
-                ]
-                all_ok = False
-        else:
-            entry["match"] = None
         try:
-            if d <= VERIFY_CENSUS_MAX_D:
-                entry["oracles"]["census"] = list(
-                    hstar_by_method(d, "census", cells_budget=args.budget_cells)
-                )
-            if d <= VERIFY_EHRHART_MAX_D:
-                entry["oracles"]["ehrhart"] = list(
-                    hstar_by_method(d, "ehrhart", points_budget=args.budget_points)
-                )
-            if d % 2 and d <= VERIFY_FUNDAMENTAL_MAX_D:
-                entry["oracles"]["fundamental"] = list(
-                    hstar_by_method(d, "fundamental",
-                                    points_budget=args.budget_points)
-                )
+            entry = _verify_row(d, table.get(d), args)
         except BudgetError as exc:
             print(f"budget exhausted: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        for name, vec in entry["oracles"].items():
-            if tuple(vec) != tuple(structural):
-                entry["oracle_mismatch"] = name
-                all_ok = False
-        entry["volume_ok"] = sum(structural) == (d + 2) ** d
-        if not entry["volume_ok"]:
-            all_ok = False
+        except AssertionError as exc:
+            print(f"d={d}: FAIL: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
+        row_ok = (
+            entry["match"] is not False
+            and "oracle_mismatch" not in entry
+            and entry["volume_ok"]
+        )
+        all_ok = all_ok and row_ok
         rows[str(d)] = entry
-        status = "pass" if entry.get("match") in (True, None) else "FAIL"
-        print(f"d={d}: {status}", file=sys.stderr)
+        print(f"d={d}: {'pass' if row_ok else 'FAIL'}", file=sys.stderr)
     results = {"rows": rows, "ok": all_ok}
     _emit(_report("verify-table", {"max_d": args.max_d, "table": args.table},
                   results, {"seconds": round(time.time() - t0, 3)},
                   _budget_block(args)))
     return EXIT_OK if all_ok else EXIT_MISMATCH
+
+
+def _verify_row(d, reference, args):
+    """One verify-table row: structural h*, the reference and the oracles."""
+    structural = hstar_by_method(d, "structural")
+    entry = {"structural": list(structural), "oracles": {}}
+    if reference is not None:
+        entry["reference"] = list(reference)
+        entry["match"] = tuple(structural) == tuple(reference)
+        if not entry["match"]:
+            entry["diff"] = [
+                {"index": i, "computed": a, "reference": b}
+                for i, (a, b) in enumerate(zip(structural, reference))
+                if a != b
+            ]
+    else:
+        entry["match"] = None
+    if d <= VERIFY_CENSUS_MAX_D:
+        entry["oracles"]["census"] = list(
+            hstar_by_method(d, "census", cells_budget=args.budget_cells)
+        )
+    if d <= VERIFY_EHRHART_MAX_D:
+        entry["oracles"]["ehrhart"] = list(
+            hstar_by_method(d, "ehrhart", points_budget=args.budget_points)
+        )
+    if d % 2 and d <= VERIFY_FUNDAMENTAL_MAX_D:
+        entry["oracles"]["fundamental"] = list(
+            hstar_by_method(d, "fundamental", points_budget=args.budget_points)
+        )
+    for name, vec in entry["oracles"].items():
+        if tuple(vec) != tuple(structural):
+            entry["oracle_mismatch"] = name
+    entry["volume_ok"] = sum(structural) == (d + 2) ** d
+    return entry
 
 
 def _budget_block(args):

@@ -19,7 +19,7 @@ from . import lp
 from .budgets import BudgetError, cell_budget
 from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import ExactMatrix, det_int, nullspace, primitive_vector, solve
+from .linalg import ExactMatrix, det_int, solve
 from .polytope import LatticePolytope
 
 
@@ -520,24 +520,27 @@ def _interior_boundary_triangulation(d):
     return points_list, heights, cells
 
 
-def _fold_data(vertex_pool, cells):
-    """Interior ridge folds of a full-dimensional triangulation.
-
-    Yields (cell, opposite_vertex) pairs, one per interior ridge, plus the
-    integer affine-lift machinery for evaluating fold values.
-    """
+def _ridges(cells):
+    """Ridge index: every codimension-1 face (a cell minus one vertex, in
+    the cell's vertex order) mapped to the (cell index, dropped position)
+    pairs of the cells that contain it."""
     ridge_map = {}
     for ci, cell in enumerate(cells):
         for drop in range(len(cell)):
-            ridge = cell[:drop] + cell[drop + 1 :]
-            ridge_map.setdefault(ridge, []).append((ci, cell[drop]))
+            ridge_map.setdefault(cell[:drop] + cell[drop + 1 :], []).append((ci, drop))
+    return ridge_map
+
+
+def _fold_data(cells):
+    """Interior ridge folds of a full-dimensional triangulation: one
+    (cell, opposite vertex) pair per ridge shared by two cells."""
     folds = []
-    for ridge, incident in ridge_map.items():
+    for incident in _ridges(cells).values():
         if len(incident) > 2:
             raise ValueError("three cells share a ridge; not a triangulation")
         if len(incident) == 2:
-            (ca, _), (_, vb) = incident
-            folds.append((ca, vb))
+            (ca, _), (cb, drop) = incident
+            folds.append((ca, cells[cb][drop]))
     return folds
 
 
@@ -643,7 +646,7 @@ def is_regular(t, heights=None, lp_cell_limit=4000):
     Returns (regular, heights_or_none).
     """
     use = heights if heights is not None else t.heights
-    folds = _fold_data(t.vertex_pool, t.cells)
+    folds = _fold_data(t.cells)
     if use is not None:
         values = _fold_values(t.vertex_pool, t.cells, use, folds)
         if all(v > 0 for v in values):
@@ -697,10 +700,17 @@ def is_regular(t, heights=None, lp_cell_limit=4000):
     return True, found
 
 
-def _choose_scale(primary, secondary):
-    """Smallest positive integer N with N*primary + secondary > 0 per fold."""
+def _scaled_heights(pool, cells, primary, secondary):
+    """N * primary + secondary for the smallest positive integer N that
+    makes every fold of the lift strictly convex.
+
+    Every fold must be convex under `primary` alone, and strictly convex
+    under `secondary` where `primary` is flat.
+    """
+    folds = _fold_data(cells)
+    _, (prim, sec) = _fold_values_multi(pool, cells, [primary, secondary], folds)
     need = 1
-    for p, s in zip(primary, secondary):
+    for p, s in zip(prim, sec):
         if p < 0:
             raise AssertionError("base fold is non-convex; construction bug")
         if p == 0:
@@ -708,9 +718,26 @@ def _choose_scale(primary, secondary):
                 raise AssertionError("flat fold with non-convex refinement")
         elif s <= 0:
             # need N > -s / p
-            req = (-s) // p + 1
-            need = max(need, int(req))
-    return need
+            need = max(need, int((-s) // p + 1))
+    return [need * a + b for a, b in zip(primary, secondary)]
+
+
+def _interior_cone(d):
+    """The boundary triangulation of the interior polytope (even d) coned
+    over its interior point, with heights.
+
+    The heights are a large multiple of the boundary indicator (strict
+    convexity across facets) plus the alcove heights (strictness inside
+    facets).  Returns (pool, cone cells, heights).
+    """
+    points_list, lam_heights, boundary_cells = _interior_boundary_triangulation(d)
+    apex_idx = len(points_list)
+    pool = points_list + [tuple(1 for _ in range(d))]
+    cone_cells = [cell + (apex_idx,) for cell in boundary_cells]
+    heights = _scaled_heights(
+        pool, cone_cells, [1] * apex_idx + [0], lam_heights + [0]
+    )
+    return pool, cone_cells, heights
 
 
 def laplacian_triangulation(d, budget=None):
@@ -737,23 +764,7 @@ def laplacian_triangulation(d, budget=None):
     if d % 2 == 1:
         return _odd_laplacian_triangulation(d)
 
-    points_list, lam_heights, boundary_cells = _interior_boundary_triangulation(d)
-    apex = tuple(1 for _ in range(d))
-    pool = list(points_list)
-    apex_idx = len(pool)
-    pool.append(apex)
-    cone_cells = [cell + (apex_idx,) for cell in boundary_cells]
-
-    # heights: a large multiple of the boundary indicator (strict convexity
-    # across facets) plus the alcove heights (strictness inside facets)
-    indicator = [1] * len(points_list) + [0]
-    secondary = list(lam_heights) + [0]
-    folds = _fold_data(pool, cone_cells)
-    _, (prim, sec) = _fold_values_multi(pool, cone_cells, [indicator, secondary], folds)
-    n_scale = _choose_scale(prim, sec)
-    cone_heights = [
-        n_scale * ind + s for ind, s in zip(indicator, secondary)
-    ]
+    pool, cone_cells, cone_heights = _interior_cone(d)
 
     # dilate by 2: edgewise refinement of every cone cell, keyed by the
     # global lexicographic order of the cone's vertex pool
@@ -800,12 +811,7 @@ def laplacian_triangulation(d, budget=None):
                 ids.append(index2(pt, omega, _pair_rank_height(ra, rb, m_total)))
             cells2.append(tuple(ids))
 
-    folds2 = _fold_data(points2, cells2)
-    _, (prim2, sec2) = _fold_values_multi(
-        points2, cells2, [base_height, local2], folds2
-    )
-    n2 = _choose_scale(prim2, sec2)
-    heights2 = [n2 * b + t for b, t in zip(base_height, local2)]
+    heights2 = _scaled_heights(points2, cells2, base_height, local2)
 
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in points2]
@@ -823,16 +829,7 @@ def interior_polytope_triangulation(d, budget=None):
         raise BudgetError(
             f"triangulation needs {n_cells} cells, budget is {limit}"
         )
-    points_list, lam_heights, boundary_cells = _interior_boundary_triangulation(d)
-    apex = tuple(1 for _ in range(d))
-    pool = list(points_list) + [apex]
-    cone_cells = [cell + (len(pool) - 1,) for cell in boundary_cells]
-    indicator = [1] * len(points_list) + [0]
-    secondary = list(lam_heights) + [0]
-    folds = _fold_data(pool, cone_cells)
-    _, (prim, sec) = _fold_values_multi(pool, cone_cells, [indicator, secondary], folds)
-    n_scale = _choose_scale(prim, sec)
-    heights = [n_scale * ind + s for ind, s in zip(indicator, secondary)]
+    pool, cone_cells, heights = _interior_cone(d)
     carrier = LatticePolytope(interior_polytope_vertices(d))
     return Triangulation(pool, cone_cells, carrier, heights=heights)
 
@@ -842,14 +839,56 @@ def interior_polytope_triangulation(d, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def verify_triangulation(t, pairwise_limit=10**4, sample_pairs=20000):
-    """Certify a triangulation: affine independence, containment in the
-    carrier, pairwise interior-disjointness, volume sum, unimodularity.
+def verify_triangulation(t):
+    """Certify that the cells triangulate the carrier P, in O(cells * d).
 
-    Disjointness is decided pairwise by exact LP (with bounding-box and
-    separating-facet fast paths); above `pairwise_limit` cells a
-    deterministic sample is checked and the volume identity carries the
-    rest.  Returns a report dict; `ok` is the conjunction of all checks.
+    The checks are: every cell is a full-dimensional simplex
+    (`affinely_independent`), every used vertex lies in P (`contained`),
+    the normalized volumes sum to that of P (`volume_ok`), and one pass over
+    the ridges, the codimension-1 faces of the cells (`disjoint_ok`):
+
+    (a) every ridge lies in at most two cells;
+    (b) a ridge in one cell lies on a facet of P: some facet inequality of
+        P is tight on all of its vertices;
+    (c) the two cells of a shared ridge lie strictly on opposite sides of
+        it.
+
+    Theorem (pseudo-manifold characterisation; De Loera, Rambau and
+    Santos, *Triangulations*, Springer 2010, section 4.5).  Full-dimensional
+    simplices with vertices in a convex polytope P form a triangulation of
+    P (they cover P, their interiors are disjoint and any two meet in a
+    common face) if and only if (a), (b), (c) hold and their volumes sum to
+    vol(P).
+
+    Proof.  Necessity is immediate.  For sufficiency let N(x) count the
+    cells containing x, for x in int P off every ridge.  A segment between
+    two such points, in general position, meets ridges only in their
+    relative interiors.  There it leaves one cell of each shared ridge and
+    enters the other, by (c); no one-cell ridge meets int P, since by (b)
+    and containment it lies in a facet of P.  So N is constant on int P,
+    and integrating gives sum vol(cell) = N * vol(P): the volume identity
+    forces N = 1, and the interiors are disjoint.  Next let x lie in cells
+    A and B, and let F be the face of A with x in its relative interior.
+    Turning about F from A, each ridge through F leads by (c) to a second
+    cell that again contains F, or by (b) lies on the boundary of P; so
+    the cells containing F fill a neighbourhood of x in P.  B has interior
+    points arbitrarily close to x, hence, as N = 1, is one of these cells,
+    and F is a face of B.  (A vertex in the relative interior of another
+    cell's face would leave a one-cell ridge inside int P, or a point
+    covered twice.)  So A and B meet in a union of common faces, and since
+    A and B are convex, in a single common face.
+
+    Sides come from the one signed determinant per cell that the volume
+    sum needs: the orientation of (ridge..., dropped vertex) is the cell's
+    sign times (-1)^(d - dropped position), with every cell in sorted
+    vertex order.  The ridge index is built here from `t.cells`; no number
+    from the construction is reused.  In dimension 0 there are no ridges and
+    the volume identity (one cell) is the whole certificate.
+
+    Returns a report dict; `ok` is the conjunction of the checks.  Failures
+    are collected from the whole pass as tagged tuples: ("cell_size", c),
+    ("degenerate", c), ("outside_carrier", v), ("overlap", a, b),
+    ("ridge_excess", ridge) and ("open_boundary", ridge).
     """
     report = {
         "cells": t.cell_count,
@@ -859,30 +898,36 @@ def verify_triangulation(t, pairwise_limit=10**4, sample_pairs=20000):
         "volume_sum": 0,
         "carrier_nvol": None,
         "volume_ok": False,
-        "disjointness": "full" if t.cell_count <= pairwise_limit else "sampled",
+        "disjointness": "full",
         "disjoint_ok": True,
         "failures": [],
     }
+    failures = report["failures"]
     dim = len(t.vertex_pool[0]) if t.vertex_pool else 0
     vol = 0
+    sign = [0] * t.cell_count
     for ci, cell in enumerate(t.cells):
         if len(cell) != dim + 1:
             report["affinely_independent"] = False
-            report["failures"].append(("cell_size", ci))
+            failures.append(("cell_size", ci))
             continue
         base = t.vertex_pool[cell[0]]
         mat = [
             [t.vertex_pool[i][k] - base[k] for k in range(dim)] for i in cell[1:]
         ]
-        det = abs(det_int(mat))
+        det = det_int(mat)
+        sign[ci] = (det > 0) - (det < 0)
+        det = abs(det)
         if det == 0:
             report["affinely_independent"] = False
-            report["failures"].append(("degenerate", ci))
+            failures.append(("degenerate", ci))
         if det != 1:
             report["unimodular"] = False
         vol += det
     report["volume_sum"] = vol
 
+    # bit k of tight[v] is set when facet k of the carrier is tight at v
+    tight = {}
     carrier = t.carrier
     if carrier is not None:
         if dim == 0:
@@ -892,21 +937,31 @@ def verify_triangulation(t, pairwise_limit=10**4, sample_pairs=20000):
         else:
             halfspaces = carrier.facets()
             for vi in t.used_vertex_indices():
-                p = t.vertex_pool[vi]
-                if not all(h.holds(p) for h in halfspaces):
+                slack = [h.offset - h.value(t.vertex_pool[vi]) for h in halfspaces]
+                if min(slack) < 0:
                     report["contained"] = False
-                    report["failures"].append(("outside_carrier", vi))
-                    break
+                    failures.append(("outside_carrier", vi))
+                tight[vi] = sum(1 << k for k, s in enumerate(slack) if s == 0)
         report["carrier_nvol"] = carrier.normalized_volume()
         report["volume_ok"] = vol == report["carrier_nvol"]
 
-    pairs = _candidate_pairs(t, pairwise_limit, sample_pairs)
-    facet_cache = {}
-    for a, b in pairs:
-        if not _cells_disjoint(t, a, b, facet_cache):
-            report["disjoint_ok"] = False
-            report["failures"].append(("overlap", a, b))
-            break
+    if dim > 0:
+        before = len(failures)
+        for ridge, incident in _ridges(t.cells).items():
+            if len(incident) == 1:
+                on_facet = -1
+                for v in ridge:
+                    on_facet &= tight.get(v, 0)
+                if not on_facet:
+                    failures.append(("open_boundary", ridge))
+            elif len(incident) == 2:
+                (a, ka), (b, kb) = incident
+                # orientations sign*(-1)^(dim-k) agree: same side
+                if sign[a] * sign[b] * (-1) ** (ka + kb) > 0:
+                    failures.append(("overlap", a, b))
+            else:
+                failures.append(("ridge_excess", ridge))
+        report["disjoint_ok"] = len(failures) == before
     report["ok"] = (
         report["affinely_independent"]
         and report["contained"]
@@ -917,89 +972,6 @@ def verify_triangulation(t, pairwise_limit=10**4, sample_pairs=20000):
         k: v for k, v in report.items() if k != "failures"
     }
     return report
-
-
-def _cell_bbox(t, ci):
-    pts = t.cell_points(t.cells[ci])
-    dim = len(pts[0])
-    return (
-        tuple(min(p[k] for p in pts) for k in range(dim)),
-        tuple(max(p[k] for p in pts) for k in range(dim)),
-    )
-
-
-def _boxes_overlap(lo1, hi1, lo2, hi2):
-    return all(
-        l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2)
-    )
-
-
-def _candidate_pairs(t, pairwise_limit, sample_pairs):
-    n = t.cell_count
-    if n <= pairwise_limit:
-        boxes = [_cell_bbox(t, i) for i in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if _boxes_overlap(*boxes[a], *boxes[b]):
-                    yield a, b
-    else:
-        # deterministic sample: consecutive pairs plus hashed long-range
-        # partners; the exact volume identity covers global coverage
-        emitted = 0
-        a = 0
-        step = max(1, (2 * (n - 1)) // max(1, sample_pairs))
-        while emitted < sample_pairs and a < n - 1:
-            yield a, a + 1
-            emitted += 1
-            partner = (a * 2654435761 + 7) % n
-            if partner != a:
-                lo, hi = sorted((a, partner))
-                yield lo, hi
-                emitted += 1
-            a += step
-
-
-def _cell_facet_halfspaces(t, ci, cache):
-    """Facet inequalities of one cell, oriented so the cell satisfies <=."""
-    if ci in cache:
-        return cache[ci]
-    pts = t.cell_points(t.cells[ci])
-    dim = len(pts[0])
-    out = []
-    for drop in range(len(pts)):
-        face = [p for i, p in enumerate(pts) if i != drop]
-        base = face[0]
-        mat = [[p[k] - base[k] for k in range(dim)] for p in face[1:]]
-        kernel = nullspace(mat) if mat else [[Fraction(1)]]
-        if len(kernel) != 1:
-            continue
-        normal = primitive_vector(kernel[0])
-        off = sum(a_ * x for a_, x in zip(normal, base))
-        v_in = sum(a_ * x for a_, x in zip(normal, pts[drop]))
-        if v_in == off:
-            continue
-        if v_in > off:
-            normal = tuple(-x for x in normal)
-            off = -off
-        out.append((normal, off))
-    cache[ci] = out
-    return out
-
-
-def _cells_disjoint(t, a, b, facet_cache=None):
-    """Interiors of two full-dimensional cells do not meet."""
-    if facet_cache is None:
-        facet_cache = {}
-    pa = t.cell_points(t.cells[a])
-    pb = t.cell_points(t.cells[b])
-    # fast path: a facet hyperplane of one cell separating the other
-    for ci, others in ((a, pb), (b, pa)):
-        for normal, off in _cell_facet_halfspaces(t, ci, facet_cache):
-            if all(
-                sum(a_ * x for a_, x in zip(normal, q)) >= off for q in others
-            ):
-                return True
-    return not lp.simplices_interior_overlap(pa, pb)
 
 
 # ---------------------------------------------------------------------------

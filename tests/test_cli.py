@@ -143,3 +143,32 @@ def test_main_entry_point(capsys):
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["hstar"] == [1, 10, 5]
+
+
+def test_verify_table_status_reflects_every_check(monkeypatch, capsys):
+    import lapoly.cli as cli
+
+    real = cli.hstar_by_method
+
+    def skewed(d, method, **kwargs):
+        h = real(d, method, **kwargs)
+        return h[:-1] + (h[-1] + 1,) if method == "ehrhart" else h
+
+    monkeypatch.setattr(cli, "hstar_by_method", skewed)
+    assert main(["verify-table", "--max-d", "1"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)["results"]["rows"]["1"]
+    assert row["match"] is True and row["oracle_mismatch"] == "ehrhart"
+    assert "d=1: FAIL" in captured.err
+
+
+def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
+    import lapoly.cli as cli
+
+    monkeypatch.setattr(cli, "h_vector_of", lambda tri: (1, 2, 0, 7))
+    assert main(["hstar", "--d", "1", "--method", "census"]) == EXIT_MISMATCH
+    assert "nonzero tail" in capsys.readouterr().err
+    assert main(["verify-table", "--max-d", "1"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "d=1: FAIL" in captured.err and "nonzero tail" in captured.err
+    assert captured.out == ""

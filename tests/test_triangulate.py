@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.complexes import h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
+from lapoly.linalg import det_int, nullspace, primitive_vector
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
@@ -32,7 +36,7 @@ def standard_simplex(m):
 
 
 def folds_strict(t):
-    folds = _fold_data(t.vertex_pool, t.cells)
+    folds = _fold_data(t.cells)
     values = _fold_values(t.vertex_pool, t.cells, t.heights, folds)
     return all(v > 0 for v in values)
 
@@ -293,6 +297,124 @@ def test_verify_rejects_degenerate_cell():
     assert not report["ok"]
 
 
+# -- the ridge certificate against a pairwise oracle ------------------------------
+
+
+def _cell_facet_halfspaces(t, ci, cache):
+    """Facet inequalities of one cell, oriented so the cell satisfies <=."""
+    if ci in cache:
+        return cache[ci]
+    pts = t.cell_points(t.cells[ci])
+    dim = len(pts[0])
+    out = []
+    for drop in range(len(pts)):
+        face = [p for i, p in enumerate(pts) if i != drop]
+        base = face[0]
+        mat = [[p[k] - base[k] for k in range(dim)] for p in face[1:]]
+        kernel = nullspace(mat) if mat else [[Fraction(1)]]
+        if len(kernel) != 1:
+            continue
+        normal = primitive_vector(kernel[0])
+        off = sum(a_ * x for a_, x in zip(normal, base))
+        v_in = sum(a_ * x for a_, x in zip(normal, pts[drop]))
+        if v_in == off:
+            continue
+        if v_in > off:
+            normal = tuple(-x for x in normal)
+            off = -off
+        out.append((normal, off))
+    cache[ci] = out
+    return out
+
+
+def _cells_disjoint(t, a, b, facet_cache=None):
+    """Interiors of two full-dimensional cells do not meet."""
+    if facet_cache is None:
+        facet_cache = {}
+    pa = t.cell_points(t.cells[a])
+    pb = t.cell_points(t.cells[b])
+    # fast path: a facet hyperplane of one cell separating the other
+    for ci, others in ((a, pb), (b, pa)):
+        for normal, off in _cell_facet_halfspaces(t, ci, facet_cache):
+            if all(
+                sum(a_ * x for a_, x in zip(normal, q)) >= off for q in others
+            ):
+                return True
+    return not lp.simplices_interior_overlap(pa, pb)
+
+
+def _meet_in_common_face(t, a, b, facet_cache):
+    """conv(A) and conv(B) meet in conv(A & B), their common face.
+
+    A facet hyperplane of either cell with what is left of the other cell
+    on its far side contains the intersection, so both vertex sets are cut
+    down to the hyperplane.  The cells meet properly once one remainder
+    consists of shared vertices; an exact LP decides the rest: no common
+    point of the remainders puts weight on a vertex of A outside B.
+    """
+    ca, cb = t.cells[a], t.cells[b]
+    shared = set(ca) & set(cb)
+    rest_a, rest_b = set(ca), set(cb)
+
+    def value(normal, v):
+        return sum(n * x for n, x in zip(normal, t.vertex_pool[v]))
+
+    cut = True
+    while cut and not (rest_a <= shared or rest_b <= shared):
+        cut = False
+        for ci, near, far in ((a, rest_a, rest_b), (b, rest_b, rest_a)):
+            for normal, off in _cell_facet_halfspaces(t, ci, facet_cache):
+                if all(value(normal, v) >= off for v in far):
+                    on = {v for v in near | far if value(normal, v) == off}
+                    if not (near <= on and far <= on):
+                        near &= on
+                        far &= on
+                        cut = True
+                        break
+            if cut:
+                break
+    if rest_a <= shared or rest_b <= shared:
+        return True
+    pa = [t.vertex_pool[v] for v in sorted(rest_a)]
+    pb = [t.vertex_pool[v] for v in sorted(rest_b)]
+    na, nb = len(pa), len(pb)
+    a_eq = [[p[k] for p in pa] + [-q[k] for q in pb] for k in range(len(pa[0]))]
+    a_eq += [[1] * na + [0] * nb, [0] * na + [1] * nb]
+    b_eq = [0] * (len(a_eq) - 2) + [1, 1]
+    objective = [int(v not in shared) for v in sorted(rest_a)] + [0] * nb
+    res = lp.solve_lp(objective, a_eq=a_eq, b_eq=b_eq, nonneg=True)
+    return res.status == lp.INFEASIBLE or res.value == 0
+
+
+def meets_properly(t):
+    """Pairwise oracle: every two cells have disjoint interiors and meet in
+    a common face."""
+    cache = {}
+    return all(
+        _cells_disjoint(t, a, b, cache) and _meet_in_common_face(t, a, b, cache)
+        for a, b in combinations(range(t.cell_count), 2)
+    )
+
+
+def covers_carrier(t):
+    """The theorem's other hypotheses, recomputed: full-dimensional cells
+    with vertices in the carrier whose volumes sum to the carrier's."""
+    dets = []
+    for cell in t.cells:
+        pts = t.cell_points(cell)
+        dets.append(abs(det_int([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])))
+    return (
+        all(dets)
+        and all(lp.point_in_hull(t.vertex_pool[v], t.carrier.points)
+                for v in t.used_vertex_indices())
+        and sum(dets) == t.carrier.normalized_volume()
+    )
+
+
+def fixture(points, cells, carrier=None):
+    return Triangulation(points, cells, LatticePolytope(carrier or points))
+
+
 def nonregular_fixture():
     """The classical non-regular triangulation: a big triangle with an
     inner rotated triangle, spiral cells."""
@@ -303,6 +425,74 @@ def nonregular_fixture():
     ]
     carrier = LatticePolytope(points)
     return Triangulation(points, cells, carrier)
+
+
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+FIXTURES = {
+    # (1,1) on the diagonal of (0,1,2) is a vertex of the other two cells
+    "hanging_vertex": fixture([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)],
+                              [(0, 1, 2), (0, 4, 3), (4, 2, 3)]),
+    "double_cover": fixture(SQUARE, [(0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3)]),
+    "ridge_in_three_cells": fixture([(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)],
+                                    [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    "cell_outside_carrier": fixture([(0, 0), (1, 0), (0, 1), (1, 1)],
+                                    [(0, 1, 2), (1, 2, 3)],
+                                    carrier=[(0, 0), (1, 0), (0, 1)]),
+    # the tip beyond the top facet of a trapezoid has its free edges on
+    # facet lines: the ridge pass holds, containment and volume fail
+    "cell_in_facet_lines": fixture([(0, 0), (6, 0), (4, 2), (2, 2), (3, 3)],
+                                   [(0, 1, 2), (0, 2, 3), (2, 3, 4)],
+                                   carrier=[(0, 0), (6, 0), (4, 2), (2, 2)]),
+    "overlap": fixture([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (0, 1, 3)]),
+    "degenerate_cell": fixture([(0, 0), (1, 0), (2, 0), (0, 1)],
+                               [(0, 1, 2), (0, 2, 3)],
+                               carrier=[(0, 0), (2, 0), (0, 1)]),
+    "square": fixture(SQUARE, [(0, 1, 2), (0, 2, 3)]),
+    "esd_3_2": edgewise_subdivision(standard_simplex(3), 2),
+    "nonregular": nonregular_fixture(),
+}
+
+# fixtures that are not triangulations of their carrier, with the failure
+# tag each must be rejected with
+REJECTED = {
+    "hanging_vertex": "open_boundary",
+    "double_cover": "overlap",
+    "ridge_in_three_cells": "ridge_excess",
+    "cell_outside_carrier": "outside_carrier",
+    "cell_in_facet_lines": "outside_carrier",
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+def test_verify_rejects_fixture(name):
+    report = verify_triangulation(FIXTURES[name])
+    assert not report["ok"]
+    assert report["disjointness"] == "full"
+    assert any(f[0] == REJECTED[name] for f in report["failures"]), report["failures"]
+
+
+def test_verify_collects_every_ridge_failure():
+    report = verify_triangulation(FIXTURES["overlap"])
+    assert {f[0] for f in report["failures"]} == {"overlap", "open_boundary"}
+
+
+@pytest.mark.parametrize(
+    "name", list(FIXTURES) + ["laplacian_1", "laplacian_2", "laplacian_3"]
+)
+def test_certificate_agrees_with_pairwise_oracle(name, triangulation_cache):
+    if name in FIXTURES:
+        t = FIXTURES[name]
+    else:
+        t = triangulation_cache(int(name[-1]))
+    report = verify_triangulation(t)
+    covers = covers_carrier(t)
+    proper = meets_properly(t)
+    # under the covering hypotheses the ridge pass holds iff the cells meet
+    # properly; without them the certificate rejects whatever the ridges say
+    if covers:
+        assert report["disjoint_ok"] == proper
+    assert report["ok"] == (covers and proper)
 
 
 def test_nonregular_fixture_is_valid_but_not_regular():
