@@ -26,7 +26,11 @@ from .ehrhart import (
     is_real_rooted,
     is_unimodal,
 )
-from .laplacian import laplacian_polytope, reduce_full_dim
+from .laplacian import (
+    LaplacianOrderingError,
+    laplacian_polytope,
+    reduce_full_dim,
+)
 from .triangulate import h_vector_of, laplacian_triangulation
 
 EXIT_OK = 0
@@ -141,6 +145,9 @@ def cmd_build(args):
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except LaplacianOrderingError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     inputs = {**source, "k": args.k}
     _emit(_report("build", inputs, results,
                   {"seconds": round(time.time() - t0, 3)},
@@ -161,7 +168,7 @@ def cmd_hstar(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except (AssertionError, LaplacianOrderingError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     uni, peak = is_unimodal(h)
@@ -200,8 +207,8 @@ def cmd_verify_table(args):
         except BudgetError as exc:
             print(f"budget exhausted: {exc}", file=sys.stderr)
             return EXIT_BUDGET
-        except AssertionError as exc:
-            print(f"d={d}: FAIL: {exc}", file=sys.stderr)
+        except (AssertionError, LaplacianOrderingError) as exc:
+            print(f"d={d}: FAIL: mismatch: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
         row_ok = (
             entry["match"] is not False

@@ -5,9 +5,15 @@ Four independent routes to the same h*-vector:
 * interpolation from exact lattice-point counts of the first dilations;
 * the h-vector of a certified unimodular triangulation (census);
 * the half-open-parallelepiped enumeration for full-dimensional simplices;
-* the structural route: for odd d a product of h-polynomials of edgewise
-  subdivisions, for even d an inclusion-exclusion over the face poset of
-  the interior polytope followed by the dilation transform.
+* the structural route, in closed form and polynomial time at every d.
+  The h-polynomial of the r-th edgewise subdivision of a simplex is the
+  numerator of the r-th Veronese Hilbert series (Brenti-Welker, Adv. Appl.
+  Math. 2009; Athanasiadis, SIAM J. Discrete Math. 2014).  For odd d, h*
+  is the product of two of them (the triangulation is a join).  For even
+  d, the faces of the interior polytope's boundary are counted by a
+  binomial formula in their numbers of odd and even labels; this gives
+  the census of its coned triangulation, and the dilation transform then
+  gives h*.
 
 All arithmetic is exact; real-rootedness uses Sturm sequences over the
 rationals.
@@ -16,19 +22,13 @@ rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
 
 from .budgets import BudgetError, point_budget
-from .complexes import h_from_f
+from .complexes import f_from_h, h_from_f
 from .linalg import det_int, snf_with_transform
 from .polytope import LatticePolytope
-from .triangulate import (
-    Triangulation,
-    _esd_cells_mu,
-    facet_join_partition,
-    interior_facet_families,
-)
+from .triangulate import Triangulation
 
 
 class IntPolynomial:
@@ -283,33 +283,68 @@ def dilation_antisymmetry_holds(d, i, k):
 # ---------------------------------------------------------------------------
 
 
+def _esd_h_polynomial(r, nverts):
+    """h-polynomial of the r-th edgewise subdivision of a simplex with
+    `nverts` >= 1 vertices.
+
+    The subdivision is a unimodular triangulation of the dilated simplex
+    r*Delta, so its h-polynomial is h*(r*Delta), the numerator of the
+    Hilbert series of the r-th Veronese subring of a polynomial ring in
+    `nverts` variables (Brenti-Welker, Adv. Appl. Math. 42 (2009);
+    Athanasiadis, SIAM J. Discrete Math. 28 (2014)):
+    h(t) = (1-t)^n * sum_k C(kr+n-1, n-1) t^k, of degree < n.
+    """
+    series = [comb(k * r + nverts - 1, nverts - 1) for k in range(nverts)]
+    return IntPolynomial(
+        sum((-1) ** j * comb(nverts, j) * series[i - j] for j in range(i + 1))
+        for i in range(nverts)
+    )
+
+
 def _esd_face_enumerator(r, nverts):
     """Face enumerator F(t) = sum over faces of t^|face| of the r-th
     edgewise subdivision of a simplex with `nverts` vertices (empty face
-    included)."""
+    included), read off its h-polynomial."""
     if nverts == 0:
         return IntPolynomial([1])
-    faces = set()
-    for chain in _esd_cells_mu(r, nverts):
-        cell = tuple(sorted(set(chain)))
-        for size in range(1, len(cell) + 1):
-            faces.update(combinations(cell, size))
-    counts = [1] + [0] * nverts
-    for f in faces:
-        counts[len(f)] += 1
-    return IntPolynomial(counts)
+    return IntPolynomial(f_from_h(tuple(_esd_h_polynomial(r, nverts)) + (0,)))
 
 
-def _esd_h_polynomial(r, nverts):
-    """h-polynomial of the edgewise subdivision complex of a simplex."""
-    enum = _esd_face_enumerator(r, nverts)
-    return IntPolynomial(h_from_f(tuple(enum)))
+def _boundary_signatures(d):
+    """((a1, a2), count) pairs: the number of faces of the interior
+    polytope's boundary with a1 odd and a2 even labels (even d), derived
+    in `_interior_hstar_structural`."""
+    m = d // 2 + 1
+    return [
+        ((a1, a2), comb(m, a1) * comb(m, a2))
+        for a1 in range(m)
+        for a2 in range(m)
+    ]
 
 
 def _interior_hstar_structural(d):
-    """h* of the interior polytope (even d) without materializing its
-    triangulation: faces of the boundary complex are grouped by the sizes
-    of their two join factors and counted by inclusion-exclusion."""
+    """h* of the interior polytope Q (even d) without materializing its
+    triangulation.
+
+    The triangulation cones the interior lattice point over a boundary
+    complex whose part over a facet of Q is the join of edgewise
+    subdivisions of the facet's odd- and even-labelled vertex sets
+    (`facet_join_partition`).  Each face of that complex lies in the
+    relative interior of exactly one face of Q.  If that face has a1 odd
+    and a2 even labels, the complex's faces inside it are the joins of
+    interior faces of edgewise subdivisions of simplices with a1 and a2
+    vertices, counted by inclusion-exclusion.
+
+    The faces of Q are counted by their signature (a1, a2).  Q has
+    m = d/2 + 1 labels of each parity, and every facet omits one odd and
+    one even label: "all" omits (1, 2), "even_skip" i omits (1, i+2),
+    "odd_skip" j omits (j+2, 2) and "pair" (i, j) with i+j odd omits
+    (i+2, j+2).  These omitted pairs are exactly the m^2 odd x even pairs,
+    once each.  Q is simplicial, so a label set is a face of its boundary
+    exactly when it omits at least one odd and one even label.  There are
+    C(m, a1) * C(m, a2) such sets with a1 odd and a2 even labels, for
+    0 <= a1, a2 < m.
+    """
     r = (d + 2) // 2
     # interior face enumerators per factor size
     enum = {a: _esd_face_enumerator(r, a) for a in range(0, d // 2 + 1)}
@@ -322,29 +357,13 @@ def _interior_hstar_structural(d):
                 acc[k] += sign * comb(a, i) * c
         interior[a] = acc
 
-    # classify faces of the boundary complex by factor-size signature
-    signature_counts = {}
-    faces = set()
-    for family, i, j in interior_facet_families(d):
-        v1, v2 = facet_join_partition(d, family, i, j)
-        labels = tuple(sorted(v1 + v2))
-        for size in range(0, len(labels) + 1):
-            faces.update(combinations(labels, size))
-    for f in faces:
-        a1 = sum(1 for l in f if l % 2 == 1)
-        a2 = len(f) - a1
-        signature_counts[(a1, a2)] = signature_counts.get((a1, a2), 0) + 1
-
     # boundary census from interior contributions of each polytope face
     max_len = d + 2
     boundary = [0] * max_len
-    for (a1, a2), mult in signature_counts.items():
-        part = [0] * (a1 + a2 + 1)
+    for (a1, a2), mult in _boundary_signatures(d):
         for x, cx in enumerate(interior[a1]):
             for y, cy in enumerate(interior[a2]):
-                part[x + y] += cx * cy
-        for k, c in enumerate(part):
-            boundary[k] += mult * c
+                boundary[x + y] += mult * cx * cy
     # cone with the interior point, then read off h
     coned = [0] * (max_len + 1)
     for k, c in enumerate(boundary):
@@ -357,10 +376,10 @@ def _interior_hstar_structural(d):
 
 
 def hstar_structural(d):
-    """h* of the reduced Laplacian polytope by the scalable structural
+    """h* of the reduced Laplacian polytope by the closed-form structural
     route: a product of edgewise h-polynomials for odd d; for even d the
-    interior polytope's h* (inclusion-exclusion census of its cone
-    triangulation) pushed through the dilation transform."""
+    interior polytope's h* (closed-form census of its cone triangulation)
+    pushed through the dilation transform."""
     if d < 1:
         raise ValueError("d must be >= 1")
     length = d + 2 if d % 2 else d + 1
@@ -438,24 +457,9 @@ def _sturm_chain(p):
     def derivative(poly):
         return [poly[i] * i for i in range(1, len(poly))]
 
-    def rem(a, b):
-        a = list(a)
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= f * c
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
     chain = [content_normalize(p), content_normalize(derivative(p))]
     while len(chain[-1]) > 1:
-        r = rem(chain[-2], chain[-1])
+        _, r = _poly_divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append(content_normalize([-c for c in r]))
@@ -480,8 +484,8 @@ def _sign_variations_at_infinity(chain, positive):
 def is_real_rooted(h):
     """All roots real?  Exact Sturm count on the squarefree part.
 
-    Trailing zero coefficients (factors of t) are stripped first; the
-    zero polynomial is rejected.
+    Zero top-degree coefficients (the trailing entries of `h`) are
+    stripped first; the zero polynomial is rejected.
     """
     coeffs = [Fraction(c) for c in h]
     while coeffs and coeffs[-1] == 0:
@@ -491,51 +495,32 @@ def is_real_rooted(h):
     if len(coeffs) == 1:
         return True
 
-    def poly_gcd(a, b):
-        a, b = list(a), list(b)
-        while b and any(b):
-            a, b = b, _poly_mod(a, b)
-        return a
-
-    def _poly_mod(a, b):
-        a = list(a)
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= f * c
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
-    g = poly_gcd(coeffs, deriv)
-    if len(g) > 1:
-        # squarefree part = p / gcd(p, p')
-        sf = _poly_div(coeffs, g)
-    else:
-        sf = coeffs
+    # squarefree part p / gcd(p, p'); the derivative of a nonconstant
+    # polynomial is nonzero, so the Euclidean loop starts with a divisor
+    a, b = coeffs, [coeffs[i] * i for i in range(1, len(coeffs))]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    sf = _poly_divmod(coeffs, a)[0] if len(a) > 1 else coeffs
     chain = _sturm_chain(sf)
     count = _sign_variations_at_infinity(chain, False) - _sign_variations_at_infinity(chain, True)
     return count == len(sf) - 1
 
 
-def _poly_div(a, b):
+def _poly_divmod(a, b):
+    """(quotient, remainder) of rational polynomials, low degree first.
+
+    `b` must have a nonzero leading coefficient.  The remainder carries no
+    trailing zeros; the zero remainder is [].
+    """
     a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
-        out[shift] = f
+        quotient[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()
-    return out
+    while a and a[-1] == 0:
+        a.pop()
+    return quotient, a

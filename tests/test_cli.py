@@ -172,3 +172,27 @@ def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "d=1: FAIL" in captured.err and "nonzero tail" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--boundary-simplex", "2", "--k", "1"],
+    ["hstar", "--d", "1", "--method", "ehrhart"],
+    ["verify-table", "--max-d", "1"],
+], ids=["build", "hstar", "verify-table"])
+def test_laplacian_ordering_error_maps_to_mismatch_exit(argv, monkeypatch, capsys):
+    import lapoly.laplacian as laplacian
+
+    # every Laplacian entry now disagrees with the combinatorial rule
+    monkeypatch.setattr(laplacian, "_combinatorial_entry", lambda *args: None)
+    assert main(argv) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "mismatch: Laplacian entry" in captured.err
+    assert captured.out == ""
+
+
+def test_hstar_beyond_the_reference_table():
+    r = run_cli("hstar", "--d", "11")
+    assert r.returncode == EXIT_OK, r.stderr
+    res = json.loads(r.stdout)["results"]
+    assert res["volume"] == 13**11
+    assert len(res["hstar"]) == 13 and res["real_rooted"] is True

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lapoly.ehrhart as ehrhart
+import lapoly.triangulate as triangulate
 from lapoly.budgets import BudgetError
+from lapoly.cli import load_reference_table
+from lapoly.complexes import h_from_f
 from lapoly.ehrhart import (
     IntPolynomial,
     dilation_antisymmetry_holds,
@@ -25,6 +30,11 @@ from lapoly.ehrhart import (
 )
 from lapoly.laplacian import reduce_full_dim
 from lapoly.polytope import LatticePolytope
+from lapoly.triangulate import (
+    _esd_cells_mu,
+    facet_join_partition,
+    interior_facet_families,
+)
 
 REFERENCE = {
     1: (1, 2, 0),
@@ -133,6 +143,100 @@ def test_interior_hstar_palindromic_unimodal():
         assert is_palindromic(tuple(hq), d)
         unimodal, _ = is_unimodal(tuple(hq))
         assert unimodal
+
+
+# The materialised structural route, kept as the oracle for the closed
+# forms: every face of the edgewise subdivision, and every label subset of
+# every facet of the interior polytope.
+
+
+def materialised_face_enumerator(r, nverts):
+    if nverts == 0:
+        return IntPolynomial([1])
+    faces = set()
+    for chain in _esd_cells_mu(r, nverts):
+        cell = tuple(sorted(set(chain)))
+        for size in range(1, len(cell) + 1):
+            faces.update(combinations(cell, size))
+    counts = [1] + [0] * nverts
+    for f in faces:
+        counts[len(f)] += 1
+    return IntPolynomial(counts)
+
+
+def materialised_signature_counts(d):
+    signature_counts = {}
+    faces = set()
+    for family, i, j in interior_facet_families(d):
+        v1, v2 = facet_join_partition(d, family, i, j)
+        labels = tuple(sorted(v1 + v2))
+        for size in range(0, len(labels) + 1):
+            faces.update(combinations(labels, size))
+    for f in faces:
+        a1 = sum(1 for l in f if l % 2 == 1)
+        a2 = len(f) - a1
+        signature_counts[(a1, a2)] = signature_counts.get((a1, a2), 0) + 1
+    return signature_counts
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+@pytest.mark.parametrize("n", range(0, 6))
+def test_esd_closed_form_matches_materialised(r, n):
+    face_enum = materialised_face_enumerator(r, n)
+    assert ehrhart._esd_face_enumerator(r, n) == face_enum
+    if n:
+        h = ehrhart._esd_h_polynomial(r, n)
+        assert tuple(h) + (0,) == h_from_f(tuple(face_enum))
+
+
+@pytest.mark.parametrize("d", range(2, 13, 2))
+def test_boundary_signatures_match_facet_subsets(d):
+    m = d // 2 + 1
+    counts = dict(ehrhart._boundary_signatures(d))
+    assert counts == materialised_signature_counts(d)
+    assert counts == {
+        (a1, a2): comb(m, a1) * comb(m, a2)
+        for a1 in range(m)
+        for a2 in range(m)
+    }
+
+
+@pytest.mark.parametrize("d", (9, 10))
+def test_structural_matches_materialised_route(d, monkeypatch):
+    # rows 9 and 10 of the reference table are pinned by this agreement
+    closed = tuple(hstar_structural(d))
+    # keep the large cell lists out of the constructor's cache
+    monkeypatch.setattr(triangulate, "_ESD_CELL_CACHE", {})
+    monkeypatch.setattr(
+        ehrhart, "_esd_h_polynomial",
+        lambda r, n: IntPolynomial(
+            h_from_f(tuple(materialised_face_enumerator(r, n)))),
+    )
+    monkeypatch.setattr(
+        ehrhart, "_esd_face_enumerator", materialised_face_enumerator)
+    monkeypatch.setattr(
+        ehrhart, "_boundary_signatures",
+        lambda d: materialised_signature_counts(d).items(),
+    )
+    assert tuple(hstar_structural(d)) == closed
+    assert load_reference_table()[d] == closed
+
+
+def test_structural_volume_up_to_30():
+    for d in range(1, 31):
+        hs = hstar_structural(d)
+        assert len(hs) == (d + 2 if d % 2 else d + 1)
+        assert hs.sum() == (d + 2) ** d
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_structural_real_rooted_and_unimodal(d):
+    hs = tuple(hstar_structural(d))
+    if d % 2:
+        assert is_real_rooted(hs)
+    if d <= 20:
+        dim = d + 1 if d % 2 else d
+        assert is_unimodal(hs) == (True, -(-dim // 2))
 
 
 def test_dilation_coefficients():
