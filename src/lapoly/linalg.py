@@ -148,42 +148,18 @@ class ExactMatrix:
     def nullspace(self):
         return nullspace(self.entries)
 
-    def delete_rows(self, indices):
-        drop = set(indices)
-        return ExactMatrix(
-            [row for i, row in enumerate(self.entries) if i not in drop]
-        )
 
+def _bareiss(m, n):
+    """Fraction-free (Bareiss) forward elimination of the n x n leading block
+    of the n-row integer matrix m, in place; trailing columns ride along.
 
-def rank(rows):
-    """Rank of a matrix given as a list of rows, exact Gaussian elimination."""
-    m = _as_fraction_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def det_int(rows):
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
+    Afterwards row k is the k-th row of Gaussian elimination of the
+    row-permuted matrix, scaled by the integer leading k x k minor, and
+    m[n-1][n-1] is the determinant of the permuted leading block.  Returns
+    the sign of the row permutation, or 0 when a pivot column is zero (the
+    block is singular).
+    """
+    width = len(m[0]) if m else 0
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -194,15 +170,51 @@ def det_int(rows):
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         pkk = m[k][k]
+        mk = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             mi = m[i]
-            mk = m[k]
-            for j in range(k + 1, n):
+            mik = mi[k]
+            for j in range(k + 1, width):
                 mi[j] = (pkk * mi[j] - mik * mk[j]) // prev
             mi[k] = 0
         prev = pkk
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def det_int(rows):
+    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    return _bareiss(m, n) * m[n - 1][n - 1]
+
+
+def solve_int(rows, rhs):
+    """Fraction-free solve of A x = b for several integer right-hand sides.
+
+    Returns (det A, [det(A) * A^-1 b for b in rhs]).  Each solution is an
+    integer vector (the adjugate of A times b), found by Bareiss elimination
+    of [A | B] and a back-substitution whose divisions are exact.  The list
+    is None when A is singular.
+    """
+    n = len(rows)
+    m = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
+    sign = _bareiss(m, n)
+    det = m[n - 1][n - 1] if n else 1
+    if not sign or not det:
+        return 0, None
+    sols = []
+    for c in range(n, n + len(rhs)):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = det * row[c]
+            for j in range(i + 1, n):
+                acc -= row[j] * x[j]
+            x[i] = acc // row[i]
+        sols.append([sign * v for v in x])
+    return sign * det, sols
 
 
 def det_fraction(rows):
@@ -251,6 +263,11 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def rank(rows):
+    """Rank of a matrix given as a list of rows: the pivot count of `rref`."""
+    return len(rref(rows)[1])
 
 
 def nullspace(rows):
@@ -457,20 +474,6 @@ def saturation_basis(rows):
         return []
     _, _, v = snf_with_transform(rows)
     return [list(v[i]) for i in range(r)]
-
-
-def solve_affine(points, target):
-    """Affine coordinates of `target` in terms of `points`.
-
-    Returns lam with sum(lam) == 1 and sum(lam_i * points_i) == target,
-    or None if target is not in the affine hull.
-    """
-    n = len(points)
-    dim = len(target)
-    rows = [[Fraction(points[j][i]) for j in range(n)] for i in range(dim)]
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(x) for x in target] + [Fraction(1)]
-    return solve(rows, rhs)
 
 
 def affinely_independent(points):

@@ -7,6 +7,10 @@ subdivisions for odd d; for even d a triangulation of the interior polytope
 second edgewise subdivision.  Every triangulation carries proposed lifting
 heights; `is_regular` certifies them independently by exact fold checks,
 falling back to an exact LP search when no usable heights are present.
+Fold values, in construction and check alike, come from the affine
+coordinates of each fold's opposite vertex in its cell, found by one
+fraction-free solve per cell (`_fold_coordinates`); they are integers on
+unimodular cells.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ from . import lp
 from .budgets import BudgetError, cell_budget
 from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import ExactMatrix, det_int, solve
+from .linalg import ExactMatrix, det_int, solve, solve_int
 from .polytope import LatticePolytope
+
+# largest triangulation on which `is_regular` searches heights by exact LP
+LP_CELL_LIMIT = 4000
 
 
 class Triangulation:
@@ -100,9 +107,6 @@ def compositions(r, n):
     return out
 
 
-_ESD_CELL_CACHE = {}
-
-
 def _esd_cells_mu(r, n):
     """Maximal cells of the r-th edgewise subdivision of an (n-1)-simplex.
 
@@ -110,11 +114,8 @@ def _esd_cells_mu(r, n):
     n lattice vectors t with 0 <= t_1 <= ... <= t_{n-1} <= r whose
     successive differences are nested 0/1 vectors; equivalently a base
     point plus a permutation telling which coordinate steps up next.
-    Exactly r^(n-1) cells come out.  Results are cached per (r, n).
+    Exactly r^(n-1) cells come out.
     """
-    cached = _ESD_CELL_CACHE.get((r, n))
-    if cached is not None:
-        return cached
     m = n - 1
     if m == 0:
         return [((),)]
@@ -154,7 +155,6 @@ def _esd_cells_mu(r, n):
             t0.append(acc)
         t0 = tuple(t0)
         rec(t0, [t0], set())
-    _ESD_CELL_CACHE[(r, n)] = cells
     return cells
 
 
@@ -544,142 +544,81 @@ def _fold_data(cells):
     return folds
 
 
-def _fold_values_multi(vertex_pool, cells, height_vectors, folds):
-    """Exact fold values for several height vectors at once.
+def _fold_coordinates(pool, cells, folds):
+    """Affine coordinates of every fold's opposite vertex in its cell.
 
-    For each fold (cell, opposite vertex) and each height vector, the
-    value is height(v) - affine_lift_of_cell(v).  Integer pools and
-    heights go through a fraction-free determinant identity; otherwise
-    one exact affine interpolation per cell and height vector is reused
-    across its folds.
+    For the fold (cell, vb) the coordinates lam satisfy
+    sum(lam_i * pool[cell_i]) == pool[vb] and sum(lam) == 1, so the fold
+    value of any heights h, the height of vb above the cell's affine lift,
+    is h[vb] - sum(lam_i * h[cell_i]).  One fraction-free solve per cell
+    (`solve_int` on the homogeneous matrix [v_i; 1]) serves all of its
+    folds: lam is an integer vector when the cell is unimodular and
+    Fractions over its determinant otherwise.  Returns the coordinate
+    lists, aligned with `folds`.
     """
-    all_int = all(
-        isinstance(h, int) for heights in height_vectors for h in heights
-    )
-    if all_int:
-        return _fold_values_multi_int(vertex_pool, cells, height_vectors, folds)
-    dim = len(vertex_pool[0])
+    dim = len(pool[0])
     by_cell = {}
-    for ca, vb in folds:
-        by_cell.setdefault(ca, []).append(vb)
-    results = [[] for _ in height_vectors]
-    order = []
-    for ca, opposite in by_cell.items():
+    for k, (ca, _) in enumerate(folds):
+        by_cell.setdefault(ca, []).append(k)
+    coords = [None] * len(folds)
+    for ca, ks in by_cell.items():
         cell = cells[ca]
-        mat = [list(vertex_pool[i]) + [1] for i in cell]
-        funcs = []
-        for heights in height_vectors:
-            coef = solve(
-                [[Fraction(mat[i][k]) for k in range(dim + 1)] for i in range(dim + 1)],
-                [Fraction(heights[i]) for i in cell],
-            )
-            if coef is None:
-                raise ValueError("degenerate cell in fold computation")
-            funcs.append(coef)
-        for vb in opposite:
-            order.append((ca, vb))
-            x = vertex_pool[vb]
-            for slot, (heights, coef) in enumerate(zip(height_vectors, funcs)):
-                lift = sum(coef[k] * x[k] for k in range(dim)) + coef[dim]
-                results[slot].append(Fraction(heights[vb]) - lift)
-    return order, results
-
-
-def _fold_values_multi_int(vertex_pool, cells, height_vectors, folds):
-    """Integer fold values: value = det(lifted edge matrix) / det(spatial).
-
-    The lifted matrix rows are the cell's edge vectors extended by height
-    differences, with the opposite vertex's row appended last; expanding
-    along that row shows the determinant equals the fold value times the
-    spatial determinant.
-    """
-    dim = len(vertex_pool[0])
-    by_cell = {}
-    for ca, vb in folds:
-        by_cell.setdefault(ca, []).append(vb)
-    results = [[] for _ in height_vectors]
-    order = []
-    for ca, opposite in by_cell.items():
-        cell = cells[ca]
-        base = vertex_pool[cell[0]]
-        edges = [
-            [vertex_pool[i][k] - base[k] for k in range(dim)] for i in cell[1:]
-        ]
-        det_spatial = det_int(edges)
-        if det_spatial == 0:
+        rows = [[pool[i][c] for i in cell] for c in range(dim)]
+        rows.append([1] * len(cell))
+        det, sols = solve_int(rows, [[*pool[folds[k][1]], 1] for k in ks])
+        if not det:
             raise ValueError("degenerate cell in fold computation")
-        lifted_rows = []
-        for heights in height_vectors:
-            h0 = heights[cell[0]]
-            lifted_rows.append(
-                [
-                    edges[r] + [heights[i] - h0]
-                    for r, i in enumerate(cell[1:])
-                ]
-            )
-        for vb in opposite:
-            order.append((ca, vb))
-            x = [vertex_pool[vb][k] - base[k] for k in range(dim)]
-            for slot, heights in enumerate(height_vectors):
-                row = x + [heights[vb] - heights[cell[0]]]
-                val = det_int(lifted_rows[slot] + [row])
-                results[slot].append(Fraction(val, det_spatial))
-    return order, results
+        for k, lam in zip(ks, sols):
+            if det == 1:
+                coords[k] = lam
+            elif det == -1:
+                coords[k] = [-x for x in lam]
+            else:
+                coords[k] = [Fraction(x, det) for x in lam]
+    return coords
 
 
-def _fold_values(vertex_pool, cells, heights, folds):
-    """Exact fold values (one height vector)."""
-    _, results = _fold_values_multi(vertex_pool, cells, [heights], folds)
-    return results[0]
-
-
-def is_regular(t, heights=None, lp_cell_limit=4000):
+def is_regular(t, heights=None):
     """Regularity test with an exact certificate.
 
     If heights are supplied (or attached to the triangulation), all
     interior folds of the induced lift are checked for strict convexity;
     strict folds on a valid triangulation certify that the lower envelope
-    of the lifted vertices projects exactly onto it.  Without a usable
-    witness the strict system is solved as an exact LP maximizing the
-    minimum fold slack (positive optimum iff regular).
+    of the lifted vertices projects exactly onto it (the local-folding
+    criterion).  Without a usable witness the strict system is solved as
+    an exact LP maximizing the minimum fold slack (positive optimum iff
+    regular); the LP is refused above `LP_CELL_LIMIT` cells.  The fold
+    coordinates come from `t.cells` and `t.vertex_pool`, never from the
+    construction.
 
     Returns (regular, heights_or_none).
     """
     use = heights if heights is not None else t.heights
     folds = _fold_data(t.cells)
+    coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
     if use is not None:
-        values = _fold_values(t.vertex_pool, t.cells, use, folds)
-        if all(v > 0 for v in values):
+        if all(
+            use[vb] - sum(l * use[i] for l, i in zip(lam, t.cells[ca])) > 0
+            for (ca, vb), lam in zip(folds, coords)
+        ):
             t.checks["regular"] = {"witness": "heights", "folds": len(folds)}
             return True, list(use)
         if heights is not None:
             return False, None
-    if t.cell_count > lp_cell_limit:
+    if t.cell_count > LP_CELL_LIMIT:
         raise BudgetError(
             f"regularity LP over {t.cell_count} cells exceeds the limit "
-            f"{lp_cell_limit} and no valid heights witness is attached"
+            f"{LP_CELL_LIMIT} and no valid heights witness is attached"
         )
     used = t.used_vertex_indices()
     var = {v: k for k, v in enumerate(used)}
     nvars = len(used) + 1  # heights plus the slack s
     a_ub = []
     b_ub = []
-    dim = len(t.vertex_pool[0])
-    for ca, vb in folds:
-        cell = t.cells[ca]
-        lam = solve(
-            [
-                [Fraction(t.vertex_pool[i][k]) for i in cell]
-                for k in range(dim)
-            ]
-            + [[Fraction(1)] * len(cell)],
-            [Fraction(x) for x in t.vertex_pool[vb]] + [Fraction(1)],
-        )
-        if lam is None:
-            raise ValueError("fold vertex outside the cell's affine hull")
+    for (ca, vb), lam in zip(folds, coords):
         row = [Fraction(0)] * nvars
         row[var[vb]] += 1
-        for coef, i in zip(lam, cell):
+        for coef, i in zip(lam, t.cells[ca]):
             row[var[i]] -= coef
         # constraint: fold >= s  <=>  s - fold <= 0
         a_ub.append([-x for x in row[:-1]] + [Fraction(1)])
@@ -705,12 +644,17 @@ def _scaled_heights(pool, cells, primary, secondary):
     makes every fold of the lift strictly convex.
 
     Every fold must be convex under `primary` alone, and strictly convex
-    under `secondary` where `primary` is flat.
+    under `secondary` where `primary` is flat.  Fold values are exact
+    integers: the integer affine coordinates of each fold's opposite
+    vertex (`_fold_coordinates`, one fraction-free solve per cell) dotted
+    with the heights.
     """
     folds = _fold_data(cells)
-    _, (prim, sec) = _fold_values_multi(pool, cells, [primary, secondary], folds)
     need = 1
-    for p, s in zip(prim, sec):
+    for (ca, vb), lam in zip(folds, _fold_coordinates(pool, cells, folds)):
+        cell = cells[ca]
+        p = primary[vb] - sum(l * primary[i] for l, i in zip(lam, cell))
+        s = secondary[vb] - sum(l * secondary[i] for l, i in zip(lam, cell))
         if p < 0:
             raise AssertionError("base fold is non-convex; construction bug")
         if p == 0:
@@ -789,13 +733,15 @@ def laplacian_triangulation(d, budget=None):
                 raise AssertionError("refinement heights disagree across cells")
         return pool2[pt]
 
+    # every cone cell has d + 1 vertices
+    esd_chains = _esd_cells_mu(2, d + 1)
     cells2 = []
     for cell in cone_cells:
         ordered = sorted(cell, key=lambda i: pool[i])
         verts = [pool[i] for i in ordered]
         hts = [cone_heights[i] for i in ordered]
         n = len(ordered)
-        for chain in _esd_cells_mu(2, n):
+        for chain in esd_chains:
             ids = []
             for t_vec in chain:
                 mu = _t_to_mu(t_vec, 2)

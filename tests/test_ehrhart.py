@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lapoly.ehrhart as ehrhart
-import lapoly.triangulate as triangulate
 from lapoly.budgets import BudgetError
 from lapoly.cli import load_reference_table
 from lapoly.complexes import h_from_f
@@ -205,8 +204,6 @@ def test_boundary_signatures_match_facet_subsets(d):
 def test_structural_matches_materialised_route(d, monkeypatch):
     # rows 9 and 10 of the reference table are pinned by this agreement
     closed = tuple(hstar_structural(d))
-    # keep the large cell lists out of the constructor's cache
-    monkeypatch.setattr(triangulate, "_ESD_CELL_CACHE", {})
     monkeypatch.setattr(
         ehrhart, "_esd_h_polynomial",
         lambda r, n: IntPolynomial(

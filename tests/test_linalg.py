@@ -14,6 +14,7 @@ from lapoly.linalg import (
     saturation_basis,
     snf_with_transform,
     solve,
+    solve_int,
 )
 
 
@@ -36,6 +37,41 @@ def test_det_matches_cofactor_expansion():
         n = rng.randint(0, 5)
         m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert det_int(m) == det_cofactor(m)
+
+
+def test_solve_int_is_det_times_solve():
+    rng = random.Random(13)
+    cases = [
+        [[0, 1, 2], [1, 0, 3], [4, 5, 6]],  # zero corner: pivot swap
+        [[0, 0, 1], [0, 2, 0], [3, 0, 0]],  # swap at every step
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # singular, found late
+        [[0, 0], [0, 0]],  # singular, no first pivot
+        [[2, 0], [0, 3]],  # |det| > 1
+    ]
+    cases += [
+        [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        for n in (rng.randint(1, 6) for _ in range(300))
+    ]
+    seen = set()
+    for a in cases:
+        n = len(a)
+        rhs = [[rng.randint(-9, 9) for _ in range(n)]
+               for _ in range(rng.randint(0, 3))]
+        det, sols = solve_int(a, rhs)
+        assert det == det_int(a) == det_cofactor(a)
+        assert (rank(a) == n) == (det != 0)
+        if det == 0:
+            assert sols is None
+            seen.add("singular")
+            continue
+        seen.add("unimodular" if abs(det) == 1 else "large det")
+        if a[0][0] == 0:
+            seen.add("pivot swap")
+        assert len(sols) == len(rhs)
+        for b, x in zip(rhs, sols):
+            assert all(type(v) is int for v in x)
+            assert x == [det * v for v in solve(a, b)]
+    assert seen == {"singular", "unimodular", "large det", "pivot swap"}
 
 
 def test_rank_and_nullspace():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.complexes import h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import det_int, nullspace, primitive_vector
+from lapoly.linalg import det_int, nullspace, primitive_vector, solve
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
@@ -26,7 +27,7 @@ from lapoly.triangulate import (
     verify_shelling,
     verify_triangulation,
 )
-from lapoly.triangulate import _fold_data, _fold_values
+from lapoly.triangulate import _fold_coordinates, _fold_data
 
 
 def standard_simplex(m):
@@ -35,10 +36,28 @@ def standard_simplex(m):
     return pts
 
 
+def oracle_fold_values(t, heights):
+    """Fold values from one exact Fraction `solve` per fold: the affine
+    coordinates of the opposite vertex in its cell, dotted with the
+    heights."""
+    dim = len(t.vertex_pool[0])
+    values = []
+    for ca, vb in _fold_data(t.cells):
+        cell = t.cells[ca]
+        lam = solve(
+            [[Fraction(t.vertex_pool[i][k]) for i in cell] for k in range(dim)]
+            + [[Fraction(1)] * len(cell)],
+            [Fraction(x) for x in t.vertex_pool[vb]] + [Fraction(1)],
+        )
+        assert lam is not None, "fold vertex outside the cell's affine hull"
+        values.append(
+            Fraction(heights[vb]) - sum(c * heights[i] for c, i in zip(lam, cell))
+        )
+    return values
+
+
 def folds_strict(t):
-    folds = _fold_data(t.cells)
-    values = _fold_values(t.vertex_pool, t.cells, t.heights, folds)
-    return all(v > 0 for v in values)
+    return all(v > 0 for v in oracle_fold_values(t, t.heights))
 
 
 # -- edgewise subdivisions ---------------------------------------------------
@@ -512,11 +531,61 @@ def test_is_regular_lp_witness_roundtrip():
     assert is_regular(t, heights=heights)[0]
 
 
-def test_is_regular_budget_gate():
+def test_is_regular_budget_gate(monkeypatch):
     t = edgewise_subdivision(standard_simplex(2), 2)
     t.heights = None
+    monkeypatch.setattr("lapoly.triangulate.LP_CELL_LIMIT", 1)
     with pytest.raises(BudgetError):
-        is_regular(t, lp_cell_limit=1)
+        is_regular(t)
+
+
+def fold_case(name, triangulation_cache):
+    if name == "nonregular":
+        # non-unimodular cells (det 4) under Fraction heights
+        t = nonregular_fixture()
+        rng = random.Random(7)
+        heights = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in t.vertex_pool]
+        return t, heights
+    if name == "lp_witness":
+        t = edgewise_subdivision(standard_simplex(2), 3)
+        t.heights = None
+        ok, heights = is_regular(t)
+        assert ok
+        return t, heights
+    t = triangulation_cache(int(name[-1]))
+    return t, t.heights
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["laplacian_1", "laplacian_2", "laplacian_3", "laplacian_4", "nonregular",
+     "lp_witness"],
+)
+def test_fold_coordinates_match_solve_oracle(name, triangulation_cache):
+    t, heights = fold_case(name, triangulation_cache)
+    folds = _fold_data(t.cells)
+    coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
+    values = [
+        heights[vb] - sum(l * heights[i] for l, i in zip(lam, t.cells[ca]))
+        for (ca, vb), lam in zip(folds, coords)
+    ]
+    assert values == oracle_fold_values(t, heights)
+    for lam in coords:
+        assert sum(lam) == 1
+        if name.startswith("laplacian"):
+            # unimodular cells: integer coordinates, integer fold values
+            assert all(type(x) is int for x in lam)
+
+
+def test_fold_coordinates_reject_degenerate_cell():
+    t = FIXTURES["degenerate_cell"]
+    with pytest.raises(ValueError, match="degenerate cell"):
+        _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
+    with pytest.raises(ValueError, match="degenerate cell"):
+        is_regular(t)
+    with pytest.raises(ValueError, match="degenerate cell"):
+        is_regular(t, heights=[0, 1, 2, 3])
 
 
 # -- census, export, shelling ----------------------------------------------------
