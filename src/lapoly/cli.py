@@ -145,7 +145,7 @@ def cmd_build(args):
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except LaplacianOrderingError as exc:
+    except (AssertionError, LaplacianOrderingError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     inputs = {**source, "k": args.k}

@@ -26,7 +26,7 @@ from math import comb, gcd
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import det_int, snf_with_transform
+from .linalg import det_int, snf_with_transform, solve_int
 from .polytope import LatticePolytope
 from .triangulate import Triangulation
 
@@ -206,16 +206,11 @@ def hstar_simplex_fundamental(simplex_points, budget=None):
     # nu_i = volume * frac(lambda_i); z walks U times the SNF residue grid.
     # After `order` additions of a generator's step the state returns to
     # its entry value (order * step == 0 mod volume), so no reset needed.
-    from .linalg import solve
-
-    gens = []
-    for j in range(d + 1):
-        if diag[j] == 1:
-            continue
-        col_u = [u[i][j] for i in range(d + 1)]
-        lam = solve(cols, col_u)
-        step = [int(x * volume) % volume for x in lam]
-        gens.append((diag[j], step))
+    # A generator's step is volume * W^{-1} u_j = sign(det W) * adj(W) u_j.
+    gen_cols = [j for j in range(d + 1) if diag[j] != 1]
+    det, sols = solve_int(cols, [[u[i][j] for i in range(d + 1)] for j in gen_cols])
+    sign = 1 if det > 0 else -1
+    gens = [(diag[j], [sign * x % volume for x in x_j]) for j, x_j in zip(gen_cols, sols)]
     gens.sort()  # largest order innermost
     h = [0] * (d + 1)
     nu = [0] * (d + 1)

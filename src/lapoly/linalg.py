@@ -1,18 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything in this package runs on exact arithmetic: integer matrices are
-handled with fraction-free (Bareiss) elimination, everything else with
-`fractions.Fraction`.  No floating point, ever.
+Everything in this package runs on exact arithmetic, and one fraction-free
+elimination serves it: rank, kernels, solves and determinants all run on
+the integer Bareiss loop `_echelon` and one exact back-substitution.
+Rational input rows are first scaled to integer rows.  Results are
+integers or `fractions.Fraction`s.  No floating point, ever.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+from math import gcd, lcm
 
 
 class ExactMatrix:
@@ -141,164 +139,154 @@ class ExactMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
+        rows, scale = _integer_rows(self.entries)
         if all(isinstance(x, int) for row in self.entries for x in row):
-            return det_int(self.entries)
-        return det_fraction(self.entries)
+            return det_int(rows)
+        return Fraction(det_int(rows), scale)
 
     def nullspace(self):
         return nullspace(self.entries)
 
 
-def _bareiss(m, n):
-    """Fraction-free (Bareiss) forward elimination of the n x n leading block
-    of the n-row integer matrix m, in place; trailing columns ride along.
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators to an integer row, so
+    the row space is unchanged; returns (rows, product of the scales)."""
+    out = []
+    scale = 1
+    for row in rows:
+        if all(isinstance(x, int) for x in row):
+            out.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in fracs))
+        out.append([int(x * s) for x in fracs])
+        scale *= s
+    return out, scale
 
-    Afterwards row k is the k-th row of Gaussian elimination of the
-    row-permuted matrix, scaled by the integer leading k x k minor, and
-    m[n-1][n-1] is the determinant of the permuted leading block.  Returns
-    the sign of the row permutation, or 0 when a pivot column is zero (the
-    block is singular).
+
+def _echelon(m, ncols):
+    """Fraction-free (Bareiss) row echelon form of the integer matrix m over
+    its first ncols columns, in place; trailing columns ride along.
+
+    Zero columns are skipped, so m may be rectangular and rank-deficient.
+    Returns (pivot columns p_0 < p_1 < ..., sign of the row permutation).
+    Afterwards row k is zero left of p_k, and its entry in a column j >= p_k
+    is the minor of the row-permuted matrix on rows 0..k and columns
+    p_0..p_(k-1), j (Bareiss, Math. Comp. 22, 1968).  So every division is
+    exact, the last pivot is the leading minor of the pivot block, and the
+    rows below the rank are zero in the first ncols columns.
     """
+    nrows = len(m)
     width = len(m[0]) if m else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        if m[r][col] == 0:
+            pivot = next((i for i in range(r + 1, nrows) if m[i][col] != 0), None)
             if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        pkk = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
+        mr = m[r]
+        prc = mr[col]
+        for i in range(r + 1, nrows):
             mi = m[i]
-            mik = mi[k]
-            for j in range(k + 1, width):
-                mi[j] = (pkk * mi[j] - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pkk
-    return sign
+            mic = mi[col]
+            for j in range(col + 1, width):
+                mi[j] = (prc * mi[j] - mic * mr[j]) // prev
+            mi[col] = 0
+        prev = prc
+        pivots.append(col)
+        r += 1
+    return pivots, sign
+
+
+def _pivot_minor(m, pivots):
+    """The leading minor of the pivot block after `_echelon`: its last pivot."""
+    return m[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def _back_substitute(m, pivots, ncols, cols, det):
+    """For each column c in cols, det times the solution x of the echelon
+    system of `_echelon` against column c, with every free unknown 0.  det
+    is +-`_pivot_minor`, so det * x is integral (Cramer's rule on the pivot
+    block) and each division is exact."""
+    sols = []
+    for c in cols:
+        x = [0] * ncols
+        for k in range(len(pivots) - 1, -1, -1):
+            row = m[k]
+            p = pivots[k]
+            acc = det * row[c]
+            for j in range(p + 1, ncols):
+                acc -= row[j] * x[j]
+            x[p] = acc // row[p]
+        sols.append(x)
+    return sols
 
 
 def det_int(rows):
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    """Determinant of an integer matrix by fraction-free elimination."""
     n = len(rows)
-    if n == 0:
-        return 1
     m = [list(r) for r in rows]
-    return _bareiss(m, n) * m[n - 1][n - 1]
+    pivots, sign = _echelon(m, n)
+    return sign * _pivot_minor(m, pivots) if len(pivots) == n else 0
 
 
 def solve_int(rows, rhs):
     """Fraction-free solve of A x = b for several integer right-hand sides.
 
     Returns (det A, [det(A) * A^-1 b for b in rhs]).  Each solution is an
-    integer vector (the adjugate of A times b), found by Bareiss elimination
-    of [A | B] and a back-substitution whose divisions are exact.  The list
-    is None when A is singular.
+    integer vector (the adjugate of A times b), found by fraction-free
+    elimination of [A | B] and an exact back-substitution.  The list is
+    None when A is singular.
     """
     n = len(rows)
     m = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
-    sign = _bareiss(m, n)
-    det = m[n - 1][n - 1] if n else 1
-    if not sign or not det:
+    pivots, sign = _echelon(m, n)
+    if len(pivots) < n:
         return 0, None
-    sols = []
-    for c in range(n, n + len(rhs)):
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            acc = det * row[c]
-            for j in range(i + 1, n):
-                acc -= row[j] * x[j]
-            x[i] = acc // row[i]
-        sols.append([sign * v for v in x])
-    return sign * det, sols
-
-
-def det_fraction(rows):
-    m = _as_fraction_rows(rows)
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        result *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return sign * result
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _as_fraction_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    det = sign * _pivot_minor(m, pivots)
+    return det, _back_substitute(m, pivots, n, range(n, n + len(rhs)), det)
 
 
 def rank(rows):
-    """Rank of a matrix given as a list of rows: the pivot count of `rref`."""
-    return len(rref(rows)[1])
+    """Rank of a matrix given as a list of rows: its pivot count."""
+    m, _ = _integer_rows(rows)
+    return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 def nullspace(rows):
-    """Basis of the right kernel, as lists of Fractions."""
-    m, pivots = rref(rows)
-    ncols = len(rows[0]) if rows else 0
+    """Basis of the right kernel, as lists of Fractions: one vector per free
+    column, 1 there and 0 at the other free columns."""
+    m, _ = _integer_rows(rows)
+    ncols = len(m[0]) if m else 0
+    pivots, _ = _echelon(m, ncols)
+    det = _pivot_minor(m, pivots)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f, x in zip(free, _back_substitute(m, pivots, ncols, free, det)):
+        v = [Fraction(-y, det) for y in x]
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
         basis.append(v)
     return basis
 
 
 def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns one solution or None if inconsistent."""
+    """Solve A x = b exactly.  Returns one solution (0 at every free
+    unknown) or None if inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    for row in m:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = m[r][-1]
-    return x
+    m, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    pivots, _ = _echelon(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    det = _pivot_minor(m, pivots)
+    (x,) = _back_substitute(m, pivots, ncols, [ncols], det)
+    return [Fraction(v, det) for v in x]
 
 
 def vec_gcd(v):
@@ -475,12 +463,3 @@ def saturation_basis(rows):
     _, _, v = snf_with_transform(rows)
     return [list(v[i]) for i in range(r)]
 
-
-def affinely_independent(points):
-    if not points:
-        return True
-    base = points[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    if not diffs:
-        return True
-    return rank(diffs) == len(diffs)

@@ -354,7 +354,7 @@ class LatticePolytope:
         hi = [max(p[i] for p in self.points) * n for i in range(self.ambient_dim)]
         return lo, hi
 
-    def _scan(self, n, budget=None, parts=1, collect=False, strict=False):
+    def _scan(self, n, budget=None, collect=False, strict=False):
         """Count (or collect) lattice points of the n-th dilation.
 
         Recursive box scan: coordinates are fixed left to right, pruning
@@ -425,31 +425,17 @@ class LatticePolytope:
                 ]
                 rec(depth + 1, nxt)
 
-        if parts <= 1 or d == 0:
-            rec(0, [0] * len(ineqs))
-        else:
-            # deterministic partitioning over the first coordinate
-            full_lo, full_hi = lo[0], hi[0]
-            width = full_hi - full_lo + 1
-            step = max(1, -(-width // parts))
-            start = full_lo
-            while start <= full_hi:
-                end = min(start + step - 1, full_hi)
-                saved = (lo[0], hi[0])
-                lo[0], hi[0] = start, end
-                rec(0, [0] * len(ineqs))
-                lo[0], hi[0] = saved
-                start = end + 1
+        rec(0, [0] * len(ineqs))
         if collect:
             out.sort()
             return out
         return count
 
-    def lattice_point_count(self, n=1, budget=None, parts=1):
+    def lattice_point_count(self, n=1, budget=None):
         """|nP intersect Z^d| by exact box scan (full-dimensional P)."""
         if n < 0:
             raise ValueError("dilation must be >= 0")
-        return self._scan(n, budget=budget, parts=parts, collect=False)
+        return self._scan(n, budget=budget, collect=False)
 
     def lattice_points(self, n=1, budget=None):
         """Sorted list of lattice points of nP (full-dimensional P)."""

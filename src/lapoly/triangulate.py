@@ -23,7 +23,7 @@ from . import lp
 from .budgets import BudgetError, cell_budget
 from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import ExactMatrix, det_int, solve, solve_int
+from .linalg import det_int, solve_int
 from .polytope import LatticePolytope
 
 # largest triangulation on which `is_regular` searches heights by exact LP
@@ -372,87 +372,22 @@ def interior_facet_families(d):
 # ---------------------------------------------------------------------------
 
 
-def _standard_dilated_simplex(m, r, shift):
-    """Vertices of r*Delta_m + shift*1 in R^m, base vertex first."""
-    verts = [tuple(shift for _ in range(m))]
-    for i in range(m):
-        verts.append(tuple(shift + (r if k == i else 0) for k in range(m)))
-    return verts
-
-
-def _affine_match(source_pts, target_pts):
-    """Unimodular affine map sending source vertices to target vertices in
-    order, or None."""
-    d = len(source_pts[0])
-    s0 = source_pts[0]
-    t0 = target_pts[0]
-    cols_s = [[p[k] - s0[k] for p in source_pts[1:]] for k in range(d)]
-    cols_t = [[p[k] - t0[k] for p in target_pts[1:]] for k in range(d)]
-    # M * S = T with S, T the edge matrices (columns = edges)
-    s_mat = ExactMatrix(cols_s)  # rows indexed by coordinate, cols by edges
-    t_mat = ExactMatrix(cols_t)
-    det_s = s_mat.det()
-    if det_s == 0:
-        return None
-    entries = []
-    for k in range(d):
-        sol = solve(
-            [[s_mat.entries[a][b] for a in range(d)] for b in range(d)],
-            [t_mat.entries[k][b] for b in range(d)],
-        )
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        entries.append([int(x) for x in sol])
-    mat = ExactMatrix(entries)
-    if abs(mat.det()) != 1:
-        return None
-    shift = tuple(t0[k] - sum(entries[k][a] * s0[a] for a in range(d)) for k in range(d))
-    return mat, shift
-
-
-def _map_triangulation(t, mat, shift):
-    pool = [
-        tuple(v + s for v, s in zip(mat.matvec(p), shift)) for p in t.vertex_pool
-    ]
-    carrier_pts = [
-        tuple(v + s for v, s in zip(mat.matvec(p), shift)) for p in t.carrier.points
-    ]
-    out = Triangulation(pool, t.cells, LatticePolytope(carrier_pts), heights=t.heights)
-    out.checks = dict(t.checks)
-    return out
-
-
 def _odd_laplacian_triangulation(d):
+    """Triangulation of the reduced polytope for odd d, a simplex: the join
+    of its faces on the odd-labelled and on the even-labelled vertices.
+    Each face is (d+2) times a unimodular simplex (`edgewise_of_dilated`
+    checks both lattice conditions), so each gets its (d+2)-th edgewise
+    subdivision.  Pools and heights concatenate; cells are the unions of
+    one cell from each factor."""
     r = d + 2
-    m1 = (d + 1) // 2
-    m2 = (d - 1) // 2
-    fac1 = edgewise_of_dilated(_standard_dilated_simplex(m1, r, -2), r)
-    fac2 = edgewise_of_dilated(_standard_dilated_simplex(m2, r, -2), r)
-    t = join(fac1, fac2)
-
     target, _ = reduce_full_dim(d)
-    verts_target = list(target.points)
-    odd_cols = [verts_target[l - 1] for l in range(1, d + 3, 2)]
-    even_cols = [verts_target[l - 1] for l in range(2, d + 3, 2)]
-    amb = d + 1
-    src1 = [p + (0,) * m2 + (0,) for p in fac1.carrier.points]
-    src2 = [(0,) * m1 + q + (1,) for q in fac2.carrier.points]
-    assert len(src1) == len(odd_cols) and len(src2) == len(even_cols)
-
-    from itertools import permutations
-
-    for perm1 in permutations(range(len(odd_cols))):
-        img1 = [odd_cols[k] for k in perm1]
-        for perm2 in permutations(range(len(even_cols))):
-            img2 = [even_cols[k] for k in perm2]
-            match = _affine_match(src1 + src2, img1 + img2)
-            if match is not None:
-                mapped = _map_triangulation(t, match[0], match[1])
-                mapped.carrier = target
-                return mapped
-    raise AssertionError(
-        "no unimodular vertex matching between the join model and the "
-        "reduced polytope; ambient dim %d" % amb
+    fac1 = edgewise_of_dilated(target.points[0::2], r)
+    fac2 = edgewise_of_dilated(target.points[1::2], r)
+    off = len(fac1.vertex_pool)
+    cells = [c1 + tuple(off + i for i in c2) for c1 in fac1.cells for c2 in fac2.cells]
+    return Triangulation(
+        fac1.vertex_pool + fac2.vertex_pool, cells, target,
+        heights=fac1.heights + fac2.heights,
     )
 
 
@@ -995,13 +930,9 @@ def _face_census_external(t):
     return tuple(counts)
 
 
-def f_vector_of(t, max_in_memory=30_000_000):
-    return face_census(t, max_in_memory=max_in_memory)
-
-
-def h_vector_of(t, max_in_memory=30_000_000):
+def h_vector_of(t):
     """h-vector of the triangulation complex (length dim+2)."""
-    return h_from_f(face_census(t, max_in_memory=max_in_memory))
+    return h_from_f(face_census(t))
 
 
 def verify_shelling(p, order):

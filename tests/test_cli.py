@@ -174,6 +174,17 @@ def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_build_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
+    import lapoly.polytope as polytope
+
+    # the reduction finds no coordinates for any point in its basis
+    monkeypatch.setattr(polytope, "solve", lambda rows, rhs: None)
+    assert main(["build", "--boundary-simplex", "2", "--k", "1"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert "mismatch: saturated basis must span all points" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--boundary-simplex", "2", "--k", "1"],
     ["hstar", "--d", "1", "--method", "ehrhart"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,16 +20,165 @@ from lapoly.linalg import (
 
 
 def det_cofactor(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det_cofactor(sub)
-    return total
+    """Cofactor (Laplace) expansion along the rows, memoised on the column
+    subset, so a 7 x 7 matrix takes 2^7 minors instead of 7! terms."""
+    minors = {(): 1}
+    for i, row in enumerate(m):
+        minors = {
+            cols: sum(
+                (-1) ** (len(cols) - 1 - pos) * row[j] * minors[cols[:pos] + cols[pos + 1:]]
+                for pos, j in enumerate(cols)
+            )
+            for cols in combinations(range(len(m)), i + 1)
+        }
+    return minors[tuple(range(len(m)))]
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Fraction Gauss-Jordan elimination, independent of the fraction-free
+    routine in `lapoly.linalg`: the oracle for rank, nullspace and solve.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def oracle_nullspace(rows):
+    m, pivots = rref(rows)
+    ncols = len(rows[0]) if rows else 0
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append(v)
+    return basis
+
+
+def oracle_solve(rows, rhs):
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m, pivots = rref(aug)
+    for row in m:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        if p == ncols:
+            return None
+        x[p] = m[r][-1]
+    return x
+
+
+def assert_matches_oracle(a, rhs):
+    """rank, nullspace and solve equal the rref oracle exactly (Fraction
+    entries, the same basis, None where inconsistent); for a square
+    matrix, det and solve_int equal the cofactor expansion and the oracle.
+    Returns (rank, solution)."""
+    expected_rank = len(rref(a)[1])
+    assert rank(a) == expected_rank
+    assert nullspace(a) == oracle_nullspace(a)
+    got = solve(a, rhs)
+    expected = oracle_solve(a, rhs)
+    assert got == expected
+    assert got is None or all(type(x) is Fraction for x in got)
+    if len(a) == len(a[0]):
+        det = det_cofactor(a)
+        assert ExactMatrix(a).det() == det
+        if all(type(x) is int for row in a for x in row):
+            assert det_int(a) == det
+            d, sols = solve_int(a, [rhs])
+            assert d == det
+            if det == 0:
+                assert sols is None
+            else:
+                assert sols == [[det * x for x in expected]]
+    return expected_rank, got
+
+
+def test_elimination_matches_rref_oracle():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(5000):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(r, c))  # the rank, by construction
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)]
+             for i in range(r)]
+        if rng.random() < 0.15:
+            a = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in a]
+            seen.add("rational")
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(c)]
+            rhs = [sum(v * w for v, w in zip(row, x)) for row in a]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(r)]
+        n, x = assert_matches_oracle(a, rhs)
+        seen.add("full rank" if n == min(r, c) else "rank-deficient")
+        seen.add("consistent" if x is not None else "inconsistent")
+        seen.add("wide" if c > r else "tall" if r > c else "square")
+    assert seen == {"rational", "full rank", "rank-deficient", "consistent",
+                    "inconsistent", "wide", "tall", "square"}
+
+
+@pytest.mark.parametrize("a,rhs", [
+    ([[0, 1, 2], [0, 3, 4]], [1, 2]),  # zero leading column
+    ([[0, 0, 1], [0, 0, 2], [0, 0, 3]], [1, 2, 3]),  # two zero leading columns
+    ([[0, 0], [0, 0]], [0, 0]),  # zero matrix, consistent
+    ([[0, 0, 0]], [1]),  # zero matrix, inconsistent
+    ([[1, 2, 3, 4], [2, 4, 6, 9]], [1, 3]),  # wide
+    ([[1, 2], [3, 4], [5, 6], [7, 8]], [1, 1, 1, 1]),  # tall, consistent
+    ([[1, 2], [3, 4], [5, 6], [7, 8]], [1, 1, 1, 2]),  # tall, inconsistent
+    ([[1, 1], [1, 1]], [0, 1]),  # square singular, inconsistent
+    ([[Fraction(1, 2), Fraction(1, 3)], [1, 0]], [Fraction(5, 6), 1]),
+], ids=["zero-col", "zero-cols", "zero", "zero-inconsistent", "wide",
+        "tall", "tall-inconsistent", "singular-inconsistent", "rational"])
+def test_elimination_named_cases(a, rhs):
+    assert_matches_oracle(a, rhs)
+
+
+def test_solve_named_cases():
+    assert solve([[0, 1, 2], [0, 3, 4]], [1, 2]) == [0, 0, Fraction(1, 2)]
+    assert solve([[0, 0, 0]], [1]) is None
+    assert solve([[1, 2], [3, 4], [5, 6], [7, 8]], [1, 1, 1, 2]) is None
+    assert nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+    assert nullspace([[1, 2, 3, 4], [2, 4, 6, 9]]) == [[-2, 1, 0, 0], [-3, 0, 1, 0]]
+    assert rank([[0, 0, 0]]) == 0 and rank([]) == 0
+
+
+def test_exact_matrix_det_integer_and_rational():
+    a = ExactMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert a.det() == 18 and type(a.det()) is int
+    b = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 4]])
+    assert b.det() == Fraction(1, 2) * 4 - Fraction(1, 3) * Fraction(2, 5)
+    assert type(b.det()) is Fraction
+    assert ExactMatrix([[Fraction(1, 2), 1], [1, 2]]).det() == 0
+    assert ExactMatrix([]).det() == 1
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2]]).det()
 
 
 def test_det_matches_cofactor_expansion():
@@ -159,7 +309,6 @@ def test_lp_optimum_and_statuses():
 
 def test_lp_against_vertex_enumeration():
     rng = random.Random(3)
-    from itertools import combinations
 
     for _ in range(40):
         a_ub = [[1, 0], [-1, 0], [0, 1], [0, -1]]

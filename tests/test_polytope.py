@@ -177,13 +177,6 @@ def test_lattice_point_counts():
     assert interior == 5
 
 
-def test_lattice_point_determinism_under_partitioning():
-    p2, _ = reduce_full_dim(2)
-    reference = p2.lattice_point_count(3)
-    for parts in (2, 4, 7, 50):
-        assert p2.lattice_point_count(3, parts=parts) == reference
-
-
 def test_point_budget():
     p4, _ = reduce_full_dim(4)
     with pytest.raises(BudgetError):

@@ -14,7 +14,6 @@ from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
     edgewise_subdivision,
-    f_vector_of,
     face_census,
     facet_join_partition,
     h_vector_of,
@@ -596,7 +595,6 @@ def test_face_census_matches_external_sort(triangulation_cache):
     in_memory = face_census(t3)
     external = face_census(t3, max_in_memory=10)
     assert in_memory == external
-    assert f_vector_of(t3) == in_memory
     assert h_vector_of(t3) == h_from_f(in_memory)
 
 
