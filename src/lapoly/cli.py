@@ -120,12 +120,16 @@ def cmd_build(args):
             source = {"complex_file": args.complex}
         poly = laplacian_polytope(c, args.k)
         dim, equations = poly.affine_hull()
+        # without a zero column, column j of a Laplacian is the unique
+        # maximiser of coordinate j, so the ambient copy's vertices need no
+        # LP; the reduced copy inherits them
+        vertices = poly.vertices()
         reduced, basis, base = poly.full_dimensional()
         results = {
             "ambient_dim": poly.ambient_dim,
             "dim": dim,
-            "vertices": [list(p) for p in poly.vertices()],
-            "vertex_count": len(poly.vertex_indices()),
+            "vertices": [list(p) for p in vertices],
+            "vertex_count": len(vertices),
             "affine_hull": [
                 {"normal": list(n), "offset": b} for n, b in equations
             ],

@@ -1,8 +1,11 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Small and deliberately simple: every feasibility or redundancy question in
-the geometry modules is answered here with zero tolerance.  Bland's rule
-makes cycling impossible; everything runs on `Fraction`.
+Small and deliberately simple, with zero tolerance.  It answers the
+questions that exact linear algebra leaves open: the height search of
+`triangulate.is_regular`, vertex tests for point sets with two or more
+affine dependencies, and membership in a polytope that is not
+full-dimensional.  Bland's rule makes cycling impossible; everything runs
+on `Fraction`.
 """
 
 from __future__ import annotations

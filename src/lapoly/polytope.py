@@ -176,33 +176,62 @@ class LatticePolytope:
     def vertex_indices(self):
         """Indices of generator points that are genuine vertices.
 
-        Coordinate-wise lexicographic optima seed the vertex set cheaply;
-        the remaining points are settled by exact feasibility tests, first
-        against the known vertices, then (only if needed) against all
-        other generators.
+        Decided from the affine dependencies
+        D = {c : sum c_i p_i = 0, sum c_i = 0}, the kernel of the lifted
+        matrix with columns (p_i, 1).  Theorem: p_i lies in the convex hull
+        of the other points iff some c in D has c_i < 0 and c_j >= 0 for
+        every j != i.  Proof: p_i = sum_{j != i} l_j p_j with l >= 0,
+        sum l = 1 gives c = (l with -1 at i) in D.  Conversely,
+        sum c = 0 makes sum_{j != i} c_j = -c_i > 0, and dividing
+        sum_{j != i} c_j p_j = -c_i p_i by -c_i writes p_i as a convex
+        combination of the others.
+
+        D has dimension n - 1 - dim (the corank).  Corank 0: every point
+        is a vertex.  Corank 1: D is spanned by one c, so p_i is a
+        non-vertex iff i is the only negative index of c or of -c; a
+        point with c_i = 0 is a vertex.  Corank >= 2: coordinate-wise
+        lexicographic optima seed the vertex set, and the remaining points
+        are settled by exact LP feasibility tests, first against the known
+        vertices, then (only if needed) against all other generators.
         """
         if self._vertex_indices is None:
             n = len(self.points)
-            verts = set()
-            for k in range(self.ambient_dim):
-                for sgn in (1, -1):
-                    f = [0] * self.ambient_dim
-                    f[k] = sgn
-                    verts.add(self._lex_extreme(f))
-            if n == 1:
-                verts.add(0)
-            for i in range(n):
-                if i in verts:
-                    continue
-                p = self.points[i]
-                known = [self.points[j] for j in verts]
-                if lp.point_in_hull(p, known):
-                    continue
-                others = [q for j, q in enumerate(self.points) if j != i]
-                if not lp.point_in_hull(p, others):
-                    verts.add(i)
-            self._vertex_indices = tuple(sorted(verts))
+            corank = n - 1 - self.dim()
+            if corank == 0:
+                self._vertex_indices = tuple(range(n))
+            elif corank == 1:
+                lifted = list(zip(*self.points)) + [(1,) * n]
+                (c,) = nullspace(lifted)
+                negative = [i for i, x in enumerate(c) if x < 0]
+                positive = [i for i, x in enumerate(c) if x > 0]
+                inside = {s[0] for s in (negative, positive) if len(s) == 1}
+                self._vertex_indices = tuple(
+                    i for i in range(n) if i not in inside
+                )
+            else:
+                self._vertex_indices = self._vertex_indices_lp()
         return self._vertex_indices
+
+    def _vertex_indices_lp(self):
+        """Vertex indices by lexicographic seeding and LP tests (corank >= 2)."""
+        n = len(self.points)
+        verts = set()
+        for k in range(self.ambient_dim):
+            for sgn in (1, -1):
+                f = [0] * self.ambient_dim
+                f[k] = sgn
+                verts.add(self._lex_extreme(f))
+        for i in range(n):
+            if i in verts:
+                continue
+            p = self.points[i]
+            known = [self.points[j] for j in verts]
+            if lp.point_in_hull(p, known):
+                continue
+            others = [q for j, q in enumerate(self.points) if j != i]
+            if not lp.point_in_hull(p, others):
+                verts.add(i)
+        return tuple(sorted(verts))
 
     def vertices(self):
         return [self.points[i] for i in self.vertex_indices()]
@@ -325,7 +354,9 @@ class LatticePolytope:
 
         Returns (polytope, basis, base) where basis rows generate the
         saturated lattice of the affine hull and base is the translation:
-        original point = base + coords . basis.
+        original point = base + coords . basis.  The copy's points follow
+        the original's index for index under an injective affine map, which
+        preserves vertices, so a computed vertex set carries over.
         """
         base = self.points[0]
         diffs = [
@@ -333,8 +364,6 @@ class LatticePolytope:
             for p in self.points
         ]
         basis = saturation_basis(diffs)
-        if not basis:
-            return LatticePolytope([()]), [], base
         coords = []
         for p in self.points:
             target = [p[i] - base[i] for i in range(self.ambient_dim)]
@@ -345,7 +374,9 @@ class LatticePolytope:
             if sol is None or any(x.denominator != 1 for x in sol):
                 raise AssertionError("saturated basis must span all points")
             coords.append(tuple(int(x) for x in sol))
-        return LatticePolytope(coords), basis, base
+        reduced = LatticePolytope(coords)
+        reduced._vertex_indices = self._vertex_indices
+        return reduced, basis, base
 
     # -- lattice points -------------------------------------------------------
 

@@ -37,7 +37,9 @@ class Triangulation:
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
         self.vertex_pool = [tuple(int(x) for x in p) for p in vertex_pool]
-        self.cells = [tuple(sorted(c)) for c in cells]
+        # keep a cell that is already a sorted tuple: a copy of every cell
+        # would hold two full cell lists at once
+        self.cells = [c if (s := tuple(sorted(c))) == c else s for c in cells]
         self.carrier = carrier
         self.heights = heights
         self.checks = {}
@@ -690,7 +692,7 @@ def laplacian_triangulation(d, budget=None):
                 else:
                     ra, rb = sorted(rank[ordered[a]] for a in support)
                 ids.append(index2(pt, omega, _pair_rank_height(ra, rb, m_total)))
-            cells2.append(tuple(ids))
+            cells2.append(tuple(sorted(ids)))
 
     heights2 = _scaled_heights(points2, cells2, base_height, local2)
 

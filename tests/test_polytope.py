@@ -1,7 +1,9 @@
+import random
 from math import comb
 
 import pytest
 
+from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.polytope import (
@@ -58,6 +60,83 @@ def test_vertices():
     assert point.vertices() == [(5, 7)]
     with pytest.raises(ValueError):
         LatticePolytope([(0, 0), (0, 0)])
+
+
+def oracle_vertex_indices(points):
+    """Per-point LP oracle: p_i is a vertex iff it is not in the convex
+    hull of the other points."""
+    return tuple(
+        i for i, p in enumerate(points)
+        if not lp.point_in_hull(p, [q for j, q in enumerate(points) if j != i])
+    )
+
+
+def random_point_set(rng):
+    """Distinct integer points on a random affine sublattice of dimension
+    k <= 3 in Z^m with m > k; small coefficients make many points
+    non-vertices."""
+    k = rng.randint(0, 3)
+    m = rng.randint(k + 1, k + 2)
+    gens = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    base = [rng.randint(-5, 5) for _ in range(m)]
+    points = []
+    for _ in range(k + 1 + rng.randint(0, 3)):
+        coef = [rng.randint(-2, 2) for _ in range(k)]
+        points.append(tuple(
+            b + sum(c * g[i] for c, g in zip(coef, gens))
+            for i, b in enumerate(base)
+        ))
+    return list(dict.fromkeys(points))
+
+
+def test_vertex_indices_match_lp_oracle():
+    rng = random.Random(20260)
+    by_corank = {0: 0, 1: 0, 2: 0}
+    non_vertices = {0: 0, 1: 0, 2: 0}
+    for _ in range(1000):
+        points = random_point_set(rng)
+        expected = oracle_vertex_indices(points)
+        poly = LatticePolytope(points)
+        assert poly.dim() < poly.ambient_dim
+        # the reduced copy, on its own and inheriting the ambient answer
+        fresh, _, _ = LatticePolytope(points).full_dimensional()
+        assert fresh.vertex_indices() == expected
+        assert poly.vertex_indices() == expected
+        assert poly.full_dimensional()[0]._vertex_indices == expected
+        corank = min(len(points) - 1 - poly.dim(), 2)
+        by_corank[corank] += 1
+        non_vertices[corank] += len(points) - len(expected)
+    assert min(by_corank.values()) >= 200
+    assert non_vertices[0] == 0
+    assert non_vertices[1] >= 100 and non_vertices[2] >= 100
+
+
+@pytest.mark.parametrize("points, dim, expected", [
+    # interior point of a triangle (corank 1)
+    ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0)], 2, (0, 1, 2)),
+    # square pyramid: the dependency is 0 at the apex, which is a vertex
+    ([(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (2, 2, 0, 1), (1, 1, 1, 1)],
+     3, (0, 1, 2, 3, 4)),
+    # three collinear points, the middle one listed last
+    ([(2, 2, 2), (0, 0, 0), (1, 1, 1)], 1, (0, 1)),
+    ([(5, 7)], 0, (0,)),
+], ids=["interior-point", "pyramid-apex", "collinear", "one-point"])
+def test_vertex_indices_named_cases(points, dim, expected):
+    poly = LatticePolytope(points)
+    assert poly.dim() == dim
+    assert poly.vertex_indices() == expected == oracle_vertex_indices(points)
+
+
+def test_paper_polytopes_need_no_lp(monkeypatch):
+    def no_lp(point, generators):
+        raise AssertionError("vertex enumeration ran an LP")
+
+    monkeypatch.setattr(lp, "point_in_hull", no_lp)
+    for d in range(1, 9):
+        p, _ = reduce_full_dim(d)
+        assert p.vertex_indices() == tuple(range(d + 2))
+    for d in range(2, 9):
+        assert cyclic_polytope(d, d + 2).vertex_indices() == tuple(range(d + 2))
 
 
 def test_affine_hull_simple():

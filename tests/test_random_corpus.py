@@ -5,11 +5,14 @@ structural facts every Laplacian polytope must satisfy regardless of the
 underlying complex.
 """
 
+import json
 import random
 from itertools import combinations
 
 import pytest
 
+from lapoly import lp
+from lapoly.cli import EXIT_OK, main
 from lapoly.complexes import (
     boundary_matrix,
     f_vector,
@@ -69,3 +72,38 @@ def test_every_column_is_a_vertex(c):
     poly = laplacian_polytope(c, k)
     assert len(poly.vertex_indices()) == c.f_count(k)
     assert f_vector(c)[k + 1] == c.f_count(k)
+
+
+def has_isolated_vertex(c):
+    """A vertex in no edge: a zero column of the 0-th Laplacian."""
+    covered = {v for edge in c.faces(1) for v in edge}
+    return any(v not in covered for (v,) in c.faces(0))
+
+
+# the complete graph K4 and a perfect matching: read on their own, the
+# reduced copies of their Laplacian polytopes need the LP fallback
+LP_FALLBACK = [
+    from_facets([{1, 3}, {1, 4}, {3, 4}, {2, 4}, {2, 3}, {1, 2}], [2, 3, 1, 4]),
+    from_facets([{1, 8}, {2, 5}, {4, 7}], [3, 7, 1, 6, 4, 8, 2, 5]),
+]
+
+
+@pytest.mark.parametrize(
+    "c", [c for c in CORPUS if not has_isolated_vertex(c)] + LP_FALLBACK,
+    ids=lambda c: f"d{c.dim}f{c.f_count(c.dim)}",
+)
+def test_build_runs_no_lp(c, tmp_path, monkeypatch, capsys):
+    # every column of such a Laplacian is the unique maximiser of its own
+    # coordinate, so no vertex question is left for the LP
+    def no_lp(point, generators):
+        raise AssertionError("vertex enumeration ran an LP")
+
+    monkeypatch.setattr(lp, "point_in_hull", no_lp)
+    path = tmp_path / "complex.txt"
+    lines = ["order: " + " ".join(map(str, c.vertices))]
+    lines += [" ".join(map(str, c.labels_of(f))) for f in c.faces(c.dim)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for k in range(c.dim + 1):
+        assert main(["build", "--complex", str(path), "--k", str(k)]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["vertex_count"] == c.f_count(k)
