@@ -9,6 +9,7 @@ LAPOLY_BUDGET_POINTS / LAPOLY_BUDGET_CELLS.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -270,7 +271,9 @@ def _budget_block(args):
     }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="lapoly",
         description="Laplacian polytopes: exact facets, triangulations and "

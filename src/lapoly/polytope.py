@@ -14,12 +14,14 @@ from itertools import combinations
 from . import lp
 from .budgets import BudgetError, point_budget
 from .linalg import (
+    _back_substitute,
+    _echelon,
+    _pivot_minor,
     hnf,
     nullspace,
     primitive_vector,
     rank,
     saturation_basis,
-    solve,
 )
 
 
@@ -364,16 +366,21 @@ class LatticePolytope:
             for p in self.points
         ]
         basis = saturation_basis(diffs)
+        # one elimination solves basis^T x = diff for every point at once
+        r = len(basis)
+        m = [
+            [row[i] for row in basis] + [p[i] for p in diffs]
+            for i in range(self.ambient_dim)
+        ]
+        pivots, _ = _echelon(m, r)
+        det = _pivot_minor(m, pivots)
+        cols = range(r, r + len(diffs))
         coords = []
-        for p in self.points:
-            target = [p[i] - base[i] for i in range(self.ambient_dim)]
-            sol = solve(
-                [[row[i] for row in basis] for i in range(self.ambient_dim)],
-                target,
-            )
-            if sol is None or any(x.denominator != 1 for x in sol):
+        for c, x in zip(cols, _back_substitute(m, pivots, r, cols, det)):
+            # x is det times the solution; it must be consistent and integral
+            if any(row[c] for row in m[len(pivots):]) or any(v % det for v in x):
                 raise AssertionError("saturated basis must span all points")
-            coords.append(tuple(int(x) for x in sol))
+            coords.append(tuple(v // det for v in x))
         reduced = LatticePolytope(coords)
         reduced._vertex_indices = self._vertex_indices
         return reduced, basis, base

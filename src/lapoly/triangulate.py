@@ -8,16 +8,20 @@ second edgewise subdivision.  Every triangulation carries proposed lifting
 heights; `is_regular` certifies them independently by exact fold checks,
 falling back to an exact LP search when no usable heights are present.
 Fold values, in construction and check alike, come from the affine
-coordinates of each fold's opposite vertex in its cell, found by one
-fraction-free solve per cell (`_fold_coordinates`); they are integers on
-unimodular cells.
+coordinates of each fold's opposite vertex in its cell
+(`_fold_coordinates`): one fraction-free solve inverts the homogeneous
+matrix of a first cell, and a walk across shared ridges updates the
+inverse by one exact rank-one step per new cell.  The coordinates are
+integers on unimodular cells.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import lp
 from .budgets import BudgetError, cell_budget
@@ -470,48 +474,99 @@ def _ridges(cells):
 
 def _fold_data(cells):
     """Interior ridge folds of a full-dimensional triangulation: one
-    (cell, opposite vertex) pair per ridge shared by two cells."""
+    (ca, da, cb, db) per ridge shared by two cells, where cell ca minus its
+    vertex at position da is the ridge, and so is cell cb minus its vertex
+    at position db.  The fold's opposite vertex is cells[cb][db]."""
     folds = []
     for incident in _ridges(cells).values():
         if len(incident) > 2:
             raise ValueError("three cells share a ridge; not a triangulation")
         if len(incident) == 2:
-            (ca, _), (cb, drop) = incident
-            folds.append((ca, cells[cb][drop]))
+            (ca, da), (cb, db) = incident
+            folds.append((ca, da, cb, db))
     return folds
 
 
 def _fold_coordinates(pool, cells, folds):
     """Affine coordinates of every fold's opposite vertex in its cell.
 
-    For the fold (cell, vb) the coordinates lam satisfy
-    sum(lam_i * pool[cell_i]) == pool[vb] and sum(lam) == 1, so the fold
-    value of any heights h, the height of vb above the cell's affine lift,
-    is h[vb] - sum(lam_i * h[cell_i]).  One fraction-free solve per cell
-    (`solve_int` on the homogeneous matrix [v_i; 1]) serves all of its
-    folds: lam is an integer vector when the cell is unimodular and
-    Fractions over its determinant otherwise.  Returns the coordinate
-    lists, aligned with `folds`.
+    For the fold (ca, da, cb, db), with vb = cells[cb][db], the coordinates
+    lam satisfy sum(lam_i * pool[cell_i]) == pool[vb] and sum(lam) == 1 over
+    the cell ca, so the fold value of any heights h, the height of vb above
+    the cell's affine lift, is h[vb] - sum(lam_i * h[cell_i]).  Then
+    lam = M_ca [pool[vb]; 1], where M_c is the inverse of the homogeneous
+    matrix [v_i; 1] of cell c.
+
+    The cells are walked breadth-first across shared ridges, with one
+    fraction-free solve (`solve_int`) per connected component, at its
+    first cell.  Crossing the ridge from a to b replaces the column of the
+    vertex at position da by that of the new vertex, an exact rank-one
+    update of the inverse: with lam = M_a [v; 1] and t = lam[da] (zero
+    exactly when b is degenerate), M_b has the row M_a[da] / t for the new
+    vertex and M_a[i] - lam_i * M_a[da] / t for every other vertex,
+    reordered into b's sorted vertex order.  On unimodular cells t = -1 or
+    1 and every entry stays an integer; otherwise entries are Fractions.
+    An inverse is dropped once its cell has been expanded.  Returns the
+    coordinate lists, aligned with `folds`.
     """
-    dim = len(pool[0])
-    by_cell = {}
-    for k, (ca, _) in enumerate(folds):
-        by_cell.setdefault(ca, []).append(k)
+    incident = [[] for _ in cells]
+    for k, (ca, _, cb, _) in enumerate(folds):
+        incident[ca].append(k)
+        incident[cb].append(k)
     coords = [None] * len(folds)
-    for ca, ks in by_cell.items():
-        cell = cells[ca]
-        rows = [[pool[i][c] for i in cell] for c in range(dim)]
-        rows.append([1] * len(cell))
-        det, sols = solve_int(rows, [[*pool[folds[k][1]], 1] for k in ks])
+    seen = bytearray(len(cells))
+    inverse = {}
+    for root, ks in enumerate(incident):
+        if seen[root] or not ks:
+            continue
+        cell = cells[root]
+        n = len(cell)
+        rows = [[pool[i][c] for i in cell] for c in range(len(pool[0]))] + [[1] * n]
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        det, cols = solve_int(rows, unit)
         if not det:
             raise ValueError("degenerate cell in fold computation")
-        for k, lam in zip(ks, sols):
-            if det == 1:
-                coords[k] = lam
-            elif det == -1:
-                coords[k] = [-x for x in lam]
-            else:
-                coords[k] = [Fraction(x, det) for x in lam]
+        if det in (1, -1):
+            inverse[root] = [[det * col[i] for col in cols] for i in range(n)]
+        else:
+            inverse[root] = [[Fraction(col[i], det) for col in cols] for i in range(n)]
+        seen[root] = 1
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            m = inverse.pop(a)
+            for k in incident[a]:
+                ca, da, cb, db = folds[k]
+                if ca == a:
+                    b, here, there = cb, da, db
+                elif seen[ca]:
+                    continue  # ca's own inverse gives this fold
+                else:
+                    b, here, there = ca, db, da
+                v = pool[cells[b][there]]
+                lam = [sum(map(mul, row, v)) + row[-1] for row in m]
+                if ca == a:
+                    coords[k] = lam
+                if seen[b]:
+                    continue
+                t = lam[here]
+                if not t:
+                    raise ValueError("degenerate cell in fold computation")
+                if t == 1:
+                    piv = m[here]
+                elif t == -1:
+                    piv = [-x for x in m[here]]
+                else:
+                    piv = [Fraction(x, t) for x in m[here]]
+                nxt = [
+                    [x - l * y for x, y in zip(row, piv)] if l else row
+                    for i, (row, l) in enumerate(zip(m, lam))
+                    if i != here
+                ]
+                nxt.insert(there, piv)
+                inverse[b] = nxt
+                seen[b] = 1
+                queue.append(b)
     return coords
 
 
@@ -535,8 +590,10 @@ def is_regular(t, heights=None):
     coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
     if use is not None:
         if all(
-            use[vb] - sum(l * use[i] for l, i in zip(lam, t.cells[ca])) > 0
-            for (ca, vb), lam in zip(folds, coords)
+            use[t.cells[cb][db]]
+            - sum(l * use[i] for l, i in zip(lam, t.cells[ca]))
+            > 0
+            for (ca, _, cb, db), lam in zip(folds, coords)
         ):
             t.checks["regular"] = {"witness": "heights", "folds": len(folds)}
             return True, list(use)
@@ -552,9 +609,9 @@ def is_regular(t, heights=None):
     nvars = len(used) + 1  # heights plus the slack s
     a_ub = []
     b_ub = []
-    for (ca, vb), lam in zip(folds, coords):
+    for (ca, _, cb, db), lam in zip(folds, coords):
         row = [Fraction(0)] * nvars
-        row[var[vb]] += 1
+        row[var[t.cells[cb][db]]] += 1
         for coef, i in zip(lam, t.cells[ca]):
             row[var[i]] -= coef
         # constraint: fold >= s  <=>  s - fold <= 0
@@ -583,13 +640,14 @@ def _scaled_heights(pool, cells, primary, secondary):
     Every fold must be convex under `primary` alone, and strictly convex
     under `secondary` where `primary` is flat.  Fold values are exact
     integers: the integer affine coordinates of each fold's opposite
-    vertex (`_fold_coordinates`, one fraction-free solve per cell) dotted
-    with the heights.
+    vertex (`_fold_coordinates`, one ridge walk with one fraction-free
+    solve per connected component) dotted with the heights.
     """
     folds = _fold_data(cells)
     need = 1
-    for (ca, vb), lam in zip(folds, _fold_coordinates(pool, cells, folds)):
+    for (ca, _, cb, db), lam in zip(folds, _fold_coordinates(pool, cells, folds)):
         cell = cells[ca]
+        vb = cells[cb][db]
         p = primary[vb] - sum(l * primary[i] for l, i in zip(lam, cell))
         s = secondary[vb] - sum(l * secondary[i] for l, i in zip(lam, cell))
         if p < 0:
@@ -670,29 +728,37 @@ def laplacian_triangulation(d, budget=None):
                 raise AssertionError("refinement heights disagree across cells")
         return pool2[pt]
 
-    # every cone cell has d + 1 vertices
-    esd_chains = _esd_cells_mu(2, d + 1)
+    # Every vertex of the second edgewise subdivision of a cone cell is a
+    # pair sum e_a + e_b (a <= b) of its d + 1 vertices.  The chains become
+    # lists of pair numbers once; pairs are numbered in order of first
+    # appearance, so each cone cell inserts its points into the pool in the
+    # order a chain-by-chain walk would.
+    pair_id = {}
+    chains = []
+    for chain in _esd_cells_mu(2, d + 1):
+        ids = []
+        for t_vec in chain:
+            # mu sums to 2: list each index as often as it occurs
+            a, b = (i for i, x in enumerate(_t_to_mu(t_vec, 2)) for _ in range(x))
+            ids.append(pair_id.setdefault((a, b), len(pair_id)))
+        chains.append(ids)
+    pairs = list(pair_id)
     cells2 = []
     for cell in cone_cells:
+        # sorting by point sorts by rank too, so rk[a] <= rk[b] for a <= b
         ordered = sorted(cell, key=lambda i: pool[i])
         verts = [pool[i] for i in ordered]
         hts = [cone_heights[i] for i in ordered]
-        n = len(ordered)
-        for chain in esd_chains:
-            ids = []
-            for t_vec in chain:
-                mu = _t_to_mu(t_vec, 2)
-                pt = tuple(
-                    sum(mu[a] * verts[a][k] for a in range(n)) for k in range(d)
-                )
-                omega = sum(mu[a] * hts[a] for a in range(n))
-                support = [a for a in range(n) if mu[a]]
-                if len(support) == 1:
-                    ra = rb = rank[ordered[support[0]]]
-                else:
-                    ra, rb = sorted(rank[ordered[a]] for a in support)
-                ids.append(index2(pt, omega, _pair_rank_height(ra, rb, m_total)))
-            cells2.append(tuple(sorted(ids)))
+        rk = [rank[i] for i in ordered]
+        pid = [
+            index2(
+                tuple(x + y for x, y in zip(verts[a], verts[b])),
+                hts[a] + hts[b],
+                _pair_rank_height(rk[a], rk[b], m_total),
+            )
+            for a, b in pairs
+        ]
+        cells2.extend(tuple(sorted(pid[k] for k in chain)) for chain in chains)
 
     heights2 = _scaled_heights(points2, cells2, base_height, local2)
 

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from lapoly.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main
+from lapoly.cli import (
+    EXIT_BUDGET,
+    EXIT_INPUT,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 
 
 def run_cli(*args):
@@ -143,6 +150,13 @@ def test_main_entry_point(capsys):
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["hstar"] == [1, 10, 5]
+    # one parser serves every call, and keeps nothing from the last one
+    assert build_parser() is build_parser()
+    assert main(["hstar", "--d", "1", "--method", "ehrhart"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["hstar"] == [1, 2, 0]
+    assert main(["hstar", "--d", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["inputs"]["method"] == "structural"
 
 
 def test_verify_table_status_reflects_every_check(monkeypatch, capsys):
@@ -176,13 +190,17 @@ def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
 
 def test_build_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     import lapoly.polytope as polytope
+    from lapoly.linalg import saturation_basis
 
-    # the reduction finds no coordinates for any point in its basis
-    monkeypatch.setattr(polytope, "solve", lambda rows, rhs: None)
-    assert main(["build", "--boundary-simplex", "2", "--k", "1"]) == EXIT_MISMATCH
-    captured = capsys.readouterr()
-    assert "mismatch: saturated basis must span all points" in captured.err
-    assert captured.out == ""
+    # a basis short of one row leaves points outside its span; a doubled
+    # basis gives them non-integral coordinates
+    for broken in (lambda rows: saturation_basis(rows)[:-1],
+                   lambda rows: [[2 * x for x in r] for r in saturation_basis(rows)]):
+        monkeypatch.setattr(polytope, "saturation_basis", broken)
+        assert main(["build", "--boundary-simplex", "2", "--k", "1"]) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert "mismatch: saturated basis must span all points" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.complexes import h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import det_int, nullspace, primitive_vector, solve
+from lapoly.linalg import det_int, nullspace, primitive_vector, solve, solve_int
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
@@ -41,8 +42,9 @@ def oracle_fold_values(t, heights):
     heights."""
     dim = len(t.vertex_pool[0])
     values = []
-    for ca, vb in _fold_data(t.cells):
+    for ca, _, cb, db in _fold_data(t.cells):
         cell = t.cells[ca]
+        vb = t.cells[cb][db]
         lam = solve(
             [[Fraction(t.vertex_pool[i][k]) for i in cell] for k in range(dim)]
             + [[Fraction(1)] * len(cell)],
@@ -53,6 +55,33 @@ def oracle_fold_values(t, heights):
             Fraction(heights[vb]) - sum(c * heights[i] for c, i in zip(lam, cell))
         )
     return values
+
+
+def oracle_fold_coordinates(pool, cells, folds):
+    """Affine coordinates of every fold's opposite vertex in its cell, from
+    one fraction-free solve per cell: `solve_int` on the homogeneous matrix
+    [v_i; 1] with every opposite vertex of the cell's folds as a right-hand
+    side.  Integers on unimodular cells, Fractions over the determinant
+    otherwise."""
+    dim = len(pool[0])
+    by_cell = {}
+    for k, (ca, _, _, _) in enumerate(folds):
+        by_cell.setdefault(ca, []).append(k)
+    coords = [None] * len(folds)
+    for ca, ks in by_cell.items():
+        cell = cells[ca]
+        rows = [[pool[i][c] for i in cell] for c in range(dim)]
+        rows.append([1] * len(cell))
+        rhs = [[*pool[cells[folds[k][2]][folds[k][3]]], 1] for k in ks]
+        det, sols = solve_int(rows, rhs)
+        if not det:
+            raise ValueError("degenerate cell in fold computation")
+        for k, lam in zip(ks, sols):
+            if det in (1, -1):
+                coords[k] = [det * x for x in lam]
+            else:
+                coords[k] = [Fraction(x, det) for x in lam]
+    return coords
 
 
 def folds_strict(t):
@@ -538,53 +567,121 @@ def test_is_regular_budget_gate(monkeypatch):
         is_regular(t)
 
 
+def two_component_fixture():
+    """Two squares apart from each other, each cut along a diagonal: the
+    dual graph has two components.  The second square is dilated by 2, so
+    its cells have det 4 and its coordinates are Fractions."""
+    points = [(0, 0), (1, 0), (0, 1), (1, 1), (3, 0), (5, 0), (3, 2), (5, 2)]
+    cells = [(0, 1, 2), (1, 2, 3), (4, 5, 6), (5, 6, 7)]
+    return fixture(points, cells)
+
+
+def degenerate_reached_fixture():
+    """A unit triangle sharing its edge (0, 1) with a flat cell: the walk
+    starts at the triangle and reaches the flat cell across that edge."""
+    return fixture([(0, 0), (1, 0), (0, 1), (2, 0)], [(0, 1, 2), (0, 1, 3)],
+                   carrier=[(0, 0), (2, 0), (0, 1)])
+
+
+def random_heights(t, seed=7):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in t.vertex_pool]
+
+
 def fold_case(name, triangulation_cache):
     if name == "nonregular":
         # non-unimodular cells (det 4) under Fraction heights
         t = nonregular_fixture()
-        rng = random.Random(7)
-        heights = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                   for _ in t.vertex_pool]
-        return t, heights
+        return t, random_heights(t)
+    if name == "two_components":
+        t = two_component_fixture()
+        return t, random_heights(t)
     if name == "lp_witness":
         t = edgewise_subdivision(standard_simplex(2), 3)
         t.heights = None
         ok, heights = is_regular(t)
         assert ok
         return t, heights
+    if name.startswith("interior"):
+        t = interior_polytope_triangulation(int(name[-1]))
+        return t, t.heights
     t = triangulation_cache(int(name[-1]))
     return t, t.heights
 
 
+UNIMODULAR_FOLD_CASES = ["laplacian_1", "laplacian_2", "laplacian_3", "laplacian_4",
+                         "laplacian_5", "interior_2", "interior_4"]
+
+
 @pytest.mark.parametrize(
-    "name",
-    ["laplacian_1", "laplacian_2", "laplacian_3", "laplacian_4", "nonregular",
-     "lp_witness"],
+    "name", UNIMODULAR_FOLD_CASES + ["nonregular", "lp_witness", "two_components"],
 )
 def test_fold_coordinates_match_solve_oracle(name, triangulation_cache):
     t, heights = fold_case(name, triangulation_cache)
     folds = _fold_data(t.cells)
     coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
+    # the ridge walk against one solve per cell, then per fold
+    assert coords == oracle_fold_coordinates(t.vertex_pool, t.cells, folds)
     values = [
-        heights[vb] - sum(l * heights[i] for l, i in zip(lam, t.cells[ca]))
-        for (ca, vb), lam in zip(folds, coords)
+        heights[t.cells[cb][db]] - sum(l * heights[i] for l, i in zip(lam, t.cells[ca]))
+        for (ca, _, cb, db), lam in zip(folds, coords)
     ]
     assert values == oracle_fold_values(t, heights)
     for lam in coords:
         assert sum(lam) == 1
-        if name.startswith("laplacian"):
+        if name in UNIMODULAR_FOLD_CASES:
             # unimodular cells: integer coordinates, integer fold values
             assert all(type(x) is int for x in lam)
 
 
+@pytest.mark.parametrize("name,roots", [("laplacian_4", 1), ("nonregular", 1),
+                                        ("two_components", 2)])
+def test_fold_walk_solves_once_per_component(name, roots, triangulation_cache,
+                                             monkeypatch):
+    t, _ = fold_case(name, triangulation_cache)
+    calls = []
+
+    def counting_solve_int(rows, rhs):
+        calls.append(len(rows))
+        return solve_int(rows, rhs)
+
+    monkeypatch.setattr("lapoly.triangulate.solve_int", counting_solve_int)
+    _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
+    assert len(calls) == roots
+
+
 def test_fold_coordinates_reject_degenerate_cell():
-    t = FIXTURES["degenerate_cell"]
-    with pytest.raises(ValueError, match="degenerate cell"):
-        _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
-    with pytest.raises(ValueError, match="degenerate cell"):
-        is_regular(t)
-    with pytest.raises(ValueError, match="degenerate cell"):
-        is_regular(t, heights=[0, 1, 2, 3])
+    # the flat cell is the walk's first cell, then a cell the walk reaches
+    for t in (FIXTURES["degenerate_cell"], degenerate_reached_fixture()):
+        with pytest.raises(ValueError, match="degenerate cell"):
+            _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
+        with pytest.raises(ValueError, match="degenerate cell"):
+            is_regular(t)
+        with pytest.raises(ValueError, match="degenerate cell"):
+            is_regular(t, heights=[0, 1, 2, 3])
+
+
+# sha256 of repr((vertex_pool, cells, heights)): the constructions must
+# reproduce this pool order, these cells and these heights exactly
+GOLDEN = {
+    ("laplacian", 1): "ab9f58909931e421",
+    ("laplacian", 2): "faf8adaa897c684d",
+    ("laplacian", 3): "95f0f7ff687d804c",
+    ("laplacian", 4): "6313a92d9b4f260b",
+    ("laplacian", 5): "c9b55fb4314bcda7",
+    ("interior", 2): "28530e353a2fba57",
+    ("interior", 4): "76feeb7f6fcb4995",
+}
+
+
+@pytest.mark.parametrize("kind,d", list(GOLDEN))
+def test_construction_golden_hash(kind, d, triangulation_cache):
+    if kind == "laplacian":
+        t = triangulation_cache(d)
+    else:
+        t = interior_polytope_triangulation(d)
+    text = repr((t.vertex_pool, t.cells, t.heights))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN[kind, d]
 
 
 # -- census, export, shelling ----------------------------------------------------
