@@ -276,19 +276,6 @@ def nullspace(rows):
     return basis
 
 
-def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns one solution (0 at every free
-    unknown) or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    m, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    pivots, _ = _echelon(m, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    det = _pivot_minor(m, pivots)
-    (x,) = _back_substitute(m, pivots, ncols, [ncols], det)
-    return [Fraction(v, det) for v in x]
-
-
 def vec_gcd(v):
     g = 0
     for x in v:

@@ -199,45 +199,3 @@ def point_in_hull(point, generators):
     a_eq.append([Fraction(1)] * n)
     b_eq.append(Fraction(1))
     return feasible(a_eq=a_eq, b_eq=b_eq, nvars=n, nonneg=True)
-
-
-def simplices_interior_overlap(cell_a, cell_b):
-    """Do two full-dimensional simplices have intersecting interiors?
-
-    Maximizes the smallest barycentric coordinate of a common point; the
-    interiors meet iff the optimum is strictly positive.
-    """
-    na, nb = len(cell_a), len(cell_b)
-    dim = len(cell_a[0])
-    nvars = na + nb + 1  # lambdas, mus, s
-    a_eq = []
-    b_eq = []
-    for i in range(dim):
-        row = [Fraction(p[i]) for p in cell_a] + [-Fraction(q[i]) for q in cell_b]
-        a_eq.append(row + [Fraction(0)])
-        b_eq.append(Fraction(0))
-    a_eq.append([Fraction(1)] * na + [Fraction(0)] * nb + [Fraction(0)])
-    b_eq.append(Fraction(1))
-    a_eq.append([Fraction(0)] * na + [Fraction(1)] * nb + [Fraction(0)])
-    b_eq.append(Fraction(1))
-    a_ub = []
-    b_ub = []
-    for j in range(na + nb):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(-1)
-        row[-1] = Fraction(1)
-        a_ub.append(row)  # s - coord_j <= 0
-        b_ub.append(Fraction(0))
-    row = [Fraction(0)] * nvars
-    row[-1] = Fraction(1)
-    a_ub.append(row)  # s <= 1
-    b_ub.append(Fraction(1))
-    objective = [0] * (na + nb) + [1]
-    res = solve_lp(
-        objective, a_ub, b_ub, a_eq, b_eq, maximize=True,
-        nonneg=[True] * (na + nb) + [False],
-    )
-    if res.status == INFEASIBLE:
-        return False
-    assert res.status == OPTIMAL
-    return res.value > 0

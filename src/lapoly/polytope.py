@@ -22,6 +22,7 @@ from .linalg import (
     primitive_vector,
     rank,
     saturation_basis,
+    vec_gcd,
 )
 
 
@@ -286,17 +287,18 @@ class LatticePolytope:
         found = {}
         for subset in combinations(verts, d):
             base = self.points[subset[0]]
-            diffs = [
-                [self.points[i][k] - base[k] for k in range(d)]
-                for i in subset[1:]
-            ]
-            if diffs:
-                kernel = nullspace(diffs)
-            else:
-                kernel = [[Fraction(1)]]  # d == 1: hyperplane through a point
-            if len(kernel) != 1:
+            m = [[self.points[i][k] - base[k] for k in range(d)] for i in subset[1:]]
+            pivots, _ = _echelon(m, d)
+            if len(pivots) != d - 1:
                 continue
-            normal = primitive_vector(kernel[0])
+            # the kernel is a line, spanned by det * (x - e_f) for the free
+            # column f, where x solves the pivot columns against column f
+            (free,) = set(range(d)).difference(pivots)
+            det = _pivot_minor(m, pivots)
+            (normal,) = _back_substitute(m, pivots, d, [free], det)
+            normal[free] = -det
+            g = vec_gcd(normal)
+            normal = [a // g for a in normal]
             offset = sum(a * x for a, x in zip(normal, base))
             values = [
                 sum(a * x for a, x in zip(normal, p)) for p in self.points

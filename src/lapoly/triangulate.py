@@ -7,12 +7,10 @@ subdivisions for odd d; for even d a triangulation of the interior polytope
 second edgewise subdivision.  Every triangulation carries proposed lifting
 heights; `is_regular` certifies them independently by exact fold checks,
 falling back to an exact LP search when no usable heights are present.
-Fold values, in construction and check alike, come from the affine
-coordinates of each fold's opposite vertex in its cell
-(`_fold_coordinates`): one fraction-free solve inverts the homogeneous
-matrix of a first cell, and a walk across shared ridges updates the
-inverse by one exact rank-one step per new cell.  The coordinates are
-integers on unimodular cells.
+Fold values, in construction and check alike, come from one walk across
+shared ridges (`_fold_values`) that carries each cell's inverse matrix by
+exact rank-one steps and a covector per height vector, so a fold value is
+one dot product, an integer on unimodular cells.
 """
 
 from __future__ import annotations
@@ -461,94 +459,106 @@ def _interior_boundary_triangulation(d):
     return points_list, heights, cells
 
 
-def _ridges(cells):
-    """Ridge index: every codimension-1 face (a cell minus one vertex, in
-    the cell's vertex order) mapped to the (cell index, dropped position)
-    pairs of the cells that contain it."""
-    ridge_map = {}
-    for ci, cell in enumerate(cells):
-        for drop in range(len(cell)):
-            ridge_map.setdefault(cell[:drop] + cell[drop + 1 :], []).append((ci, drop))
-    return ridge_map
+def _ridge_pass(cells):
+    """One pass over the ridges (a cell minus one vertex, in the cell's
+    order).  Returns (ridges, folds, excess): `ridges` maps a ridge held by
+    one cell to (cell, dropped position); a second cell pairs it into the
+    fold (ca, da, cb, db), appended to `folds` and kept as its value; a
+    third puts (fold, ridge) in `excess`, once."""
+    ridges = {}
+    folds = []
+    excess = []
+    for cb, cell in enumerate(cells):
+        last = len(cell) - 1
+        for k, ridge in enumerate(combinations(cell, last)):
+            got = ridges.get(ridge)
+            if got is None:
+                ridges[ridge] = (cb, last - k)
+            elif len(got) == 2:
+                got += (cb, last - k)
+                folds.append(got)
+                ridges[ridge] = got
+            elif got:
+                excess.append((got, ridge))
+                ridges[ridge] = ()
+    return ridges, folds, excess
 
 
 def _fold_data(cells):
-    """Interior ridge folds of a full-dimensional triangulation: one
-    (ca, da, cb, db) per ridge shared by two cells, where cell ca minus its
-    vertex at position da is the ridge, and so is cell cb minus its vertex
-    at position db.  The fold's opposite vertex is cells[cb][db]."""
-    folds = []
-    for incident in _ridges(cells).values():
-        if len(incident) > 2:
-            raise ValueError("three cells share a ridge; not a triangulation")
-        if len(incident) == 2:
-            (ca, da), (cb, db) = incident
-            folds.append((ca, da, cb, db))
+    """The folds (ca, da, cb, db): cell ca minus its vertex at position da
+    is the ridge, and so is cell cb minus position db, the fold's opposite
+    vertex.  Raises ValueError where three cells share a ridge."""
+    _, folds, excess = _ridge_pass(cells)
+    if excess:
+        raise ValueError("three cells share a ridge; not a triangulation")
     return folds
 
 
-def _fold_coordinates(pool, cells, folds):
-    """Affine coordinates of every fold's opposite vertex in its cell.
+def _fold_values(pool, cells, heights):
+    """Returns (folds, values): the folds of `_fold_data` and, per height
+    vector h in `heights`, its fold values aligned with them.
 
-    For the fold (ca, da, cb, db), with vb = cells[cb][db], the coordinates
-    lam satisfy sum(lam_i * pool[cell_i]) == pool[vb] and sum(lam) == 1 over
-    the cell ca, so the fold value of any heights h, the height of vb above
-    the cell's affine lift, is h[vb] - sum(lam_i * h[cell_i]).  Then
-    lam = M_ca [pool[vb]; 1], where M_c is the inverse of the homogeneous
-    matrix [v_i; 1] of cell c.
-
-    The cells are walked breadth-first across shared ridges, with one
-    fraction-free solve (`solve_int`) per connected component, at its
-    first cell.  Crossing the ridge from a to b replaces the column of the
-    vertex at position da by that of the new vertex, an exact rank-one
-    update of the inverse: with lam = M_a [v; 1] and t = lam[da] (zero
-    exactly when b is degenerate), M_b has the row M_a[da] / t for the new
-    vertex and M_a[i] - lam_i * M_a[da] / t for every other vertex,
-    reordered into b's sorted vertex order.  On unimodular cells t = -1 or
-    1 and every entry stays an integer; otherwise entries are Fractions.
-    An inverse is dropped once its cell has been expanded.  Returns the
-    coordinate lists, aligned with `folds`.
+    The value at (ca, da, cb, db) is the height of w = cells[cb][db] above
+    the lift of h over ca: h[w] - c_ca . [w; 1], where the covector
+    c_a = sum(h[a_i] * M_a[i]) interpolates h on a, M_a the inverse of a's
+    matrix [v_i; 1].  A breadth-first walk across shared ridges runs one
+    `solve_int` per connected component, at its first cell.  A step from a
+    to b swaps a's vertex at position `here` for w: with lam = M_a [w; 1]
+    and t = lam[here] (zero iff b is degenerate), M_b has the row
+    piv = M_a[here] / t for w and M_a[i] - lam_i * piv for the others, in
+    b's order, and c_b = c_a + phi * piv with phi = h[w] - c_a . [w; 1].
+    So lam is formed on tree edges only; any other fold costs one dot
+    product per height vector.  Inverses and covectors are dropped once
+    their cell is expanded.
     """
+    folds = _fold_data(cells)
     incident = [[] for _ in cells]
     for k, (ca, _, cb, _) in enumerate(folds):
         incident[ca].append(k)
         incident[cb].append(k)
-    coords = [None] * len(folds)
+    values = [[None] * len(folds) for _ in heights]
     seen = bytearray(len(cells))
-    inverse = {}
+    frontier = {}
     for root, ks in enumerate(incident):
         if seen[root] or not ks:
             continue
         cell = cells[root]
         n = len(cell)
-        rows = [[pool[i][c] for i in cell] for c in range(len(pool[0]))] + [[1] * n]
+        rows = [*zip(*(pool[i] for i in cell)), [1] * n]
         unit = [[int(i == j) for i in range(n)] for j in range(n)]
         det, cols = solve_int(rows, unit)
         if not det:
             raise ValueError("degenerate cell in fold computation")
         if det in (1, -1):
-            inverse[root] = [[det * col[i] for col in cols] for i in range(n)]
+            m = [[det * col[i] for col in cols] for i in range(n)]
         else:
-            inverse[root] = [[Fraction(col[i], det) for col in cols] for i in range(n)]
+            m = [[Fraction(col[i], det) for col in cols] for i in range(n)]
+        frontier[root] = m, [
+            [sum(h[i] * x for i, x in zip(cell, col)) for col in zip(*m)]
+            for h in heights
+        ]
         seen[root] = 1
         queue = deque([root])
         while queue:
             a = queue.popleft()
-            m = inverse.pop(a)
+            m, covs = frontier.pop(a)
             for k in incident[a]:
                 ca, da, cb, db = folds[k]
                 if ca == a:
                     b, here, there = cb, da, db
                 elif seen[ca]:
-                    continue  # ca's own inverse gives this fold
+                    continue  # ca's own covectors give this fold
                 else:
                     b, here, there = ca, db, da
-                v = pool[cells[b][there]]
-                lam = [sum(map(mul, row, v)) + row[-1] for row in m]
+                w = cells[b][there]
+                v = pool[w]
+                phis = [h[w] - sum(map(mul, c, v)) - c[-1] for h, c in zip(heights, covs)]
                 if ca == a:
-                    coords[k] = lam
+                    for out, phi in zip(values, phis):
+                        out[k] = phi
                 if seen[b]:
                     continue
+                lam = [sum(map(mul, row, v)) + row[-1] for row in m]
                 t = lam[here]
                 if not t:
                     raise ValueError("degenerate cell in fold computation")
@@ -564,10 +574,13 @@ def _fold_coordinates(pool, cells, folds):
                     if i != here
                 ]
                 nxt.insert(there, piv)
-                inverse[b] = nxt
+                frontier[b] = nxt, [
+                    [x + phi * y for x, y in zip(c, piv)] if phi else c
+                    for c, phi in zip(covs, phis)
+                ]
                 seen[b] = 1
                 queue.append(b)
-    return coords
+    return folds, values
 
 
 def is_regular(t, heights=None):
@@ -579,22 +592,17 @@ def is_regular(t, heights=None):
     of the lifted vertices projects exactly onto it (the local-folding
     criterion).  Without a usable witness the strict system is solved as
     an exact LP maximizing the minimum fold slack (positive optimum iff
-    regular); the LP is refused above `LP_CELL_LIMIT` cells.  The fold
-    coordinates come from `t.cells` and `t.vertex_pool`, never from the
-    construction.
+    regular); the LP is refused above `LP_CELL_LIMIT` cells.  Fold values
+    come from a ridge walk over the cells (`_fold_values`), never from the
+    construction; the LP's coefficients are those of the unit heights of
+    the used vertices.
 
     Returns (regular, heights_or_none).
     """
     use = heights if heights is not None else t.heights
-    folds = _fold_data(t.cells)
-    coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
     if use is not None:
-        if all(
-            use[t.cells[cb][db]]
-            - sum(l * use[i] for l, i in zip(lam, t.cells[ca]))
-            > 0
-            for (ca, _, cb, db), lam in zip(folds, coords)
-        ):
+        folds, (values,) = _fold_values(t.vertex_pool, t.cells, [use])
+        if all(v > 0 for v in values):
             t.checks["regular"] = {"witness": "heights", "folds": len(folds)}
             return True, list(use)
         if heights is not None:
@@ -605,30 +613,20 @@ def is_regular(t, heights=None):
             f"{LP_CELL_LIMIT} and no valid heights witness is attached"
         )
     used = t.used_vertex_indices()
-    var = {v: k for k, v in enumerate(used)}
-    nvars = len(used) + 1  # heights plus the slack s
-    a_ub = []
-    b_ub = []
-    for (ca, _, cb, db), lam in zip(folds, coords):
-        row = [Fraction(0)] * nvars
-        row[var[t.cells[cb][db]]] += 1
-        for coef, i in zip(lam, t.cells[ca]):
-            row[var[i]] -= coef
-        # constraint: fold >= s  <=>  s - fold <= 0
-        a_ub.append([-x for x in row[:-1]] + [Fraction(1)])
-        b_ub.append(Fraction(0))
-    srow = [Fraction(0)] * nvars
-    srow[-1] = Fraction(1)
-    a_ub.append(srow)
-    b_ub.append(Fraction(1))
-    objective = [0] * (nvars - 1) + [1]
+    units = [[int(i == v) for i in range(len(t.vertex_pool))] for v in used]
+    folds, values = _fold_values(t.vertex_pool, t.cells, units)
+    # fold >= s  <=>  s - fold <= 0, in first-met ridge order; then s <= 1
+    a_ub = [[-x for x in row] + [1] for _, row in sorted(zip(folds, zip(*values)))]
+    a_ub.append([0] * len(used) + [1])
+    b_ub = [0] * len(folds) + [1]
+    objective = [0] * len(used) + [1]
     res = lp.solve_lp(objective, a_ub, b_ub, maximize=True)
     assert res.status == lp.OPTIMAL
     if res.value <= 0:
         return False, None
     found = [Fraction(0)] * len(t.vertex_pool)
-    for v, k in var.items():
-        found[v] = res.x[k]
+    for v, x in zip(used, res.x):
+        found[v] = x
     t.checks["regular"] = {"witness": "lp", "folds": len(folds)}
     return True, found
 
@@ -638,18 +636,12 @@ def _scaled_heights(pool, cells, primary, secondary):
     makes every fold of the lift strictly convex.
 
     Every fold must be convex under `primary` alone, and strictly convex
-    under `secondary` where `primary` is flat.  Fold values are exact
-    integers: the integer affine coordinates of each fold's opposite
-    vertex (`_fold_coordinates`, one ridge walk with one fraction-free
-    solve per connected component) dotted with the heights.
+    under `secondary` where `primary` is flat.  One ridge walk
+    (`_fold_values`) gives the exact fold values of both.
     """
-    folds = _fold_data(cells)
+    _, (primary_values, secondary_values) = _fold_values(pool, cells, [primary, secondary])
     need = 1
-    for (ca, _, cb, db), lam in zip(folds, _fold_coordinates(pool, cells, folds)):
-        cell = cells[ca]
-        vb = cells[cb][db]
-        p = primary[vb] - sum(l * primary[i] for l, i in zip(lam, cell))
-        s = secondary[vb] - sum(l * secondary[i] for l, i in zip(lam, cell))
+    for p, s in zip(primary_values, secondary_values):
         if p < 0:
             raise AssertionError("base fold is non-convex; construction bug")
         if p == 0:
@@ -830,14 +822,16 @@ def verify_triangulation(t):
     Sides come from the one signed determinant per cell that the volume
     sum needs: the orientation of (ridge..., dropped vertex) is the cell's
     sign times (-1)^(d - dropped position), with every cell in sorted
-    vertex order.  The ridge index is built here from `t.cells`; no number
-    from the construction is reused.  In dimension 0 there are no ridges and
-    the volume identity (one cell) is the whole certificate.
+    vertex order.  The ridges are paired in one pass over `t.cells`
+    (`_ridge_pass`); no number from the construction is reused.  In
+    dimension 0 there are no ridges and the volume identity (one cell) is
+    the whole certificate.
 
     Returns a report dict; `ok` is the conjunction of the checks.  Failures
     are collected from the whole pass as tagged tuples: ("cell_size", c),
     ("degenerate", c), ("outside_carrier", v), ("overlap", a, b),
-    ("ridge_excess", ridge) and ("open_boundary", ridge).
+    ("ridge_excess", ridge) and ("open_boundary", ridge), the last three in
+    the order their ridges first occur.
     """
     report = {
         "cells": t.cell_count,
@@ -895,22 +889,24 @@ def verify_triangulation(t):
         report["volume_ok"] = vol == report["carrier_nvol"]
 
     if dim > 0:
-        before = len(failures)
-        for ridge, incident in _ridges(t.cells).items():
-            if len(incident) == 1:
+        ridges, folds, excess = _ridge_pass(t.cells)
+        # keyed by where each ridge was first met, the order of the report
+        found = [(fold[:2], ("ridge_excess", ridge)) for fold, ridge in excess]
+        crowded = {fold for fold, _ in excess}
+        for ridge, got in ridges.items():
+            if len(got) == 2:
                 on_facet = -1
                 for v in ridge:
                     on_facet &= tight.get(v, 0)
                 if not on_facet:
-                    failures.append(("open_boundary", ridge))
-            elif len(incident) == 2:
-                (a, ka), (b, kb) = incident
-                # orientations sign*(-1)^(dim-k) agree: same side
-                if sign[a] * sign[b] * (-1) ** (ka + kb) > 0:
-                    failures.append(("overlap", a, b))
-            else:
-                failures.append(("ridge_excess", ridge))
-        report["disjoint_ok"] = len(failures) == before
+                    found.append((got, ("open_boundary", ridge)))
+        for fold in folds:
+            a, ka, b, kb = fold
+            # orientations sign*(-1)^(dim-k) agree: same side
+            if sign[a] * sign[b] * (-1) ** (ka + kb) > 0 and fold not in crowded:
+                found.append(((a, ka), ("overlap", a, b)))
+        failures.extend(f for _, f in sorted(found))
+        report["disjoint_ok"] = not found
     report["ok"] = (
         report["affinely_independent"]
         and report["contained"]

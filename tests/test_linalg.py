@@ -7,6 +7,10 @@ import pytest
 from lapoly import lp
 from lapoly.linalg import (
     ExactMatrix,
+    _back_substitute,
+    _echelon,
+    _integer_rows,
+    _pivot_minor,
     det_int,
     hnf,
     nullspace,
@@ -14,7 +18,6 @@ from lapoly.linalg import (
     rank,
     saturation_basis,
     snf_with_transform,
-    solve,
     solve_int,
 )
 
@@ -90,6 +93,52 @@ def oracle_solve(rows, rhs):
             return None
         x[p] = m[r][-1]
     return x
+
+
+def solve(rows, rhs):
+    """Solve A x = b on the fraction-free elimination of `lapoly.linalg`:
+    one solution (0 at every free unknown), or None if inconsistent.  The
+    rref oracle checks it, and it is the oracle for `solve_int`."""
+    ncols = len(rows[0]) if rows else 0
+    m, _ = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    pivots, _ = _echelon(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    det = _pivot_minor(m, pivots)
+    (x,) = _back_substitute(m, pivots, ncols, [ncols], det)
+    return [Fraction(v, det) for v in x]
+
+
+def simplices_interior_overlap(cell_a, cell_b):
+    """Do two full-dimensional simplices have intersecting interiors?
+
+    Maximizes the smallest barycentric coordinate of a common point by an
+    exact LP; the interiors meet iff the optimum is strictly positive.  The
+    pairwise oracle of the triangulation certificate.
+    """
+    na, nb = len(cell_a), len(cell_b)
+    dim = len(cell_a[0])
+    nvars = na + nb + 1  # lambdas, mus, s
+    a_eq = [[p[i] for p in cell_a] + [-q[i] for q in cell_b] + [0] for i in range(dim)]
+    a_eq.append([1] * na + [0] * nb + [0])
+    a_eq.append([0] * na + [1] * nb + [0])
+    b_eq = [0] * dim + [1, 1]
+    a_ub = []
+    for j in range(na + nb):
+        row = [0] * nvars
+        row[j] = -1
+        row[-1] = 1
+        a_ub.append(row)  # s - coord_j <= 0
+    a_ub.append([0] * (nvars - 1) + [1])  # s <= 1
+    b_ub = [0] * (na + nb) + [1]
+    res = lp.solve_lp(
+        [0] * (na + nb) + [1], a_ub, b_ub, a_eq, b_eq, maximize=True,
+        nonneg=[True] * (na + nb) + [False],
+    )
+    if res.status == lp.INFEASIBLE:
+        return False
+    assert res.status == lp.OPTIMAL
+    return res.value > 0
 
 
 def assert_matches_oracle(a, rhs):
@@ -353,4 +402,4 @@ def test_point_in_hull():
     ],
 )
 def test_simplices_interior_overlap(a, b, expected):
-    assert lp.simplices_interior_overlap(a, b) is expected
+    assert simplices_interior_overlap(a, b) is expected

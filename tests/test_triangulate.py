@@ -10,7 +10,7 @@ from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.complexes import h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import det_int, nullspace, primitive_vector, solve, solve_int
+from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
@@ -27,7 +27,8 @@ from lapoly.triangulate import (
     verify_shelling,
     verify_triangulation,
 )
-from lapoly.triangulate import _fold_coordinates, _fold_data
+from lapoly.triangulate import _fold_data, _fold_values
+from test_linalg import simplices_interior_overlap, solve
 
 
 def standard_simplex(m):
@@ -36,19 +37,42 @@ def standard_simplex(m):
     return pts
 
 
+def oracle_ridges(cells):
+    """Ridge index: every codimension-1 face (a cell minus one vertex, in
+    the cell's vertex order) mapped to the (cell index, dropped position)
+    pairs of the cells that contain it."""
+    ridge_map = {}
+    for ci, cell in enumerate(cells):
+        for drop in range(len(cell)):
+            ridge_map.setdefault(cell[:drop] + cell[drop + 1 :], []).append((ci, drop))
+    return ridge_map
+
+
+def oracle_fold_data(cells):
+    """The folds (ca, da, cb, db) from the full ridge index, in the order
+    their ridges first occur, which is sorted order."""
+    folds = []
+    for incident in oracle_ridges(cells).values():
+        if len(incident) > 2:
+            raise ValueError("three cells share a ridge; not a triangulation")
+        if len(incident) == 2:
+            (ca, da), (cb, db) = incident
+            folds.append((ca, da, cb, db))
+    return folds
+
+
 def oracle_fold_values(t, heights):
     """Fold values from one exact Fraction `solve` per fold: the affine
     coordinates of the opposite vertex in its cell, dotted with the
-    heights."""
+    heights.  Aligned with `oracle_fold_data`."""
     dim = len(t.vertex_pool[0])
     values = []
-    for ca, _, cb, db in _fold_data(t.cells):
+    for ca, _, cb, db in oracle_fold_data(t.cells):
         cell = t.cells[ca]
         vb = t.cells[cb][db]
         lam = solve(
-            [[Fraction(t.vertex_pool[i][k]) for i in cell] for k in range(dim)]
-            + [[Fraction(1)] * len(cell)],
-            [Fraction(x) for x in t.vertex_pool[vb]] + [Fraction(1)],
+            [[t.vertex_pool[i][k] for i in cell] for k in range(dim)] + [[1] * len(cell)],
+            [*t.vertex_pool[vb], 1],
         )
         assert lam is not None, "fold vertex outside the cell's affine hull"
         values.append(
@@ -387,7 +411,7 @@ def _cells_disjoint(t, a, b, facet_cache=None):
                 sum(a_ * x for a_, x in zip(normal, q)) >= off for q in others
             ):
                 return True
-    return not lp.simplices_interior_overlap(pa, pb)
+    return not simplices_interior_overlap(pa, pb)
 
 
 def _meet_in_common_face(t, a, b, facet_cache):
@@ -613,25 +637,92 @@ UNIMODULAR_FOLD_CASES = ["laplacian_1", "laplacian_2", "laplacian_3", "laplacian
                          "laplacian_5", "interior_2", "interior_4"]
 
 
+def probe_heights(name, t, heights):
+    """The case's heights, then height vectors that pin every affine
+    coordinate: on the Laplacian triangulations d + 2 seeded random integer
+    vectors, elsewhere the unit vector of every pool vertex (the value of
+    e_v at a fold is 1 at its opposite vertex and minus the coordinate of v
+    in its cell)."""
+    n = len(t.vertex_pool)
+    if name.startswith("laplacian"):
+        rng = random.Random(name)
+        return [heights] + [[rng.randint(-50, 50) for _ in range(n)]
+                            for _ in range(t.dim + 2)]
+    return [heights] + [[int(i == v) for i in range(n)] for v in range(n)]
+
+
 @pytest.mark.parametrize(
     "name", UNIMODULAR_FOLD_CASES + ["nonregular", "lp_witness", "two_components"],
 )
 def test_fold_coordinates_match_solve_oracle(name, triangulation_cache):
     t, heights = fold_case(name, triangulation_cache)
-    folds = _fold_data(t.cells)
-    coords = _fold_coordinates(t.vertex_pool, t.cells, folds)
-    # the ridge walk against one solve per cell, then per fold
-    assert coords == oracle_fold_coordinates(t.vertex_pool, t.cells, folds)
-    values = [
-        heights[t.cells[cb][db]] - sum(l * heights[i] for l, i in zip(lam, t.cells[ca]))
-        for (ca, _, cb, db), lam in zip(folds, coords)
-    ]
-    assert values == oracle_fold_values(t, heights)
+    pool, cells = t.vertex_pool, t.cells
+    folds = oracle_fold_data(cells)
+    coords = oracle_fold_coordinates(pool, cells, folds)
+    probes = probe_heights(name, t, heights)
+    walked, values = _fold_values(pool, cells, probes)
+    assert sorted(walked) == folds
+    for h, got in zip(probes, values):
+        # the ridge walk against one solve per cell, dotted with the heights
+        by_fold = dict(zip(walked, got))
+        assert [by_fold[f] for f in folds] == [
+            h[cells[cb][db]] - sum(l * h[i] for l, i in zip(lam, cells[ca]))
+            for (ca, _, cb, db), lam in zip(folds, coords)
+        ]
+        if name in UNIMODULAR_FOLD_CASES:
+            # unimodular cells: integer heights give integer fold values
+            assert all(type(x) is int for x in got)
+    # and against one Fraction solve per fold
+    by_fold = dict(zip(walked, values[0]))
+    assert [by_fold[f] for f in folds] == oracle_fold_values(t, heights)
     for lam in coords:
         assert sum(lam) == 1
-        if name in UNIMODULAR_FOLD_CASES:
-            # unimodular cells: integer coordinates, integer fold values
-            assert all(type(x) is int for x in lam)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES) + ["laplacian_1", "laplacian_2",
+                                                   "laplacian_3", "laplacian_4"])
+def test_fold_data_matches_ridge_index(name, triangulation_cache):
+    t = FIXTURES[name] if name in FIXTURES else triangulation_cache(int(name[-1]))
+    if name == "ridge_in_three_cells":
+        with pytest.raises(ValueError):
+            oracle_fold_data(t.cells)
+        return
+    assert sorted(_fold_data(t.cells)) == oracle_fold_data(t.cells)
+
+
+def test_ridge_in_three_cells_raises():
+    t = FIXTURES["ridge_in_three_cells"]
+    for call in (lambda: _fold_data(t.cells), lambda: is_regular(t),
+                 lambda: is_regular(t, heights=[0, 0, 0, 1, 1])):
+        with pytest.raises(ValueError, match="three cells share a ridge"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["laplacian_2", "laplacian_3", "interior_4", "esd_3_2"])
+def test_is_regular_agrees_with_fold_oracle(name, triangulation_cache):
+    """Seeded perturbations lower the opposite vertex of one fold until the
+    fold is flat, then past it, or raise that vertex; is_regular must say
+    what the oracle fold values say."""
+    if name in FIXTURES:
+        t = FIXTURES[name]
+        heights = t.heights
+    else:
+        t, heights = fold_case(name, triangulation_cache)
+    rng = random.Random(name)
+    folds = oracle_fold_data(t.cells)
+    values = oracle_fold_values(t, heights)
+    assert all(v > 0 for v in values) and is_regular(t, heights)[0]
+    verdicts = []
+    for k in rng.sample(range(len(folds)), 4):
+        w = t.cells[folds[k][2]][folds[k][3]]
+        for shift in (-values[k], -values[k] - 1, rng.randint(1, 5)):
+            h = list(heights)
+            h[w] += shift
+            expected = all(v > 0 for v in oracle_fold_values(t, h))
+            assert is_regular(t, h) == ((True, h) if expected else (False, None))
+            verdicts.append(expected)
+    # the flat and the negative fold are always rejected
+    assert verdicts[0::3] == verdicts[1::3] == [False] * 4
 
 
 @pytest.mark.parametrize("name,roots", [("laplacian_4", 1), ("nonregular", 1),
@@ -646,7 +737,7 @@ def test_fold_walk_solves_once_per_component(name, roots, triangulation_cache,
         return solve_int(rows, rhs)
 
     monkeypatch.setattr("lapoly.triangulate.solve_int", counting_solve_int)
-    _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
+    _fold_values(t.vertex_pool, t.cells, [])
     assert len(calls) == roots
 
 
@@ -654,7 +745,7 @@ def test_fold_coordinates_reject_degenerate_cell():
     # the flat cell is the walk's first cell, then a cell the walk reaches
     for t in (FIXTURES["degenerate_cell"], degenerate_reached_fixture()):
         with pytest.raises(ValueError, match="degenerate cell"):
-            _fold_coordinates(t.vertex_pool, t.cells, _fold_data(t.cells))
+            _fold_values(t.vertex_pool, t.cells, [])
         with pytest.raises(ValueError, match="degenerate cell"):
             is_regular(t)
         with pytest.raises(ValueError, match="degenerate cell"):
