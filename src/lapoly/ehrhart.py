@@ -134,12 +134,37 @@ def hstar_from_counts(counts, dim):
 
 
 def ehrhart_counts(p, dim=None, budget=None):
-    """Exact |nP| for n = 0..dim by pruned box scans."""
+    """Exact L(n) = |nP| for n = 0..dim of a full-dimensional lattice
+    polytope P.  With k = dim // 2, box scans count nP for n = 0..dim-k and
+    the interiors of nP for n = 1..k; the budget is checked up front on
+    the largest box, that of (dim-k)P.
+
+    Theorem (Ehrhart-Macdonald reciprocity; Macdonald 1971; Beck and
+    Robins, *Computing the Continuous Discretely*, Thm 4.1).  L is a
+    polynomial of degree dim on n >= 0, and its value at -n is
+    (-1)^dim |int(nP) ∩ Z^dim| for n >= 1.
+
+    Proof of the counts.  Each facet is a.x <= b with a primitive integer
+    normal a and integer b, so for a lattice point x, a.x < n*b iff
+    a.x <= n*b - 1: the strict scan counts int(nP) exactly.  Reciprocity
+    gives L(-k..-1), so L is known at the dim + 1 consecutive integers
+    -k..dim-k.  Its (dim+1)-th difference vanishes, so
+    L(m) = sum_{j=1}^{dim+1} (-1)^(j+1) C(dim+1, j) L(m-j) extends the
+    values to n = dim in exact integers.
+    """
     if dim is None:
         dim = p.dim()
     if dim != p.ambient_dim:
         raise ValueError("count the full-dimensional copy")
-    return [p.lattice_point_count(n, budget=budget) for n in range(dim + 1)]
+    k = dim // 2
+    p._check_box(dim - k, budget)
+    counts = [(-1) ** dim * p._scan(n, budget=budget, strict=True) for n in range(k, 0, -1)]
+    counts += [p.lattice_point_count(n, budget=budget) for n in range(dim - k + 1)]
+    for _ in range(k):
+        counts.append(sum(
+            (-1) ** (j + 1) * comb(dim + 1, j) * counts[-j] for j in range(1, dim + 2)
+        ))
+    return counts[k:]
 
 
 def ehrhart_polynomial(counts):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from . import lp
 from .budgets import BudgetError, point_budget
@@ -34,8 +35,7 @@ class Halfspace:
     def __init__(self, normal, offset):
         normal = tuple(int(x) for x in normal)
         offset = int(offset)
-        prim = tuple(primitive_vector(normal))
-        if prim != normal:
+        if vec_gcd(normal) > 1:
             raise ValueError("halfspace normal must be primitive")
         self.normal = normal
         self.offset = offset
@@ -389,9 +389,14 @@ class LatticePolytope:
 
     # -- lattice points -------------------------------------------------------
 
-    def bounding_box(self, n=1):
+    def _check_box(self, n, budget=None):
+        """The bounding box (lo, hi) of nP; BudgetError if it holds more
+        candidate points than the budget."""
         lo = [min(p[i] for p in self.points) * n for i in range(self.ambient_dim)]
         hi = [max(p[i] for p in self.points) * n for i in range(self.ambient_dim)]
+        volume, limit = prod(b - a + 1 for a, b in zip(lo, hi)), point_budget(budget)
+        if volume > limit:
+            raise BudgetError(f"box scan needs {volume} candidate points, budget is {limit}")
         return lo, hi
 
     def _scan(self, n, budget=None, collect=False, strict=False):
@@ -410,15 +415,7 @@ class LatticePolytope:
         ineqs = [
             (h.normal, n * h.offset - (1 if strict else 0)) for h in self.facets()
         ]
-        lo, hi = self.bounding_box(n)
-        limit = point_budget(budget)
-        volume = 1
-        for a, b in zip(lo, hi):
-            volume *= max(0, b - a + 1)
-        if volume > limit:
-            raise BudgetError(
-                f"box scan needs {volume} candidate points, budget is {limit}"
-            )
+        lo, hi = self._check_box(n, budget)
         # suffix_min[j][k]: minimal contribution of coordinates k.. to ineq j
         suffix_min = []
         for normal, _ in ineqs:

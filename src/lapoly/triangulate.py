@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -33,9 +34,14 @@ LP_CELL_LIMIT = 4000
 
 
 class Triangulation:
-    """A set of maximal lattice simplices over a shared vertex pool."""
+    """A set of maximal lattice simplices over a shared vertex pool.
 
-    __slots__ = ("vertex_pool", "cells", "carrier", "heights", "checks")
+    `heights` are proposed lifting heights, or None.  They may be given as
+    a zero-argument callable, which runs on the first read of `heights`;
+    its list is stored.
+    """
+
+    __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks")
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
         self.vertex_pool = [tuple(int(x) for x in p) for p in vertex_pool]
@@ -43,8 +49,18 @@ class Triangulation:
         # would hold two full cell lists at once
         self.cells = [c if (s := tuple(sorted(c))) == c else s for c in cells]
         self.carrier = carrier
-        self.heights = heights
+        self._heights = heights
         self.checks = {}
+
+    @property
+    def heights(self):
+        if callable(self._heights):
+            self._heights = self._heights()
+        return self._heights
+
+    @heights.setter
+    def heights(self, value):
+        self._heights = value
 
     @property
     def dim(self):
@@ -66,7 +82,7 @@ class Triangulation:
     def translate(self, vec):
         pool = [tuple(x + v for x, v in zip(p, vec)) for p in self.vertex_pool]
         carrier = self.carrier.translate(vec) if self.carrier else None
-        t = Triangulation(pool, self.cells, carrier, heights=self.heights)
+        t = Triangulation(pool, self.cells, carrier, heights=self._heights)
         t.checks = dict(self.checks)
         return t
 
@@ -682,7 +698,9 @@ def laplacian_triangulation(d, budget=None):
     subdivision; the refined copy is translated onto the polytope.
 
     The number of cells is (d+2)^d; the materialization budget is checked
-    up front.  The returned triangulation carries integer lifting heights.
+    up front.  The integer lifting heights of the even-d refinement are
+    computed on first read of `heights`; construction assertions about
+    them fire then.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -752,11 +770,11 @@ def laplacian_triangulation(d, budget=None):
         ]
         cells2.extend(tuple(sorted(pid[k] for k in chain)) for chain in chains)
 
-    heights2 = _scaled_heights(points2, cells2, base_height, local2)
-
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in points2]
-    out = Triangulation(shifted, cells2, target, heights=heights2)
+    out = Triangulation(shifted, cells2, target)
+    # fold values do not change under translation, so the shifted pool serves
+    out.heights = partial(_scaled_heights, out.vertex_pool, out.cells, base_height, local2)
     return out
 
 

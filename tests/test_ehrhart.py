@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +71,70 @@ def test_ehrhart_polynomial_interpolation():
     assert coeffs == [Fraction(1), Fraction(2), Fraction(1)]
     counts = ehrhart_counts(LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)]))
     assert counts == [1, 4, 9]
+
+
+def scan_oracle(p, dim):
+    """|nP| for n = 0..dim, one box scan per dilation."""
+    return [p.lattice_point_count(n) for n in range(dim + 1)]
+
+
+def random_full_dim_polytope(rng, dim):
+    while True:
+        width = rng.randint(1, 3 if dim < 4 else 2)
+        pts = {
+            tuple(rng.randint(0, width) for _ in range(dim))
+            for _ in range(rng.randint(dim + 1, dim + 4))
+        }
+        p = LatticePolytope(sorted(pts))
+        if p.dim() == dim:
+            return p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_reciprocity_counts_match_scans_laplacian(d):
+    p, _ = reduce_full_dim(d)
+    assert ehrhart_counts(p, p.ambient_dim) == scan_oracle(p, p.ambient_dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_reciprocity_counts_match_scans_random(dim):
+    rng = random.Random(9000 + dim)
+    for _ in range(55):
+        p = random_full_dim_polytope(rng, dim)
+        assert ehrhart_counts(p) == scan_oracle(p, dim), p.points
+
+
+def test_strict_scan_matches_brute_force():
+    rng = random.Random(17)
+    cases = [reduce_full_dim(d)[0] for d in (1, 2, 3)]
+    cases += [random_full_dim_polytope(rng, dim) for dim in (1, 2, 3) for _ in range(4)]
+    for p in cases:
+        dim = p.ambient_dim
+        for n in (1, 2, 3):
+            box = [
+                range(n * min(q[i] for q in p.points), n * max(q[i] for q in p.points) + 1)
+                for i in range(dim)
+            ]
+            interior = [
+                x for x in product(*box)
+                if all(h.value(x) < n * h.offset for h in p.facets())
+            ]
+            assert p._scan(n, strict=True) == len(interior)
+
+
+def test_ehrhart_budget_checks_largest_scanned_box_first(monkeypatch):
+    p, _ = reduce_full_dim(4)  # 4-dimensional; k = 2, so 2P is the largest box
+    scans = []
+    real = LatticePolytope._scan
+    monkeypatch.setattr(
+        LatticePolytope, "_scan", lambda self, n, **kw: scans.append(n) or real(self, n, **kw)
+    )
+    lo, hi = p._check_box(2)
+    box_2p = prod(b - a + 1 for a, b in zip(lo, hi))
+    with pytest.raises(BudgetError):
+        ehrhart_counts(p, 4, budget=box_2p - 1)
+    assert scans == []
+    assert ehrhart_counts(p, 4, budget=box_2p) == [1, 136, 1396, 6049, 17659]
 
 
 def test_ehrhart_profile_matches_structural():

@@ -51,6 +51,13 @@ def test_halfspace_normalization():
         Halfspace((2, -4), 6)
 
 
+def test_halfspace_accepts_exactly_gcd_one_or_zero_normals():
+    with pytest.raises(ValueError, match="primitive"):
+        Halfspace((2, 4), 1)
+    assert Halfspace((1, -2), 0).normal == (1, -2)
+    assert Halfspace((0, 0), 0).normal == (0, 0)
+
+
 def test_vertices():
     seg = LatticePolytope([(0,), (1,), (2,)])
     assert seg.vertices() == [(0,), (2,)]

@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
+import lapoly.triangulate as triangulate
 from lapoly import lp
 from lapoly.budgets import BudgetError
+from lapoly.cli import hstar_by_method
 from lapoly.complexes import h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
@@ -773,6 +775,69 @@ def test_construction_golden_hash(kind, d, triangulation_cache):
         t = interior_polytope_triangulation(d)
     text = repr((t.vertex_pool, t.cells, t.heights))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN[kind, d]
+
+
+# -- lifting heights on first read --------------------------------------------
+
+
+def count_refined_walks(monkeypatch, d, fail=False):
+    """Patch `_scaled_heights` to count (or fail) its calls on the refined
+    cells of `laplacian_triangulation(d)`; the cone-level call passes."""
+    real = triangulate._scaled_heights
+    calls = []
+
+    def counted(pool, cells, primary, secondary):
+        if len(cells) == (d + 2) ** d:
+            calls.append(len(cells))
+            if fail:
+                raise AssertionError("flat fold with non-convex refinement")
+        return real(pool, cells, primary, secondary)
+
+    monkeypatch.setattr(triangulate, "_scaled_heights", counted)
+    return calls
+
+
+def test_census_route_never_walks_for_heights(monkeypatch):
+    calls = count_refined_walks(monkeypatch, 4)
+    assert hstar_by_method(4, "census") == (1, 131, 726, 419, 19)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cache):
+    calls = count_refined_walks(monkeypatch, d)
+    t = laplacian_triangulation(d)
+    assert calls == []
+    first = t.heights
+    assert t.heights is first and calls == [(d + 2) ** d]
+    assert first == triangulation_cache(d).heights
+
+
+def test_translate_keeps_lazy_heights(monkeypatch):
+    calls = count_refined_walks(monkeypatch, 2)
+    t = laplacian_triangulation(2)
+    moved = t.translate((3, -1))
+    assert calls == []
+    assert moved.heights == t.heights
+    assert is_regular(moved)[0]
+
+
+def test_heights_set_to_none_takes_lp_path():
+    t = laplacian_triangulation(2)
+    t.heights = None
+    assert t.heights is None
+    ok, found = is_regular(t)
+    assert ok and t.checks["regular"]["witness"] == "lp"
+    assert is_regular(t, heights=found)[0]
+
+
+def test_heights_assertion_fires_on_first_read(monkeypatch):
+    count_refined_walks(monkeypatch, 2, fail=True)
+    t = laplacian_triangulation(2)
+    with pytest.raises(AssertionError, match="non-convex refinement"):
+        t.heights
+    with pytest.raises(AssertionError, match="non-convex refinement"):
+        is_regular(t)
 
 
 # -- census, export, shelling ----------------------------------------------------
