@@ -247,14 +247,6 @@ class LatticePolytope:
             [tuple(x + v for x, v in zip(p, vec)) for p in self.points]
         )
 
-    def dilate(self, c):
-        c = int(c)
-        if c < 0:
-            raise ValueError("dilation factor must be >= 0")
-        if c == 0:
-            return LatticePolytope([(0,) * self.ambient_dim])
-        return LatticePolytope([tuple(c * x for x in p) for p in self.points])
-
     # -- H-representation ---------------------------------------------------
 
     def facets(self):

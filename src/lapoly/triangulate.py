@@ -16,6 +16,7 @@ one dot product, an integer on unimodular cells.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from functools import partial
 from fractions import Fraction
@@ -31,6 +32,9 @@ from .polytope import LatticePolytope
 
 # largest triangulation on which `is_regular` searches heights by exact LP
 LP_CELL_LIMIT = 4000
+# estimated face count (cells * 2^(dim+1)) above which `face_census` sorts
+# the faces in temporary files instead of holding them in a set
+FACE_CENSUS_IN_MEMORY = 30_000_000
 
 
 class Triangulation:
@@ -178,51 +182,66 @@ def _esd_cells_mu(r, n):
     return cells
 
 
-def _t_to_mu(t, r):
-    mu = []
-    prev = 0
-    for x in t:
-        mu.append(x - prev)
-        prev = x
-    mu.append(r - prev)
-    return tuple(mu)
+def _edgewise_template(r, n):
+    """The r-th edgewise subdivision of an (n-1)-simplex, for any simplex.
+
+    Returns (vertices, cells).  A vertex is the sorted r-multiset of
+    vertex positions whose sum, divided by r, is the point: position i
+    listed mu_i times for the composition mu of r.  Vertices are numbered
+    in order of first appearance over the chains of `_esd_cells_mu`, so a
+    caller that inserts them in this order fills its pool as a
+    chain-by-chain walk would; a cell is a tuple of vertex numbers in
+    chain order.  There are C(r+n-1, n-1) vertices and r^(n-1) cells.
+    """
+    number = {}
+    cells = []
+    for chain in _esd_cells_mu(r, n):
+        # position p_j is the number of partial sums t_k <= j
+        cells.append(tuple(
+            number.setdefault(tuple(bisect_right(t, j) for j in range(r)), len(number))
+            for t in chain
+        ))
+    return list(number), cells
 
 
-def alcove_height(mu):
+def _edgewise_point(verts, multiset, r):
+    """sum(verts[i] for i in multiset) / r, or None off the lattice."""
+    coords = tuple(map(sum, zip(*map(verts.__getitem__, multiset))))
+    if r > 1:
+        if any(x % r for x in coords):
+            return None
+        coords = tuple(x // r for x in coords)
+    return coords
+
+
+def alcove_height(positions, m):
     """Lifting height that induces the edgewise subdivision.
 
-    Sum of squares of all proper prefix sums of `mu` and of all their
+    The point is given by the sorted positions p_j of its multiset over m
+    coordinates (`_edgewise_template`), i.e. by the composition mu with
+    mu_i = #{j : p_j = i}.  The height is the sum of squares of all proper
+    prefix sums t_k = mu_0 + ... + mu_k (k < m - 1) and of all their
     pairwise differences.  The walls of the subdivision lie on integer
     levels of exactly these functionals, so the piecewise-linear
     interpolation folds strictly across every wall.  Computed over a fixed
     (possibly zero-padded) coordinate list, the value is invariant under
     restriction to faces, which makes liftings of glued subdivisions agree
     on intersections.
+
+    Closed form, O(r): with q_j = m - 1 - p_j the height is
+    m * sum_j (2j+1) q_j - (sum_j q_j)^2.  Proof: t_k = #{j : p_j <= k},
+    so sum_k t_k = sum_j #{k : p_j <= k < m-1} = sum_j q_j, and
+    sum_k t_k^2 = sum_{j,j'} min(q_j, q_j') = sum_j (2j+1) q_j since q is
+    non-increasing.  Over the m - 1 prefix sums,
+    sum_{k<l} (t_l - t_k)^2 = (m-1) sum t^2 - (sum t)^2, and adding
+    sum t^2 gives m sum t^2 - (sum t)^2.
     """
-    n = len(mu)
-    t = []
-    acc = 0
-    for x in mu[:-1]:
-        acc += x
-        t.append(acc)
-    total = sum(v * v for v in t)
-    for k in range(n - 1):
-        for l in range(k + 1, n - 1):
-            diff = t[l] - t[k]
-            total += diff * diff
-    return total
-
-
-def _pair_rank_height(a, b, m):
-    """`alcove_height` of e_a + e_b over m coordinates (1-based, a <= b).
-
-    Closed form for the second edgewise subdivision: prefix sums take the
-    value 0 at positions below a, 1 between a and b, 2 from b on.
-    """
-    c0 = a - 1
-    c1 = b - a
-    c2 = m - b
-    return c1 + 4 * c2 + c0 * c1 + c1 * c2 + 4 * c0 * c2
+    total = weighted = 0
+    for j, p in enumerate(positions):
+        q = m - 1 - p
+        total += q
+        weighted += (2 * j + 1) * q
+    return m * weighted - total * total
 
 
 def edgewise_of_dilated(points, r):
@@ -230,44 +249,30 @@ def edgewise_of_dilated(points, r):
 
     `points` are the vertices (in a fixed order that determines the
     triangulation) of r*Gamma for some unimodular simplex Gamma; the
-    subdivision triangulates it into r^dim unimodular cells.  Lifting
-    heights sum the squares of the composition coordinates, which makes
-    restriction to faces consistent.
+    subdivision triangulates it into r^dim unimodular cells.  Each point
+    gets the `alcove_height` of its multiset over the positions of
+    `points`, which makes restriction to faces consistent.  A point off
+    the lattice raises ValueError; every point is a lattice point iff all
+    differences points[i] - points[0] are divisible by r, since a sum of r
+    vertices is r * points[0] plus such differences.
     """
     n = len(points)
     ambient = len(points[0]) if points else 0
-    base = points[0]
-    for p in points[1:]:
-        if any((x - y) % r for x, y in zip(p, base)):
-            raise ValueError("simplex is not an r-fold dilation in its lattice")
-
-    def locate(mu):
-        coords = [sum(mu[i] * points[i][k] for i in range(n)) for k in range(ambient)]
-        out = []
-        for x in coords:
-            if x % r:
-                raise ValueError("simplex is not unimodular in its lattice")
-            out.append(x // r)
-        return tuple(out)
-
+    multisets, template_cells = _edgewise_template(r, n)
     pool = {}
     heights = []
-
-    def index_of(mu):
-        pt = locate(mu)
+    ids = []
+    for ms in multisets:
+        pt = _edgewise_point(points, ms, r)
+        if pt is None:
+            raise ValueError("simplex is not an r-fold dilation in its lattice")
         if pt not in pool:
             pool[pt] = len(pool)
-            heights.append(alcove_height(mu))
-        return pool[pt]
-
-    cells = []
-    for chain in _esd_cells_mu(r, n):
-        cells.append(tuple(index_of(_t_to_mu(t, r)) for t in chain))
-    points_list = [None] * len(pool)
-    for pt, i in pool.items():
-        points_list[i] = pt
+            heights.append(alcove_height(ms, n))
+        ids.append(pool[pt])
+    cells = [tuple(ids[k] for k in cell) for cell in template_cells]
     carrier = LatticePolytope(list(dict.fromkeys(points))) if ambient else LatticePolytope([()])
-    return Triangulation(points_list, cells, carrier, heights=heights)
+    return Triangulation(list(pool), cells, carrier, heights=heights)
 
 
 def edgewise_subdivision(simplex_points, r):
@@ -417,62 +422,34 @@ def _interior_boundary_triangulation(d):
     Each facet is triangulated as the join of edgewise subdivisions of its
     two dilated-simplex factors; ordering factor vertices by their global
     label makes the facet triangulations agree on intersections.  Returns
-    (pool points, per-point square-sum heights, cells).
+    (pool points, per-point alcove heights, cells).
     """
     r = (d + 2) // 2
     cs = interior_polytope_vertices(d)
     pool = {}
-    lam = {}
-    points_list = []
-
-    def index_point(pt, height):
-        if pt not in pool:
-            pool[pt] = len(points_list)
-            points_list.append(pt)
-            lam[pt] = height
-        elif lam[pt] != height:
-            raise AssertionError(
-                "alcove height is inconsistent across facets"
-            )
-        return pool[pt]
-
+    heights = []
     cells = []
-    seen_cells = set()
     for family, i, j in interior_facet_families(d):
-        v1, v2 = facet_join_partition(d, family, i, j)
         parts = []
-        for labels in (v1, v2):
-            verts = [cs[l - 1] for l in labels]
-            n = len(labels)
-            # cells of the edgewise subdivision of this factor, as pool ids
-            local = []
-            for chain in _esd_cells_mu(r, n):
-                ids = []
-                for t_vec in chain:
-                    mu = _t_to_mu(t_vec, r)
-                    coords = []
-                    for k in range(d):
-                        num = sum(mu[a] * verts[a][k] for a in range(n))
-                        if num % r:
-                            raise AssertionError(
-                                "factor simplex not an r-fold dilation"
-                            )
-                        coords.append(num // r)
-                    # heights over the full label list keep facets consistent
-                    glob = [0] * (d + 2)
-                    for lbl, m in zip(labels, mu):
-                        glob[lbl - 1] = m
-                    ids.append(index_point(tuple(coords), alcove_height(glob)))
-                local.append(tuple(ids))
-            parts.append(local)
-        for ca in parts[0]:
-            for cb in parts[1]:
-                cell = tuple(sorted(ca + cb))
-                if cell not in seen_cells:
-                    seen_cells.add(cell)
-                    cells.append(cell)
-    heights = [lam[p] for p in points_list]
-    return points_list, heights, cells
+        for labels in facet_join_partition(d, family, i, j):
+            multisets, template_cells = _edgewise_template(r, len(labels))
+            ids = []
+            for ms in multisets:
+                # positions in the full label list keep facets consistent
+                glob = [labels[a] - 1 for a in ms]
+                pt = _edgewise_point(cs, glob, r)
+                if pt is None:
+                    raise AssertionError("factor simplex not an r-fold dilation")
+                height = alcove_height(glob, d + 2)
+                k = pool.setdefault(pt, len(pool))
+                if k == len(heights):
+                    heights.append(height)
+                elif heights[k] != height:
+                    raise AssertionError("alcove height is inconsistent across facets")
+                ids.append(k)
+            parts.append([tuple(ids[k] for k in cell) for cell in template_cells])
+        cells.extend(tuple(sorted(ca + cb)) for ca in parts[0] for cb in parts[1])
+    return list(pool), heights, cells
 
 
 def _ridge_pass(cells):
@@ -690,8 +667,10 @@ def _interior_cone(d):
 def laplacian_triangulation(d, budget=None):
     """Regular unimodular triangulation of the reduced Laplacian polytope.
 
-    Odd d: the join of the edgewise subdivisions of the two dilated
-    simplices, mapped onto the polytope by a verified unimodular match.
+    Odd d: the polytope is a simplex; its faces on the odd- and on the
+    even-labelled points of `reduce_full_dim(d)` are dilated simplices,
+    each subdivided directly by `edgewise_of_dilated`, and the result is
+    their join.
     Even d: every facet of the interior polytope is triangulated as a join
     of edgewise subdivisions (consistent on intersections), coned over the
     interior point, and the result refined by a second edgewise
@@ -715,63 +694,39 @@ def laplacian_triangulation(d, budget=None):
 
     pool, cone_cells, cone_heights = _interior_cone(d)
 
-    # dilate by 2: edgewise refinement of every cone cell, keyed by the
-    # global lexicographic order of the cone's vertex pool
-    rank = {}
-    for pos, i in enumerate(sorted(range(len(pool)), key=lambda i: pool[i])):
-        rank[i] = pos + 1
-    m_total = len(pool)
+    # dilate by 2: the second edgewise subdivision of every cone cell, its
+    # vertices ordered by the global lexicographic order of the cone's pool
+    rank = {i: pos for pos, i in enumerate(sorted(range(len(pool)), key=pool.__getitem__))}
     pool2 = {}
-    points2 = []
     base_height = []
     local2 = []
-
-    def index2(pt, omega, lam2):
-        if pt not in pool2:
-            pool2[pt] = len(points2)
-            points2.append(pt)
-            base_height.append(omega)
-            local2.append(lam2)
-        else:
-            k = pool2[pt]
-            if base_height[k] != omega or local2[k] != lam2:
-                raise AssertionError("refinement heights disagree across cells")
-        return pool2[pt]
-
-    # Every vertex of the second edgewise subdivision of a cone cell is a
-    # pair sum e_a + e_b (a <= b) of its d + 1 vertices.  The chains become
-    # lists of pair numbers once; pairs are numbered in order of first
-    # appearance, so each cone cell inserts its points into the pool in the
-    # order a chain-by-chain walk would.
-    pair_id = {}
-    chains = []
-    for chain in _esd_cells_mu(2, d + 1):
-        ids = []
-        for t_vec in chain:
-            # mu sums to 2: list each index as often as it occurs
-            a, b = (i for i, x in enumerate(_t_to_mu(t_vec, 2)) for _ in range(x))
-            ids.append(pair_id.setdefault((a, b), len(pair_id)))
-        chains.append(ids)
-    pairs = list(pair_id)
+    multisets, chains = _edgewise_template(2, d + 1)
+    # a multiset of cone pool ids gets the same point and heights in every
+    # cell that holds it, so each one is placed once
+    index = {}
     cells2 = []
     for cell in cone_cells:
-        # sorting by point sorts by rank too, so rk[a] <= rk[b] for a <= b
-        ordered = sorted(cell, key=lambda i: pool[i])
-        verts = [pool[i] for i in ordered]
-        hts = [cone_heights[i] for i in ordered]
-        rk = [rank[i] for i in ordered]
-        pid = [
-            index2(
-                tuple(x + y for x, y in zip(verts[a], verts[b])),
-                hts[a] + hts[b],
-                _pair_rank_height(rk[a], rk[b], m_total),
-            )
-            for a, b in pairs
-        ]
-        cells2.extend(tuple(sorted(pid[k] for k in chain)) for chain in chains)
+        # sorting by point sorts by rank too, so ranks ascend along a multiset
+        ordered = sorted(cell, key=pool.__getitem__)
+        ids = []
+        for ms in multisets:
+            key = tuple(map(ordered.__getitem__, ms))
+            if key not in index:
+                # 2 * cell has the vertices 2 * pool[i]: its points are plain sums
+                pt = _edgewise_point(pool, key, 1)
+                omega = sum(map(cone_heights.__getitem__, key))
+                lam2 = alcove_height(map(rank.__getitem__, key), len(pool))
+                k = index[key] = pool2.setdefault(pt, len(pool2))
+                if k == len(local2):
+                    base_height.append(omega)
+                    local2.append(lam2)
+                elif base_height[k] != omega or local2[k] != lam2:
+                    raise AssertionError("refinement heights disagree across cells")
+            ids.append(index[key])
+        cells2.extend(tuple(sorted(ids[k] for k in chain)) for chain in chains)
 
     target, _ = reduce_full_dim(d)
-    shifted = [tuple(x - 1 for x in p) for p in points2]
+    shifted = [tuple(x - 1 for x in p) for p in pool2]
     out = Triangulation(shifted, cells2, target)
     # fold values do not change under translation, so the shifted pool serves
     out.heights = partial(_scaled_heights, out.vertex_pool, out.cells, base_height, local2)
@@ -942,16 +897,15 @@ def verify_triangulation(t):
 # ---------------------------------------------------------------------------
 
 
-def face_census(t, max_in_memory=30_000_000):
+def face_census(t):
     """f-vector of the triangulation as a simplicial complex.
 
     Every subset of every cell is emitted and deduplicated; the empty face
-    is counted once.  Above the in-memory estimate the census streams
-    encoded faces through sorted temporary chunks instead.
+    is counted once.  Above `FACE_CENSUS_IN_MEMORY` estimated faces the
+    census streams encoded faces through sorted temporary chunks instead.
     """
     k = t.dim + 1
-    estimate = t.cell_count * (2**k)
-    if estimate <= max_in_memory:
+    if t.cell_count * (2**k) <= FACE_CENSUS_IN_MEMORY:
         faces = set()
         for cell in t.cells:
             for size in range(1, k + 1):
@@ -982,7 +936,7 @@ def _face_census_external(t):
         for item in buf:
             handle.write(struct.pack(f">B{len(item)}I", len(item), *item))
         handle.seek(0)
-        files.append((handle, None))
+        files.append(handle)
         buf.clear()
 
     for cell in t.cells:
@@ -1003,11 +957,11 @@ def _face_census_external(t):
     counts = [0] * (k + 1)
     counts[0] = 1
     last = None
-    for face in heapq.merge(*(reader(h) for h, _ in files)):
+    for face in heapq.merge(*map(reader, files)):
         if face != last:
             counts[len(face)] += 1
             last = face
-    for h, _ in files:
+    for h in files:
         h.close()
     return tuple(counts)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -158,6 +159,91 @@ def test_esd_translated_dilated_input():
     t = edgewise_of_dilated(pts, 3)
     assert t.cell_count == 9
     assert verify_triangulation(t)["ok"]
+
+
+def oracle_alcove_height(mu):
+    """The alcove height by its definition, in O(m^2): the squares of all
+    proper prefix sums of mu and of all their pairwise differences."""
+    t = []
+    acc = 0
+    for x in mu[:-1]:
+        acc += x
+        t.append(acc)
+    total = sum(v * v for v in t)
+    for k in range(len(t)):
+        for l in range(k + 1, len(t)):
+            total += (t[l] - t[k]) ** 2
+    return total
+
+
+def positions_of(mu):
+    return [i for i, x in enumerate(mu) for _ in range(x)]
+
+
+def test_alcove_height_closed_form_random():
+    rng = random.Random(20001018)
+    for _ in range(10_000):
+        m = rng.randint(1, 9)
+        mu = [rng.randint(0, 4) for _ in range(m)]
+        assert triangulate.alcove_height(positions_of(mu), m) == oracle_alcove_height(mu)
+
+
+def test_alcove_height_closed_form_pairs():
+    # e_a + e_b over m coordinates: every vertex of a second edgewise
+    # subdivision, the refinement's case
+    for m in range(1, 13):
+        for a in range(m):
+            for b in range(a, m):
+                mu = [0] * m
+                mu[a] += 1
+                mu[b] += 1
+                assert triangulate.alcove_height([a, b], m) == oracle_alcove_height(mu)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_edgewise_template_counts(r, n):
+    vertices, cells = triangulate._edgewise_template(r, n)
+    assert len(vertices) == math.comb(r + n - 1, n - 1) == len(set(vertices))
+    assert all(len(v) == r and list(v) == sorted(v) for v in vertices)
+    assert len(cells) == r ** (n - 1) == len({frozenset(c) for c in cells})
+    assert all(len(c) == n == len(set(c)) for c in cells)
+    # numbered in order of first appearance over the cells
+    assert list(dict.fromkeys(i for c in cells for i in c)) == list(range(len(vertices)))
+
+
+def test_edgewise_of_dilated_rejects_off_lattice_points():
+    from lapoly.triangulate import edgewise_of_dilated
+
+    with pytest.raises(ValueError, match="r-fold dilation"):
+        edgewise_of_dilated([(0, 0), (3, 0), (0, 2)], 3)
+
+
+def shift_interior_vertex(monkeypatch):
+    real = triangulate.interior_polytope_vertices
+
+    def shifted(d):
+        cs = list(real(d))
+        cs[0] = (cs[0][0] + 1,) + tuple(cs[0][1:])
+        return cs
+
+    monkeypatch.setattr(triangulate, "interior_polytope_vertices", shifted)
+
+
+def test_interior_factor_off_lattice_is_a_construction_bug(monkeypatch):
+    # at d = 2 every facet factor is a single vertex, so the first even d
+    # whose factors can fail the lattice check is d = 4
+    shift_interior_vertex(monkeypatch)
+    for build in (laplacian_triangulation, interior_polytope_triangulation):
+        with pytest.raises(AssertionError, match="r-fold dilation"):
+            build(4)
+
+
+def test_inconsistent_alcove_heights_are_a_construction_bug(monkeypatch):
+    count = iter(range(10**6))
+    monkeypatch.setattr(triangulate, "alcove_height", lambda positions, m: next(count))
+    with pytest.raises(AssertionError, match="inconsistent across facets"):
+        laplacian_triangulation(2)
 
 
 # -- joins --------------------------------------------------------------------
@@ -843,10 +929,11 @@ def test_heights_assertion_fires_on_first_read(monkeypatch):
 # -- census, export, shelling ----------------------------------------------------
 
 
-def test_face_census_matches_external_sort(triangulation_cache):
+def test_face_census_matches_external_sort(triangulation_cache, monkeypatch):
     t3 = triangulation_cache(3)
     in_memory = face_census(t3)
-    external = face_census(t3, max_in_memory=10)
+    monkeypatch.setattr(triangulate, "FACE_CENSUS_IN_MEMORY", 10)
+    external = face_census(t3)
     assert in_memory == external
     assert h_vector_of(t3) == h_from_f(in_memory)
 
