@@ -26,7 +26,7 @@ from math import comb, gcd
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import det_int, snf_with_transform, solve_int
+from .linalg import _simplex_det, snf_with_transform, solve_int
 from .polytope import LatticePolytope
 from .triangulate import Triangulation
 
@@ -217,14 +217,6 @@ def hstar_simplex_fundamental(simplex_points, budget=None):
         raise ValueError("need a full-dimensional simplex")
     w = [list(p) + [1] for p in pts]  # rows are homogenized vertices
     cols = [[w[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    volume = abs(det_int(cols))
-    if volume == 0:
-        raise ValueError("degenerate simplex")
-    limit = point_budget(budget)
-    if volume > limit:
-        raise BudgetError(
-            f"parallelepiped needs {volume} points, budget is {limit}"
-        )
     u, s, _ = snf_with_transform(cols)
     diag = [s[i][i] for i in range(d + 1)]
     # fractional parts of W^{-1} z tracked as residues modulo the volume:
@@ -234,6 +226,14 @@ def hstar_simplex_fundamental(simplex_points, budget=None):
     # A generator's step is volume * W^{-1} u_j = sign(det W) * adj(W) u_j.
     gen_cols = [j for j in range(d + 1) if diag[j] != 1]
     det, sols = solve_int(cols, [[u[i][j] for i in range(d + 1)] for j in gen_cols])
+    volume = abs(det)
+    if volume == 0:
+        raise ValueError("degenerate simplex")
+    limit = point_budget(budget)
+    if volume > limit:
+        raise BudgetError(
+            f"parallelepiped needs {volume} points, budget is {limit}"
+        )
     sign = 1 if det > 0 else -1
     gens = [(diag[j], [sign * x % volume for x in x_j]) for j, x_j in zip(gen_cols, sols)]
     gens.sort()  # largest order innermost
@@ -419,16 +419,7 @@ def normalized_volume(obj):
     """dim! times the volume: determinant sum for triangulations, fan
     triangulation for polytopes."""
     if isinstance(obj, Triangulation):
-        total = 0
-        dim = obj.dim
-        for cell in obj.cells:
-            pts = obj.cell_points(cell)
-            base = pts[0]
-            mat = [
-                [p[k] - base[k] for k in range(dim)] for p in pts[1:]
-            ]
-            total += abs(det_int(mat))
-        return total
+        return sum(abs(_simplex_det(obj.cell_points(c))) for c in obj.cells)
     if isinstance(obj, LatticePolytope):
         return obj.normalized_volume()
     raise TypeError("expected a LatticePolytope or Triangulation")

@@ -237,6 +237,13 @@ def det_int(rows):
     return sign * _pivot_minor(m, pivots) if len(pivots) == n else 0
 
 
+def _simplex_det(points):
+    """Signed determinant of the edge matrix [p_i - p_0] of a simplex given
+    by its d+1 vertices in Z^d: +-(normalized volume), 0 when degenerate."""
+    base = points[0]
+    return det_int([[a - b for a, b in zip(p, base)] for p in points[1:]])
+
+
 def solve_int(rows, rhs):
     """Fraction-free solve of A x = b for several integer right-hand sides.
 

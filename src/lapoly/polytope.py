@@ -18,6 +18,7 @@ from .linalg import (
     _back_substitute,
     _echelon,
     _pivot_minor,
+    _simplex_det,
     hnf,
     nullspace,
     primitive_vector,
@@ -526,21 +527,15 @@ class LatticePolytope:
 
     def normalized_volume(self):
         """dim! times the Euclidean volume, via a fan triangulation."""
-        from .linalg import det_int
-
         d = self.dim()
         if d != self.ambient_dim:
             raise NotFullDimensionalError("reduce to full dimension first")
         if d == 0:
             return 1
-        total = 0
-        for cell in self.fan_triangulation():
-            base = self.points[cell[0]]
-            mat = [
-                [self.points[i][k] - base[k] for k in range(d)] for i in cell[1:]
-            ]
-            total += abs(det_int(mat))
-        return total
+        return sum(
+            abs(_simplex_det([self.points[i] for i in c]))
+            for c in self.fan_triangulation()
+        )
 
     def __repr__(self):
         return (

@@ -27,14 +27,11 @@ from . import lp
 from .budgets import BudgetError, cell_budget
 from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import det_int, solve_int
+from .linalg import _simplex_det, solve_int
 from .polytope import LatticePolytope
 
 # largest triangulation on which `is_regular` searches heights by exact LP
 LP_CELL_LIMIT = 4000
-# estimated face count (cells * 2^(dim+1)) above which `face_census` sorts
-# the faces in temporary files instead of holding them in a set
-FACE_CENSUS_IN_MEMORY = 30_000_000
 
 
 class Triangulation:
@@ -289,13 +286,8 @@ def edgewise_subdivision(simplex_points, r):
     d = reduced.ambient_dim
     if len(pts) != d + 1:
         raise ValueError("input must be a simplex")
-    if d > 0:
-        base = reduced.points[0]
-        mat = [
-            [p[k] - base[k] for k in range(d)] for p in reduced.points[1:]
-        ]
-        if abs(det_int(mat)) != 1:
-            raise ValueError("simplex is not unimodular")
+    if d > 0 and abs(_simplex_det(reduced.points)) != 1:
+        raise ValueError("simplex is not unimodular")
     dilated = [tuple(r * x for x in p) for p in pts]
     return edgewise_of_dilated(dilated, r)
 
@@ -349,19 +341,25 @@ def facet_join_partition(d, family, i=None, j=None):
     """
     if d < 2 or d % 2:
         raise ValueError("facet joins are defined for even d >= 2")
-    odd_all = list(range(1, d + 3, 2))
-    even_all = list(range(2, d + 3, 2))
+    missing = _missing_labels(d, family, i, j)
+    v1 = tuple(l for l in range(1, d + 3, 2) if l not in missing)
+    v2 = tuple(l for l in range(2, d + 3, 2) if l not in missing)
+    return v1, v2
+
+
+def _missing_labels(d, family, i, j):
+    """The two 1-based vertex labels off the facet named by `family`."""
     if family == "all":
-        missing = {1, 2}
-    elif family == "even_skip":
+        return {1, 2}
+    if family == "even_skip":
         if i is None or i % 2 or not (2 <= i <= d):
             raise ValueError("even_skip needs even i in [d]")
-        missing = {1, i + 2}
-    elif family == "odd_skip":
+        return {1, i + 2}
+    if family == "odd_skip":
         if j is None or j % 2 == 0 or not (1 <= j <= d):
             raise ValueError("odd_skip needs odd j in [d]")
-        missing = {2, j + 2}
-    elif family == "pair":
+        return {2, j + 2}
+    if family == "pair":
         if (
             i is None
             or j is None
@@ -369,12 +367,8 @@ def facet_join_partition(d, family, i=None, j=None):
             or (i + j) % 2 == 0
         ):
             raise ValueError("pair needs 1 <= i < j <= d with i+j odd")
-        missing = {i + 2, j + 2}
-    else:
-        raise ValueError(f"unknown facet family {family!r}")
-    v1 = tuple(l for l in odd_all if l not in missing)
-    v2 = tuple(l for l in even_all if l not in missing)
-    return v1, v2
+        return {i + 2, j + 2}
+    raise ValueError(f"unknown facet family {family!r}")
 
 
 def interior_facet_families(d):
@@ -827,11 +821,7 @@ def verify_triangulation(t):
             report["affinely_independent"] = False
             failures.append(("cell_size", ci))
             continue
-        base = t.vertex_pool[cell[0]]
-        mat = [
-            [t.vertex_pool[i][k] - base[k] for k in range(dim)] for i in cell[1:]
-        ]
-        det = det_int(mat)
+        det = _simplex_det(t.cell_points(cell))
         sign[ci] = (det > 0) - (det < 0)
         det = abs(det)
         if det == 0:
@@ -900,69 +890,20 @@ def verify_triangulation(t):
 def face_census(t):
     """f-vector of the triangulation as a simplicial complex.
 
-    Every subset of every cell is emitted and deduplicated; the empty face
-    is counted once.  Above `FACE_CENSUS_IN_MEMORY` estimated faces the
-    census streams encoded faces through sorted temporary chunks instead.
+    Faces are counted one size at a time: the s-subsets of all cells go
+    into one set, its length is f_(s-1), and the set is dropped before the
+    next size.  The empty face is counted once.  Peak memory is therefore
+    that of the largest level, not of all levels together.  The default
+    cell budget admits d <= 6, where the largest level of
+    `laplacian_triangulation(6)` holds 1.43M faces, so no triangulation it
+    admits needs more than a few hundred MB.
     """
-    k = t.dim + 1
-    if t.cell_count * (2**k) <= FACE_CENSUS_IN_MEMORY:
+    counts = [1]
+    for size in range(1, t.dim + 2):
         faces = set()
         for cell in t.cells:
-            for size in range(1, k + 1):
-                faces.update(combinations(cell, size))
-        counts = [0] * (k + 1)
-        counts[0] = 1
-        for f in faces:
-            counts[len(f)] += 1
-        return tuple(counts)
-    return _face_census_external(t)
-
-
-def _face_census_external(t):
-    import heapq
-    import struct
-    import tempfile
-
-    k = t.dim + 1
-    chunk_limit = 2_000_000
-    files = []
-    buf = []
-
-    def flush():
-        if not buf:
-            return
-        buf.sort()
-        handle = tempfile.TemporaryFile()
-        for item in buf:
-            handle.write(struct.pack(f">B{len(item)}I", len(item), *item))
-        handle.seek(0)
-        files.append(handle)
-        buf.clear()
-
-    for cell in t.cells:
-        for size in range(1, k + 1):
-            buf.extend(combinations(cell, size))
-            if len(buf) >= chunk_limit:
-                flush()
-    flush()
-
-    def reader(handle):
-        while True:
-            head = handle.read(1)
-            if not head:
-                return
-            (ln,) = struct.unpack(">B", head)
-            yield struct.unpack(f">{ln}I", handle.read(4 * ln))
-
-    counts = [0] * (k + 1)
-    counts[0] = 1
-    last = None
-    for face in heapq.merge(*map(reader, files)):
-        if face != last:
-            counts[len(face)] += 1
-            last = face
-    for h in files:
-        h.close()
+            faces.update(combinations(cell, size))
+        counts.append(len(faces))
     return tuple(counts)
 
 
@@ -1001,15 +942,9 @@ def standard_shelling_order(d):
     lexicographic order, as vertex-index sets of the reduced polytope."""
     if d < 2 or d % 2:
         raise ValueError("defined for even d >= 2")
-    everyone = set(range(1, d + 3))
-    order = [everyone - {1, 2}]
-    for i in range(2, d + 1, 2):
-        order.append(everyone - {1, i + 2})
-    for j in range(1, d + 1, 2):
-        order.append(everyone - {2, j + 2})
-    for a in range(1, d + 1):
-        for b in range(a + 1, d + 1):
-            if (a + b) % 2:
-                order.append(everyone - {a + 2, b + 2})
-    # translate 1-based labels to point indices of the reduced polytope
-    return [frozenset(l - 1 for l in s) for s in order]
+    # the facets in `interior_facet_families` order; 1-based labels become
+    # point indices of the reduced polytope
+    return [
+        frozenset(range(d + 2)) - {l - 1 for l in _missing_labels(d, *fam)}
+        for fam in interior_facet_families(d)
+    ]

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from lapoly.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     build_parser,
+    load_reference_table,
     main,
 )
 
@@ -217,6 +219,22 @@ def test_laplacian_ordering_error_maps_to_mismatch_exit(argv, monkeypatch, capsy
     captured = capsys.readouterr()
     assert "mismatch: Laplacian entry" in captured.err
     assert captured.out == ""
+
+
+def test_hstar_census_d6_under_memory_limit():
+    # the face census of the 262144-cell triangulation, counted one face
+    # size at a time, fits in 1 GB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "lapoly.cli", "hstar", "--d", "6", "--method", "census"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+    )
+    assert r.returncode == EXIT_OK, r.stderr
+    assert json.loads(r.stdout)["results"]["hstar"] == list(load_reference_table()[6])
 
 
 def test_hstar_beyond_the_reference_table():

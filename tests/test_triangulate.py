@@ -10,8 +10,8 @@ import pytest
 import lapoly.triangulate as triangulate
 from lapoly import lp
 from lapoly.budgets import BudgetError
-from lapoly.cli import hstar_by_method
-from lapoly.complexes import h_from_f
+from lapoly.cli import hstar_by_method, load_reference_table
+from lapoly.complexes import f_from_h, f_vector, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
 from lapoly.polytope import LatticePolytope
@@ -929,13 +929,23 @@ def test_heights_assertion_fires_on_first_read(monkeypatch):
 # -- census, export, shelling ----------------------------------------------------
 
 
-def test_face_census_matches_external_sort(triangulation_cache, monkeypatch):
+def test_face_census_matches_closure_count(triangulation_cache):
+    # from_facets closes the cells under inclusion level by level: an
+    # independent count of the same faces
+    for d in range(1, 5):
+        t = triangulation_cache(d)
+        closure = from_facets(t.cells, range(len(t.vertex_pool)))
+        assert face_census(t) == f_vector(closure)
     t3 = triangulation_cache(3)
-    in_memory = face_census(t3)
-    monkeypatch.setattr(triangulate, "FACE_CENSUS_IN_MEMORY", 10)
-    external = face_census(t3)
-    assert in_memory == external
-    assert h_vector_of(t3) == h_from_f(in_memory)
+    assert h_vector_of(t3) == h_from_f(face_census(t3))
+
+
+def test_face_census_matches_reference_rows(triangulation_cache):
+    table = load_reference_table()
+    for d in range(1, 6):
+        t = triangulation_cache(d)
+        row = table[d] + (0,) * (t.dim + 2 - len(table[d]))
+        assert face_census(t) == f_from_h(row)
 
 
 def test_json_round_trip(triangulation_cache):
