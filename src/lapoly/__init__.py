@@ -23,7 +23,6 @@ from .ehrhart import (
     is_palindromic,
     is_real_rooted,
     is_unimodal,
-    normalized_volume,
 )
 from .laplacian import (
     LaplacianMatrix,
@@ -64,7 +63,6 @@ __all__ = [
     "is_palindromic",
     "is_real_rooted",
     "is_unimodal",
-    "normalized_volume",
     "LaplacianMatrix",
     "laplacian_boundary_simplex",
     "laplacian_matrix",

@@ -201,11 +201,6 @@ def boundary_matrix(c, i):
     return mat
 
 
-def boundary_face_sign(face, k):
-    """Sign of the face obtained by dropping the k-th smallest vertex."""
-    return (-1) ** k
-
-
 def homology_dimension(c, i):
     """dim_Q of the i-th rational homology group, ker(d_i)/im(d_{i+1})."""
     if i < 0 or i > c.dim:

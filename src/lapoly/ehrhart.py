@@ -26,9 +26,7 @@ from math import comb, gcd
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import _simplex_det, snf_with_transform, solve_int
-from .polytope import LatticePolytope
-from .triangulate import Triangulation
+from .linalg import snf_with_transform, solve_int
 
 
 class IntPolynomial:
@@ -413,16 +411,6 @@ def hstar_structural(d):
         return IntPolynomial(prod.coeffs[:length])
     hq = _interior_hstar_structural(d)
     return hstar_double(hq, d).padded(length)
-
-
-def normalized_volume(obj):
-    """dim! times the volume: determinant sum for triangulations, fan
-    triangulation for polytopes."""
-    if isinstance(obj, Triangulation):
-        return sum(abs(_simplex_det(obj.cell_points(c))) for c in obj.cells)
-    if isinstance(obj, LatticePolytope):
-        return obj.normalized_volume()
-    raise TypeError("expected a LatticePolytope or Triangulation")
 
 
 # ---------------------------------------------------------------------------

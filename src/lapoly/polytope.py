@@ -634,16 +634,10 @@ def combinatorially_equivalent(p, q):
                 return False
         return True
 
-    def fully_mapped_ok():
-        for f in pf:
-            if all(v in assignment for v in f):
-                if frozenset(assignment[v] for v in f) not in qfacets:
-                    return False
-        return True
-
     def backtrack(k):
+        # every facet is checked when its last vertex is assigned
         if k == m:
-            return fully_mapped_ok()
+            return True
         v = order[k]
         for image in range(m):
             if image in used or not consistent(v, image):

@@ -4,11 +4,13 @@ The constructions here assemble the regular unimodular triangulation of the
 reduced Laplacian polytope of a simplex boundary: a join of two edgewise
 subdivisions for odd d; for even d a triangulation of the interior polytope
 (facet joins glued, coned over the unique interior point) refined by a
-second edgewise subdivision.  Every triangulation carries proposed lifting
-heights; `is_regular` certifies them independently by exact fold checks,
-falling back to an exact LP search when no usable heights are present.
-Fold values, in construction and check alike, come from one walk across
-shared ridges (`_fold_values`) that carries each cell's inverse matrix by
+second edgewise subdivision.  All three edgewise subdivisions come from one
+template (`_edgewise_template`), generated directly as chains of vertex
+multisets.  Every triangulation carries proposed lifting heights;
+`is_regular` certifies them independently by exact fold checks, falling
+back to an exact LP search when no usable heights are present.  Fold
+values, in construction and check alike, come from one walk across shared
+ridges (`_fold_values`) that carries each cell's inverse matrix by
 exact rank-one steps and a covector per height vector, so a fold value is
 one dot product, an integer on unimodular cells.
 """
@@ -16,11 +18,10 @@ one dot product, an integer on unimodular cells.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import deque
 from functools import partial
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 
 from . import lp
@@ -111,93 +112,42 @@ class Triangulation:
 # ---------------------------------------------------------------------------
 
 
-def compositions(r, n):
-    """All n-part compositions of r, lexicographically."""
-    if n == 0:
-        return [()] if r == 0 else []
-    out = []
-
-    def rec(prefix, rest, parts):
-        if parts == 1:
-            out.append(prefix + (rest,))
-            return
-        for v in range(rest + 1):
-            rec(prefix + (v,), rest - v, parts - 1)
-
-    rec((), r, n)
-    return out
-
-
-def _esd_cells_mu(r, n):
-    """Maximal cells of the r-th edgewise subdivision of an (n-1)-simplex.
-
-    Cells are produced in partial-sum coordinates: a cell is a chain of
-    n lattice vectors t with 0 <= t_1 <= ... <= t_{n-1} <= r whose
-    successive differences are nested 0/1 vectors; equivalently a base
-    point plus a permutation telling which coordinate steps up next.
-    Exactly r^(n-1) cells come out.
-    """
-    m = n - 1
-    if m == 0:
-        return [((),)]
-    cells = []
-
-    def valid(t):
-        prev = 0
-        for x in t:
-            if x < prev:
-                return False
-            prev = x
-        return prev <= r
-
-    def rec(base, chain, bumped):
-        if len(chain) == n:
-            cells.append(tuple(chain))
-            return
-        for k in range(m):
-            if k in bumped:
-                continue
-            nxt = list(chain[-1])
-            nxt[k] += 1
-            nxt = tuple(nxt)
-            if valid(nxt):
-                bumped.add(k)
-                chain.append(nxt)
-                rec(base, chain, bumped)
-                chain.pop()
-                bumped.discard(k)
-
-    for base in compositions(r, n):
-        # partial sums of the composition, dropping the final fixed r
-        t0 = []
-        acc = 0
-        for x in base[:-1]:
-            acc += x
-            t0.append(acc)
-        t0 = tuple(t0)
-        rec(t0, [t0], set())
-    return cells
-
-
 def _edgewise_template(r, n):
     """The r-th edgewise subdivision of an (n-1)-simplex, for any simplex.
 
-    Returns (vertices, cells).  A vertex is the sorted r-multiset of
-    vertex positions whose sum, divided by r, is the point: position i
-    listed mu_i times for the composition mu of r.  Vertices are numbered
-    in order of first appearance over the chains of `_esd_cells_mu`, so a
-    caller that inserts them in this order fills its pool as a
-    chain-by-chain walk would; a cell is a tuple of vertex numbers in
-    chain order.  There are C(r+n-1, n-1) vertices and r^(n-1) cells.
+    Returns (vertices, cells).  A vertex is a sorted r-multiset
+    p_0 <= ... <= p_{r-1} of vertex positions in range(n); its point is the
+    sum of those vertices divided by r.  A cell is a chain of n vertices found by a depth-first walk
+    from a base: each step k in 0..n-2 is taken once, tried in increasing
+    k, and turns the first k+1 of the multiset into k; it is allowed iff
+    the multiset holds a k+1, so the result stays sorted.  The bases are
+    all sorted r-multisets in decreasing lexicographic order.  In partial
+    sums t_k = #{j : p_j <= k} this is the alcove walk: step k is
+    t_k += 1 under 0 <= t_0 <= ... <= t_{n-2} <= r, and the base order is
+    increasing lexicographic order of the compositions mu_i =
+    #{j : p_j = i}.  Vertices are numbered in order of first appearance
+    over the cells, so a caller that inserts them in this order fills its
+    pool as a chain-by-chain walk would; a cell is a tuple of vertex
+    numbers in chain order.  There are C(r+n-1, n-1) vertices and
+    r^(n-1) cells.
     """
     number = {}
     cells = []
-    for chain in _esd_cells_mu(r, n):
-        # position p_j is the number of partial sums t_k <= j
-        cells.append(tuple(
-            number.setdefault(tuple(bisect_right(t, j) for j in range(r)), len(number))
-            for t in chain
-        ))
+
+    def walk(chain, steps):
+        if len(chain) == n:
+            cells.append(tuple(number.setdefault(v, len(number)) for v in chain))
+            return
+        last = chain[-1]
+        for i, k in enumerate(steps):
+            if k + 1 in last:
+                j = last.index(k + 1)
+                chain.append(last[:j] + (k,) + last[j + 1:])
+                walk(chain, steps[:i] + steps[i + 1:])
+                chain.pop()
+
+    for base in reversed(list(combinations_with_replacement(range(n), r))):
+        walk([base], tuple(range(n - 1)))
     return list(number), cells
 
 

@@ -25,14 +25,14 @@ from lapoly.ehrhart import (
     is_palindromic,
     is_real_rooted,
     is_unimodal,
-    normalized_volume,
 )
 from lapoly.laplacian import reduce_full_dim
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
-    _esd_cells_mu,
+    _edgewise_template,
     facet_join_partition,
     interior_facet_families,
+    verify_triangulation,
 )
 
 REFERENCE = {
@@ -217,8 +217,8 @@ def materialised_face_enumerator(r, nverts):
     if nverts == 0:
         return IntPolynomial([1])
     faces = set()
-    for chain in _esd_cells_mu(r, nverts):
-        cell = tuple(sorted(set(chain)))
+    for cell in _edgewise_template(r, nverts)[1]:
+        cell = tuple(sorted(cell))
         for size in range(1, len(cell) + 1):
             faces.update(combinations(cell, size))
     counts = [1] + [0] * nverts
@@ -407,21 +407,18 @@ def test_normalized_volume():
     for d in range(1, 9):
         p, _ = reduce_full_dim(d)
         assert p.normalized_volume() == (d + 2) ** d
-        assert normalized_volume(p) == (d + 2) ** d
     for d in (2, 4, 6, 8):
         p, _ = reduce_full_dim(d)
         q = LatticePolytope(p.interior_polytope().vertices())
         assert q.normalized_volume() == ((d + 2) // 2) ** d
     cube = LatticePolytope(
         [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    assert normalized_volume(cube) == 6
+    assert cube.normalized_volume() == 6
 
 
 def test_normalized_volume_of_triangulation(triangulation_cache):
     for d in (1, 2, 3):
-        assert normalized_volume(triangulation_cache(d)) == (d + 2) ** d
-    with pytest.raises(TypeError):
-        normalized_volume([1, 2, 3])
+        assert verify_triangulation(triangulation_cache(d))["volume_sum"] == (d + 2) ** d
 
 
 def test_int_polynomial_basics():

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import lapoly.laplacian as laplacian
 import lapoly.linalg as la
 from lapoly.complexes import boundary_of_simplex, from_facets, full_simplex
 from lapoly.laplacian import (
@@ -166,6 +167,26 @@ def test_reduce_full_dim():
         assert p.dim() == p.ambient_dim
         assert len(cert.dropped_rows) == (2 if d % 2 == 0 else 1)
         assert p.points == tuple(reduced_vertices(d))
+
+
+def test_reduce_full_dim_builds_the_laplacian_once(monkeypatch):
+    expected = {}
+    for d in range(1, 7):
+        p, cert = reduce_full_dim(d)
+        expected[d] = (p.points, cert.transform, cert.constant, cert.dropped_rows)
+    real = laplacian.laplacian_boundary_simplex
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(laplacian, "laplacian_boundary_simplex", counted)
+    for d in range(1, 7):
+        calls.clear()
+        p, cert = reduce_full_dim(d)
+        assert calls == [d]
+        assert (p.points, cert.transform, cert.constant, cert.dropped_rows) == expected[d]
 
 
 def test_interior_polytope_vertex_formula():

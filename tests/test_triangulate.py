@@ -212,6 +212,14 @@ def test_edgewise_template_counts(r, n):
     assert list(dict.fromkeys(i for c in cells for i in c)) == list(range(len(vertices)))
 
 
+def test_edgewise_template_golden_hash():
+    # sha256 of the templates for r, n = 1..5: pins the vertex numbering
+    # and the cell order, also for (r, n) that no construction reaches
+    text = repr([triangulate._edgewise_template(r, n)
+                 for r in range(1, 6) for n in range(1, 6)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "50a3a588aa242878"
+
+
 def test_edgewise_of_dilated_rejects_off_lattice_points():
     from lapoly.triangulate import edgewise_of_dilated
 
