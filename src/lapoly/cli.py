@@ -42,7 +42,6 @@ EXIT_BUDGET = 3
 # per-oracle caps used by verify-table so the full run stays in budget
 VERIFY_CENSUS_MAX_D = 4
 VERIFY_EHRHART_MAX_D = 4
-VERIFY_FUNDAMENTAL_MAX_D = 7
 
 
 def _digest(payload):
@@ -81,6 +80,8 @@ def load_reference_table(path=None):
 
 def hstar_by_method(d, method, points_budget=None, cells_budget=None):
     """h*-vector of the reduced Laplacian polytope by the chosen method."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if method == "structural":
         return tuple(hstar_structural(d))
     if method == "census":
@@ -253,7 +254,7 @@ def _verify_row(d, reference, args):
         entry["oracles"]["ehrhart"] = list(
             hstar_by_method(d, "ehrhart", points_budget=args.budget_points)
         )
-    if d % 2 and d <= VERIFY_FUNDAMENTAL_MAX_D:
+    if d % 2:
         entry["oracles"]["fundamental"] = list(
             hstar_by_method(d, "fundamental", points_budget=args.budget_points)
         )
@@ -271,6 +272,13 @@ def _budget_block(args):
     }
 
 
+def _budget(text):
+    """A budget flag's value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once: parsing does not change it."""
@@ -279,9 +287,10 @@ def build_parser():
         description="Laplacian polytopes: exact facets, triangulations and "
         "h*-vectors.",
     )
-    parser.add_argument("--budget-points", type=int, default=None,
-                        help="candidate-point budget for box scans")
-    parser.add_argument("--budget-cells", type=int, default=None,
+    parser.add_argument("--budget-points", type=_budget, default=None,
+                        help="budget for box-scan candidates, parallelepiped "
+                        "points and parallelepiped residue-DP states")
+    parser.add_argument("--budget-cells", type=_budget, default=None,
                         help="cell budget for materialized triangulations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

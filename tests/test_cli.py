@@ -72,6 +72,9 @@ def test_build_input_errors(tmp_path):
         (3, "fundamental", [1, 22, 78, 24, 0]),
         (7, "structural",
          [1, 926, 157566, 1135846, 2188310, 1150800, 145600, 3920, 0]),
+        (9, "fundamental",
+         [1, 5722, 5994992, 109743187, 578168332, 971384057, 574945455,
+          112453635, 5199390, 52920, 0]),
     ],
 )
 def test_hstar_methods(d, method, expected):
@@ -99,6 +102,32 @@ def test_hstar_budget_and_input_errors():
     r = run_cli("--budget-points", "50", "hstar", "--d", "3",
                 "--method", "ehrhart")
     assert r.returncode == EXIT_BUDGET
+
+
+def test_fundamental_budget_counts_dp_states():
+    # the residue DP visits 81 * 73 = 5913 states at d = 7; the walk would
+    # visit 9^7 = 4782969 points
+    r = run_cli("--budget-points", "5913", "hstar", "--d", "7",
+                "--method", "fundamental")
+    assert r.returncode == EXIT_OK, r.stderr
+    assert json.loads(r.stdout)["results"]["hstar"] == list(load_reference_table()[7])
+    r = run_cli("--budget-points", "5912", "hstar", "--d", "7",
+                "--method", "fundamental")
+    assert r.returncode == EXIT_BUDGET
+    assert "residue DP needs 5913 states" in r.stderr
+
+
+@pytest.mark.parametrize("method", ["structural", "census", "fundamental", "ehrhart"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_hstar_rejects_d_below_one(d, method):
+    assert main(["hstar", "--d", str(d), "--method", method]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("flag", ["--budget-points", "--budget-cells"])
+def test_negative_budget_is_input_error(flag):
+    r = run_cli(flag, "-5", "hstar", "--d", "5", "--method", "fundamental")
+    assert r.returncode == EXIT_INPUT
+    assert "need an integer >= 0" in r.stderr
 
 
 def test_budget_env_override(tmp_path):

@@ -166,6 +166,104 @@ def test_fundamental_budget_and_errors():
         hstar_simplex_fundamental([(0, 0), (1, 0), (2, 0)])
 
 
+def random_unimodular_image(rng, points):
+    """The points under a seeded map x -> A*x + b with A unimodular."""
+    dim = len(points[0])
+    a = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2) if dim > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-2, 2)
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        else:
+            a[i] = [-x for x in a[i]]
+    b = [rng.randint(-3, 3) for _ in range(dim)]
+    return [
+        tuple(sum(r * x for r, x in zip(row, p)) + c for row, c in zip(a, b))
+        for p in points
+    ]
+
+
+def both_kernels(points):
+    cols, u, diag, v = ehrhart._simplex_snf(points)
+    walk = ehrhart._parallelepiped_walk(cols, u, diag)
+    assert ehrhart._parallelepiped_dp(v, diag) == walk
+    return diag, walk
+
+
+def test_fundamental_kernels_agree_on_dilated_unimodular_simplices():
+    rng = random.Random(20261018)
+    for _ in range(12):
+        dim, k = rng.randint(1, 4), rng.randint(2, 6)
+        standard = [(0,) * dim] + [
+            tuple(int(i == j) for j in range(dim)) for i in range(dim)
+        ]
+        simplex = random_unimodular_image(rng, standard)
+        dilated = [tuple(k * x for x in p) for p in simplex]
+        diag, h = both_kernels(dilated)
+        assert diag == [1] + [k] * dim
+        assert h == list(ehrhart._esd_h_polynomial(k, dim + 1))
+
+
+def test_fundamental_kernels_agree_on_laplacian_images():
+    rng = random.Random(7)
+    for d in (1, 3, 5):
+        p, _ = reduce_full_dim(d)
+        for _ in range(2):
+            diag, h = both_kernels(random_unimodular_image(rng, p.points))
+            assert diag == [1, 1] + [d + 2] * d
+            assert tuple(h) == REFERENCE[d]
+
+
+@pytest.mark.parametrize("chain", [(2, 4), (1, 2, 4), (2, 2, 6), (3, 6, 6), (2, 4, 4, 8)])
+def test_fundamental_kernels_agree_on_mixed_invariants(chain):
+    # vertices 0 and the columns of D*A, A unimodular, D = diag(chain):
+    # SNF [1, *chain], so some moduli e/s_i lie strictly between 1 and e
+    rng = random.Random(sum(chain))
+    dim = len(chain)
+    standard = [(0,) * dim] + [
+        tuple(int(i == j) for j in range(dim)) for i in range(dim)
+    ]
+    image = random_unimodular_image(rng, standard)
+    edges = [[s * (x - o) for s, x, o in zip(chain, p, image[0])] for p in image[1:]]
+    simplex = random_unimodular_image(rng, [(0,) * dim] + [tuple(c) for c in edges])
+    diag, h = both_kernels(simplex)
+    assert diag == [1, *chain]
+    assert sum(h) == prod(chain)
+
+
+def test_fundamental_kernels_agree_on_random_simplices():
+    rng = random.Random(31)
+    compared = 0
+    while compared < 60:
+        dim = rng.randint(1, 4)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 1)]
+        diag = ehrhart._simplex_snf(pts)[2]
+        n, e, volume = len(diag), diag[-1], prod(diag)
+        if volume == 0 or volume > 2000 or e**n // volume * n * e > 20000:
+            continue
+        assert sum(both_kernels(pts)[1]) == volume
+        compared += 1
+
+
+def test_fundamental_kernels_on_examples():
+    assert both_kernels([(0,), (2,)])[1] == [1, 1]
+    assert both_kernels([(0, 0), (1, 0), (0, 1)])[1] == [1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "d,kernel,count",
+    [(1, "walk", 3), (3, "walk", 125), (5, "residue DP", 49 * 43),
+     (7, "residue DP", 81 * 73), (9, "residue DP", 121 * 111)],
+)
+def test_fundamental_kernel_choice(d, kernel, count):
+    p, _ = reduce_full_dim(d)
+    diag = ehrhart._simplex_snf(p.points)[2]
+    assert ehrhart._fundamental_kernel(diag) == (kernel, count)
+    with pytest.raises(BudgetError, match=f"{kernel} needs {count} "):
+        hstar_simplex_fundamental(p.points, budget=count - 1)
+
+
 def test_hstar_double():
     assert tuple(hstar_double([1, 0], 1)) == (1, 1)
     assert tuple(hstar_double([1, 2, 1], 2)) == (1, 10, 5)
