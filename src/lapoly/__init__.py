@@ -15,7 +15,6 @@ from .complexes import (
     from_facets,
 )
 from .ehrhart import (
-    IntPolynomial,
     hstar_double,
     hstar_from_counts,
     hstar_simplex_fundamental,
@@ -55,7 +54,6 @@ __all__ = [
     "boundary_of_simplex",
     "f_and_h_vectors",
     "from_facets",
-    "IntPolynomial",
     "hstar_double",
     "hstar_from_counts",
     "hstar_simplex_fundamental",

@@ -17,13 +17,26 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
-def point_budget(override=None):
+def parse_budget(text):
+    """A budget given as text, by flag or environment: an integer >= 0."""
+    if not text.isdecimal():
+        raise ValueError(f"need an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _resolve(override, variable, default):
     if override is not None:
         return int(override)
-    return int(os.environ.get("LAPOLY_BUDGET_POINTS", DEFAULT_POINT_BUDGET))
+    text = os.environ.get(variable)
+    try:
+        return default if text is None else parse_budget(text)
+    except ValueError as exc:
+        raise ValueError(f"{variable}: {exc}") from None
+
+
+def point_budget(override=None):
+    return _resolve(override, "LAPOLY_BUDGET_POINTS", DEFAULT_POINT_BUDGET)
 
 
 def cell_budget(override=None):
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("LAPOLY_BUDGET_CELLS", DEFAULT_CELL_BUDGET))
+    return _resolve(override, "LAPOLY_BUDGET_CELLS", DEFAULT_CELL_BUDGET)

@@ -16,11 +16,12 @@ import sys
 import time
 from importlib import resources
 
-from .budgets import BudgetError, cell_budget, point_budget
+from .budgets import BudgetError, cell_budget, parse_budget, point_budget
 from .complexes import boundary_of_simplex, read_complex_file
 from .ehrhart import (
     ehrhart_counts,
     hstar_from_counts,
+    hstar_length,
     hstar_simplex_fundamental,
     hstar_structural,
     is_palindromic,
@@ -83,14 +84,14 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
     if d < 1:
         raise ValueError("d must be >= 1")
     if method == "structural":
-        return tuple(hstar_structural(d))
+        return hstar_structural(d)
     if method == "census":
         tri = laplacian_triangulation(d, budget=cells_budget)
         h = h_vector_of(tri)
-        length = d + 2 if d % 2 else d + 1
+        length = hstar_length(d)
         if any(h[length:]):
             raise AssertionError("census h-vector has nonzero tail")
-        return tuple(h[:length])
+        return h[:length]
     if method == "fundamental":
         if d % 2 == 0:
             raise ValueError(
@@ -98,12 +99,12 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
                 "(odd d only)"
             )
         poly, _ = reduce_full_dim(d)
-        return tuple(hstar_simplex_fundamental(poly.points, budget=points_budget))
+        return hstar_simplex_fundamental(poly.points, budget=points_budget)
     if method == "ehrhart":
         poly, _ = reduce_full_dim(d)
         dim = poly.ambient_dim
         counts = ehrhart_counts(poly, dim, budget=points_budget)
-        return tuple(hstar_from_counts(counts, dim))
+        return hstar_from_counts(counts, dim)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -178,7 +179,7 @@ def cmd_hstar(args):
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     uni, peak = is_unimodal(h)
-    dim = args.d + 1 if args.d % 2 else args.d
+    dim = hstar_length(args.d) - 1
     results = {
         "d": args.d,
         "method": args.method,
@@ -237,7 +238,7 @@ def _verify_row(d, reference, args):
     entry = {"structural": list(structural), "oracles": {}}
     if reference is not None:
         entry["reference"] = list(reference)
-        entry["match"] = tuple(structural) == tuple(reference)
+        entry["match"] = structural == reference
         if not entry["match"]:
             entry["diff"] = [
                 {"index": i, "computed": a, "reference": b}
@@ -266,17 +267,15 @@ def _verify_row(d, reference, args):
 
 
 def _budget_block(args):
-    return {
-        "points": point_budget(getattr(args, "budget_points", None)),
-        "cells": cell_budget(getattr(args, "budget_cells", None)),
-    }
+    return {"points": args.budget_points, "cells": args.budget_cells}
 
 
 def _budget(text):
     """A budget flag's value: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
-    return int(text)
+    try:
+        return parse_budget(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -319,8 +318,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # resolve the environment fallbacks once, so that a bad value is an
+    # input error before any subcommand starts
+    try:
+        args.budget_points = point_budget(args.budget_points)
+        args.budget_cells = cell_budget(args.budget_cells)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

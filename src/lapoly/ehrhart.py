@@ -1,6 +1,8 @@
 """Ehrhart counting, h*-vectors and polynomial property checks.
 
-Four independent routes to the same h*-vector:
+An h*-vector is a tuple of ints, low degree first, of length
+`hstar_length(d)` for the d-th polytope of the family (trailing zeros
+kept).  Four independent routes give the same tuple:
 
 * interpolation from exact lattice-point counts of the first dilations;
 * the h-vector of a certified unimodular triangulation (census);
@@ -23,98 +25,39 @@ Four independent routes to the same h*-vector:
   the census of its coned triangulation, and the dilation transform then
   gives h*.
 
-All arithmetic is exact; real-rootedness uses Sturm sequences over the
-rationals.
+All arithmetic is exact.  Real-rootedness is one Sturm sequence of
+integer polynomials: it is also Euclid's loop for gcd(p, p'), so the
+count of distinct real roots and the count of distinct roots come out of
+the same loop (`is_real_rooted`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, prod
+from math import ceil, comb, floor, prod
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import snf_with_transform, solve_int
+from .linalg import primitive_vector, snf_with_transform, solve_int
 
 
-class IntPolynomial:
-    """Polynomial with exact coefficients, low degree first.
-
-    The coefficient sequence keeps its declared length (h*-vectors retain
-    trailing zeros); `degree` ignores them.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            other = other.coeffs
-        if isinstance(other, (tuple, list)):
-            return list(self.coeffs) == list(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPolynomial(out)
-
-    def __call__(self, x):
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * x + c
-        return val
-
-    def trimmed(self):
-        return IntPolynomial(self.coeffs[: self.degree + 1])
-
-    def padded(self, length):
-        if len(self.coeffs) >= length:
-            return self
-        return IntPolynomial(self.coeffs + (0,) * (length - len(self.coeffs)))
-
-    def sum(self):
-        return sum(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+def hstar_length(d):
+    """Length of the h*-vector of the d-th reduced Laplacian polytope:
+    one more than its dimension, which is d + 1 for odd d (a simplex) and
+    d for even d."""
+    return d + 2 if d % 2 else d + 1
 
 
-class EhrhartProfile:
-    """Counts of the first dilations with interpolated polynomial and h*."""
-
-    __slots__ = ("counts", "polynomial", "hstar")
-
-    def __init__(self, counts, polynomial, hstar):
-        self.counts = tuple(counts)
-        self.polynomial = polynomial
-        self.hstar = hstar
+def _poly_mul(a, b):
+    """Product of two coefficient sequences, low degree first, as a tuple
+    of length len(a) + len(b) - 1."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def hstar_from_counts(counts, dim):
@@ -128,16 +71,13 @@ def hstar_from_counts(counts, dim):
         raise ValueError(f"need exactly {dim + 1} counts")
     if counts[0] != 1:
         raise ValueError("E(0) must be 1")
-    hstar = []
-    for i in range(dim + 1):
-        v = sum(
-            (-1) ** j * comb(dim + 1, j) * counts[i - j]
-            for j in range(i + 1)
-        )
-        if v < 0:
-            raise ValueError(f"negative h*_{i} = {v}: bad counts")
-        hstar.append(v)
-    return IntPolynomial(hstar)
+    hstar = tuple(
+        sum((-1) ** j * comb(dim + 1, j) * counts[i - j] for j in range(i + 1))
+        for i in range(dim + 1)
+    )
+    if min(hstar) < 0:
+        raise ValueError(f"negative entry in h* = {hstar}: bad counts")
+    return hstar
 
 
 def ehrhart_counts(p, dim=None, budget=None):
@@ -187,26 +127,12 @@ def ehrhart_polynomial(counts):
         coeffs_newton.append(table[0])
     # expand sum_k newton_k * x(x-1)...(x-k+1)/1 (falling factorial basis)
     poly = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    basis = (1,)
     for k, cn in enumerate(coeffs_newton):
         for i, b in enumerate(basis):
             poly[i] += cn * b
-        # multiply basis by (x - k)
-        nxt = [Fraction(0)] * n
-        for i in range(n - 1):
-            nxt[i + 1] += basis[i]
-        for i in range(n):
-            nxt[i] -= k * basis[i]
-        basis = nxt
+        basis = _poly_mul(basis, (-k, 1))
     return poly
-
-
-def ehrhart_profile(p, budget=None):
-    dim = p.dim()
-    counts = ehrhart_counts(p, dim, budget=budget)
-    return EhrhartProfile(
-        counts, ehrhart_polynomial(counts), hstar_from_counts(counts, dim)
-    )
 
 
 def _simplex_snf(simplex_points):
@@ -340,24 +266,21 @@ def hstar_simplex_fundamental(simplex_points, budget=None):
         h = _parallelepiped_dp(v, diag)
     if sum(h) != volume:
         raise AssertionError("parallelepiped enumeration lost points")
-    return IntPolynomial(h)
+    return tuple(h)
 
 
 def hstar_double(h, dim):
     """h* of the second dilation from the h* of a dim-polytope.
 
     Out-of-range binomials are zero."""
-    h = list(h)
-    out = []
-    for i in range(dim + 1):
-        out.append(
-            sum(
-                comb(dim + 1, 2 * i - j) * h[j]
-                for j in range(len(h))
-                if 0 <= 2 * i - j <= dim + 1
-            )
+    return tuple(
+        sum(
+            comb(dim + 1, 2 * i - j) * h_j
+            for j, h_j in enumerate(h)
+            if 0 <= 2 * i - j <= dim + 1
         )
-    return IntPolynomial(out)
+        for i in range(dim + 1)
+    )
 
 
 def dilation_coefficient(d, i, j):
@@ -376,11 +299,9 @@ def dilation_coefficients(d, i):
 
 def dilation_antisymmetry_holds(d, i, k):
     """-r_{ceil(2i+2-(d+3)/2)-k} == r_{floor(2i+2-(d+3)/2)+k}."""
-    center = Fraction(2 * i + 2) - Fraction(d + 3, 2)
-    lo = center.__ceil__()
-    hi = center.__floor__()
-    return -dilation_coefficient(d, i, lo - k) == dilation_coefficient(
-        d, i, hi + k
+    center = Fraction(4 * i + 1 - d, 2)  # 2i + 2 - (d+3)/2
+    return -dilation_coefficient(d, i, ceil(center) - k) == dilation_coefficient(
+        d, i, floor(center) + k
     )
 
 
@@ -401,7 +322,7 @@ def _esd_h_polynomial(r, nverts):
     h(t) = (1-t)^n * sum_k C(kr+n-1, n-1) t^k, of degree < n.
     """
     series = [comb(k * r + nverts - 1, nverts - 1) for k in range(nverts)]
-    return IntPolynomial(
+    return tuple(
         sum((-1) ** j * comb(nverts, j) * series[i - j] for j in range(i + 1))
         for i in range(nverts)
     )
@@ -412,8 +333,8 @@ def _esd_face_enumerator(r, nverts):
     edgewise subdivision of a simplex with `nverts` vertices (empty face
     included), read off its h-polynomial."""
     if nverts == 0:
-        return IntPolynomial([1])
-    return IntPolynomial(f_from_h(tuple(_esd_h_polynomial(r, nverts)) + (0,)))
+        return (1,)
+    return f_from_h(_esd_h_polynomial(r, nverts) + (0,))
 
 
 def _boundary_signatures(d):
@@ -454,31 +375,25 @@ def _interior_hstar_structural(d):
     r = (d + 2) // 2
     # interior face enumerators per factor size
     enum = {a: _esd_face_enumerator(r, a) for a in range(0, d // 2 + 1)}
-    interior = {}
-    for a in range(0, d // 2 + 1):
-        acc = [0] * (a + 1)
-        for i in range(a + 1):
-            sign = (-1) ** (a - i)
-            for k, c in enumerate(enum[i]):
-                acc[k] += sign * comb(a, i) * c
-        interior[a] = acc
+    interior = {
+        a: [
+            sum((-1) ** (a - i) * comb(a, i) * enum[i][k] for i in range(k, a + 1))
+            for k in range(a + 1)
+        ]
+        for a in enum
+    }
 
-    # boundary census from interior contributions of each polytope face
-    max_len = d + 2
-    boundary = [0] * max_len
+    # boundary census from interior contributions of each polytope face;
+    # a face has at most d/2 labels of each parity, so degree <= d
+    boundary = [0] * (d + 1)
     for (a1, a2), mult in _boundary_signatures(d):
-        for x, cx in enumerate(interior[a1]):
-            for y, cy in enumerate(interior[a2]):
-                boundary[x + y] += mult * cx * cy
+        for k, c in enumerate(_poly_mul(interior[a1], interior[a2])):
+            boundary[k] += mult * c
     # cone with the interior point, then read off h
-    coned = [0] * (max_len + 1)
-    for k, c in enumerate(boundary):
-        coned[k] += c
-        coned[k + 1] += c
-    h = h_from_f(tuple(coned[: d + 2]))
+    h = h_from_f(_poly_mul(boundary, (1, 1)))
     if h[d + 1] != 0:
         raise AssertionError("cone triangulation h-vector must end in 0")
-    return IntPolynomial(h[: d + 1])
+    return h[: d + 1]
 
 
 def hstar_structural(d):
@@ -488,17 +403,17 @@ def hstar_structural(d):
     pushed through the dilation transform."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    length = d + 2 if d % 2 else d + 1
-    if d % 2 == 1:
-        r = d + 2
-        h1 = _esd_h_polynomial(r, (d + 1) // 2 + 1)
-        h2 = _esd_h_polynomial(r, (d - 1) // 2 + 1)
-        prod = (h1 * h2).padded(length)
-        if any(prod.coeffs[length:]):
-            raise AssertionError("structural h* exceeds the expected degree")
-        return IntPolynomial(prod.coeffs[:length])
-    hq = _interior_hstar_structural(d)
-    return hstar_double(hq, d).padded(length)
+    length = hstar_length(d)
+    if d % 2:
+        h = _poly_mul(
+            _esd_h_polynomial(d + 2, (d + 3) // 2),
+            _esd_h_polynomial(d + 2, (d + 1) // 2),
+        )
+    else:
+        h = hstar_double(_interior_hstar_structural(d), d)
+    if any(h[length:]):
+        raise AssertionError("structural h* exceeds the expected degree")
+    return h[:length] + (0,) * (length - len(h))
 
 
 # ---------------------------------------------------------------------------
@@ -526,71 +441,56 @@ def is_palindromic(h, dim):
     return all(h[i] == h[dim - i] for i in range(dim + 1))
 
 
-def _sturm_chain(p):
-    """Sturm chain of a squarefree rational polynomial, content-normalized
-    at every step to keep coefficients small."""
-
-    def content_normalize(poly):
-        num = 0
-        den = 1
-        for c in poly:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        if num == 0:
-            return poly
-        scale = Fraction(den, num)
-        return [c * scale for c in poly]
-
-    def derivative(poly):
-        return [poly[i] * i for i in range(1, len(poly))]
-
-    chain = [content_normalize(p), content_normalize(derivative(p))]
-    while len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(content_normalize([-c for c in r]))
-    return [c for c in chain if c]
-
-
-def _sign_variations_at_infinity(chain, positive):
-    signs = []
-    for poly in chain:
-        lead = poly[-1]
-        s = 1 if lead > 0 else -1
-        if not positive and (len(poly) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    variations = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            variations += 1
-    return variations
-
-
 def is_real_rooted(h):
-    """All roots real?  Exact Sturm count on the squarefree part.
+    """All roots real?  One Sturm sequence, which is also Euclid's loop.
 
     Zero top-degree coefficients (the trailing entries of `h`) are
     stripped first; the zero polynomial is rejected.
-    """
-    coeffs = [Fraction(c) for c in h]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("zero polynomial")
-    if len(coeffs) == 1:
-        return True
 
-    # squarefree part p / gcd(p, p'); the derivative of a nonconstant
-    # polynomial is nonzero, so the Euclidean loop starts with a divisor
-    a, b = coeffs, [coeffs[i] * i for i in range(1, len(coeffs))]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    sf = _poly_divmod(coeffs, a)[0] if len(a) > 1 else coeffs
-    chain = _sturm_chain(sf)
-    count = _sign_variations_at_infinity(chain, False) - _sign_variations_at_infinity(chain, True)
-    return count == len(sf) - 1
+    Let p have degree n >= 1, p_0 = p, p_1 = p' and p_(k+1) =
+    -rem(p_(k-1), p_k) until the remainder is zero.  This is Euclid's
+    loop, so the last member p_m is g = gcd(p, p') up to a constant.
+    Theorem: p is real-rooted iff V(-oo) - V(+oo) = n - deg g, where V(x)
+    counts the sign changes of p_0(x), ..., p_m(x).
+
+    Proof.  g divides every p_k (backwards from p_m), and q_k = p_k / g
+    satisfy q_(k+1) = -rem(q_(k-1), q_k) with the same quotients, ending
+    in the constant q_m.  Away from the roots of g, and at +-oo, the p_k(x)
+    are the q_k(x) times one nonzero number, so both sequences have the
+    same V.  Consecutive q_k have no common root, as it would pass down
+    to q_m; so at a root x of some q_k, 0 < k < m, q_(k-1)(x) =
+    -q_(k+1)(x) != 0 and V does not change.  At a real root x of q_0 =
+    p / g, p^2 has a strict minimum, so p*p' = g^2 * q_0*q_1 changes from
+    negative to positive; q_1(x) != 0, so V drops by one.  Hence
+    V(-oo) - V(+oo) counts the distinct real roots (Sturm's theorem
+    without squarefreeness; Basu, Pollack and Roy, *Algorithms in Real
+    Algebraic Geometry*, Thm 2.50).  p has deg(p / g) = n - deg g
+    distinct complex roots, and it is real-rooted iff all are real.
+
+    Each member is scaled to a primitive integer vector, a positive
+    multiple: that keeps every sign, and the remainders of positive
+    multiples are positive multiples of the remainders.
+    """
+    p = list(h)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        raise ValueError("zero polynomial")
+    if len(p) == 1:
+        return True
+    chain = [primitive_vector(p), primitive_vector([i * c for i, c in enumerate(p)][1:])]
+    while True:
+        _, r = _poly_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(primitive_vector([-c for c in r]))
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_plus = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, chain)]
+    return variations(at_minus) - variations(at_plus) == len(p) - len(chain[-1])
 
 
 def _poly_divmod(a, b):

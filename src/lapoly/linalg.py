@@ -385,11 +385,6 @@ def snf_with_transform(rows):
             r[i] += q * r[j]
         v[j] = [x - q * y for x, y in zip(v[j], v[i])]
 
-    def col_negate(i):
-        for r in a:
-            r[i] = -r[i]
-        v[i] = [-x for x in v[i]]
-
     def diagonalize(start):
         t = start
         while t < min(nrows, ncols):

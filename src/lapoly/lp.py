@@ -172,19 +172,6 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,
     return LPResult(OPTIMAL, x, value)
 
 
-def feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars=None, nonneg=None):
-    """Exact feasibility test for a mixed <=/== system."""
-    if nvars is None:
-        if a_ub:
-            nvars = len(a_ub[0])
-        elif a_eq:
-            nvars = len(a_eq[0])
-        else:
-            return True
-    res = solve_lp([0] * nvars, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
-    return res.status == OPTIMAL
-
-
 def point_in_hull(point, generators):
     """Is `point` in the convex hull of `generators`?  Exact."""
     if not generators:
@@ -198,4 +185,4 @@ def point_in_hull(point, generators):
         b_eq.append(Fraction(point[i]))
     a_eq.append([Fraction(1)] * n)
     b_eq.append(Fraction(1))
-    return feasible(a_eq=a_eq, b_eq=b_eq, nvars=n, nonneg=True)
+    return solve_lp([0] * n, a_eq=a_eq, b_eq=b_eq, nonneg=True).status == OPTIMAL

@@ -113,7 +113,7 @@ def test_criterion_2_oracle_triangle(triangulation_cache):
 def test_criterion_3_normalized_volume(triangulation_cache):
     ok = True
     for d in range(1, 9):
-        ok = ok and hstar_structural(d).sum() == (d + 2) ** d
+        ok = ok and sum(hstar_structural(d)) == (d + 2) ** d
     for d in range(1, 6):
         ok = ok and triangulation_cache(d).cell_count == (d + 2) ** d
     announce(3, ok, "sum h* = (d+2)^d for d<=8; cell counts match for d<=5")

@@ -130,6 +130,21 @@ def test_negative_budget_is_input_error(flag):
     assert "need an integer >= 0" in r.stderr
 
 
+@pytest.mark.parametrize("value", ["-5", "abc"])
+@pytest.mark.parametrize("variable", ["LAPOLY_BUDGET_POINTS", "LAPOLY_BUDGET_CELLS"])
+@pytest.mark.parametrize("argv", [
+    ["hstar", "--d", "5", "--method", "fundamental"],
+    ["verify-table", "--max-d", "2"],
+    ["build", "--boundary-simplex", "2", "--k", "1"],
+])
+def test_bad_budget_variable_is_input_error(argv, variable, value, monkeypatch, capsys):
+    monkeypatch.setenv(variable, value)
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {variable}: need an integer >= 0")
+
+
 def test_budget_env_override(tmp_path):
     import os
 
