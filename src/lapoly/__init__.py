@@ -24,7 +24,6 @@ from .ehrhart import (
     is_unimodal,
 )
 from .laplacian import (
-    LaplacianMatrix,
     laplacian_boundary_simplex,
     laplacian_matrix,
     laplacian_polytope,
@@ -61,7 +60,6 @@ __all__ = [
     "is_palindromic",
     "is_real_rooted",
     "is_unimodal",
-    "LaplacianMatrix",
     "laplacian_boundary_simplex",
     "laplacian_matrix",
     "laplacian_polytope",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import ExactMatrix
+from .linalg import rank
 
 
 class SimplicialComplex:
@@ -178,25 +178,25 @@ def f_and_h_vectors(c):
 
 
 def boundary_matrix(c, i):
-    """Signed incidence matrix of the i-th boundary map.
+    """Signed incidence matrix of the i-th boundary map, as a list of rows.
 
     Rows are indexed by the (i-1)-faces, columns by the i-faces, both in
     lexicographic order of position tuples.  The chain groups vanish
-    outside 0..dim, so i == 0 yields a 0 x f_0 matrix and i == dim+1 an
-    f_dim x 0 matrix.
+    outside 0..dim, so i == 0 yields no rows (f_0 columns) and
+    i == dim+1 yields f_dim empty rows.
     """
     if i < 0 or i > c.dim + 1:
         raise IndexError(f"boundary index {i} out of range for dim {c.dim}")
     cols = c.faces(i)
     rows = c.faces(i - 1)
     row_index = {f: r for r, f in enumerate(rows)}
-    mat = ExactMatrix.zero(len(rows), len(cols))
+    mat = [[0] * len(cols) for _ in rows]
     for j, face in enumerate(cols):
         sign = 1
         for k in range(len(face)):
             sub = face[:k] + face[k + 1 :]
             if sub:
-                mat.entries[row_index[sub]][j] = sign
+                mat[row_index[sub]][j] = sign
             sign = -sign
     return mat
 
@@ -205,10 +205,11 @@ def homology_dimension(c, i):
     """dim_Q of the i-th rational homology group, ker(d_i)/im(d_{i+1})."""
     if i < 0 or i > c.dim:
         raise IndexError(f"homology index {i} out of range for dim {c.dim}")
-    di = boundary_matrix(c, i)
-    di1 = boundary_matrix(c, i + 1)
-    kernel_dim = di.cols - di.rank()
-    return kernel_dim - di1.rank()
+    return (
+        c.f_count(i)
+        - rank(boundary_matrix(c, i))
+        - rank(boundary_matrix(c, i + 1))
+    )
 
 
 def read_complex_file(path):

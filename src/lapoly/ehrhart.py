@@ -480,7 +480,7 @@ def is_real_rooted(h):
         return True
     chain = [primitive_vector(p), primitive_vector([i * c for i, c in enumerate(p)][1:])]
     while True:
-        _, r = _poly_divmod(chain[-2], chain[-1])
+        r = _poly_rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(primitive_vector([-c for c in r]))
@@ -493,21 +493,19 @@ def is_real_rooted(h):
     return variations(at_minus) - variations(at_plus) == len(p) - len(chain[-1])
 
 
-def _poly_divmod(a, b):
-    """(quotient, remainder) of rational polynomials, low degree first.
+def _poly_rem(a, b):
+    """Remainder of rational polynomials, low degree first.
 
     `b` must have a nonzero leading coefficient.  The remainder carries no
     trailing zeros; the zero remainder is [].
     """
     a = [Fraction(c) for c in a]
-    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
-        quotient[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()
     while a and a[-1] == 0:
         a.pop()
-    return quotient, a
+    return a

@@ -1,7 +1,8 @@
 """Laplacian matrices of simplicial complexes and their polytopes.
 
 The i-th Laplacian is d_{i+1} d_{i+1}^T + d_i^T d_i over the face bases
-fixed by the complex's vertex ordering.  Every constructed matrix is
+fixed by the complex's vertex ordering; like every matrix in this package
+it is a list of integer rows.  Every constructed matrix is
 verified entry-by-entry against the combinatorial description (upper degree
 on the diagonal, +-1 via similar/dissimilar common lower simplices), so an
 ordering bug anywhere upstream fails fast instead of corrupting geometry.
@@ -10,29 +11,8 @@ ordering bug anywhere upstream fails fast instead of corrupting geometry.
 from __future__ import annotations
 
 from .complexes import boundary_matrix, boundary_of_simplex
-from .linalg import ExactMatrix
+from .linalg import det_int
 from .polytope import LatticePolytope
-
-
-class LaplacianMatrix:
-    """Square integral matrix over the i-faces of a complex."""
-
-    __slots__ = ("matrix", "complex", "index")
-
-    def __init__(self, matrix, complex_, index):
-        self.matrix = matrix
-        self.complex = complex_
-        self.index = index
-
-    @property
-    def size(self):
-        return self.matrix.rows
-
-    def columns(self):
-        return self.matrix.columns()
-
-    def __repr__(self):
-        return f"LaplacianMatrix(i={self.index}, size={self.size})"
 
 
 class LaplacianOrderingError(RuntimeError):
@@ -60,12 +40,19 @@ def _combinatorial_entry(c, i, faces, upper, f, g):
 
 
 def laplacian_matrix(c, i):
-    """The i-th Laplacian of `c`, verified against the combinatorial rule."""
+    """The i-th Laplacian of `c`, verified against the combinatorial rule.
+
+    It is the Gram matrix of the rows of [d_{i+1} | d_i^T], one row per
+    i-face.
+    """
     if i < 0 or i > c.dim:
         raise IndexError(f"Laplacian index {i} out of range for dim {c.dim}")
     di = boundary_matrix(c, i)
-    di1 = boundary_matrix(c, i + 1)
-    lap = di1 * di1.T + di.T * di
+    stacked = [
+        up + [row[a] for row in di]
+        for a, up in enumerate(boundary_matrix(c, i + 1))
+    ]
+    lap = [[sum(x * y for x, y in zip(r, s)) for s in stacked] for r in stacked]
     faces_i = c.faces(i)
     faces = {i + 1: frozenset(c.faces(i + 1))}
     upper = {
@@ -74,12 +61,12 @@ def laplacian_matrix(c, i):
     for a, f in enumerate(faces_i):
         for b, g in enumerate(faces_i):
             expected = _combinatorial_entry(c, i, faces, upper, f, g)
-            if lap.entries[a][b] != expected:
+            if lap[a][b] != expected:
                 raise LaplacianOrderingError(
-                    f"Laplacian entry ({f}, {g}) is {lap.entries[a][b]}, "
+                    f"Laplacian entry ({f}, {g}) is {lap[a][b]}, "
                     f"combinatorial rule gives {expected}"
                 )
-    return LaplacianMatrix(lap, c, i)
+    return lap
 
 
 def boundary_simplex_face_order(d):
@@ -105,40 +92,32 @@ def laplacian_boundary_simplex(d):
         raise ValueError("d must be >= 0")
     n = d + 2
     if d == 0:
-        mat = ExactMatrix.zero(2, 2)
+        mat = [[0, 0], [0, 0]]
     else:
-        mat = ExactMatrix(
-            [
-                [
-                    d + 1 if i == j else (-1) ** (i + j - 1)
-                    for j in range(1, n + 1)
-                ]
-                for i in range(1, n + 1)
-            ]
-        )
+        mat = [
+            [d + 1 if i == j else (-1) ** (i + j - 1) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
     c = boundary_of_simplex(d + 1)
     computed = laplacian_matrix(c, d)
     order = boundary_simplex_face_order(d)
     lex = list(c.faces(d))
     perm = [lex.index(f) for f in order]
-    permuted = ExactMatrix(
-        [[computed.matrix.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    )
+    permuted = [[computed[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     if permuted != mat:
         raise LaplacianOrderingError(
             "closed form disagrees with the constructed Laplacian"
         )
-    return LaplacianMatrix(mat, c, d)
+    return mat
 
 
 def laplacian_polytope(c, k):
-    """Convex hull of the columns of the k-th Laplacian, one point per k-face."""
+    """Convex hull of the columns of the k-th Laplacian, one point per
+    distinct column (isolated vertices, for one, all give the zero column),
+    in the order of the k-faces that first give them."""
     if k < 0 or k > c.dim:
         raise IndexError(f"Laplacian index {k} out of range for dim {c.dim}")
-    lap = laplacian_matrix(c, k)
-    return LatticePolytope(
-        [tuple(col) for col in lap.matrix.columns()]
-    )
+    return LatticePolytope(dict.fromkeys(zip(*laplacian_matrix(c, k))))
 
 
 def ones_pattern(n, parity):
@@ -159,14 +138,12 @@ def reduced_vertices(d):
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _deleted_rows(laplacian_boundary_simplex(d).matrix, d)
+    return _deleted_rows(laplacian_boundary_simplex(d), d)
 
 
 def _deleted_rows(lap, d):
     """The columns of `lap` with the first row (odd d) or two (even d) deleted."""
-    n = d + 2
-    drop = 1 if d % 2 == 1 else 2
-    return [tuple(lap.entries[i][l] for i in range(drop, n)) for l in range(n)]
+    return list(zip(*lap[1 if d % 2 == 1 else 2 :]))
 
 
 def interior_polytope_vertices(d):
@@ -183,54 +160,40 @@ def interior_polytope_vertices(d):
     return verts
 
 
-class ReductionCertificate:
-    """Unimodular change of coordinates splitting off the constant part.
-
-    `transform` is the unimodular (d+2)x(d+2) matrix; applying it to every
-    column of the Laplacian yields `constant` in the first rows and the
-    reduced polytope's coordinates in the rest.
-    """
-
-    __slots__ = ("transform", "constant", "dropped_rows")
-
-    def __init__(self, transform, constant, dropped_rows):
-        self.transform = transform
-        self.constant = constant
-        self.dropped_rows = dropped_rows
-
-
 def reduce_full_dim(d):
     """Full-dimensional copy of the top Laplacian polytope of the simplex
-    boundary, with a verified unimodular certificate.
+    boundary, with its verified unimodular change of coordinates.
 
-    Returns (polytope, certificate); the certificate is None for d = 0,
-    where the polytope is a single point.
+    Returns (polytope, transform).  The transform is a unimodular
+    (d+2)x(d+2) matrix, as a list of rows; applied to every column of the
+    Laplacian it yields the constant (0) for odd d, (d/2+1, d/2+1) for
+    even d, in the first row or two, and the polytope's coordinates in the
+    rest.  It is None for d = 0, where the polytope is a single point.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     if d == 0:
         return LatticePolytope([()]), None
     n = d + 2
-    lap = laplacian_boundary_simplex(d).matrix
+    lap = laplacian_boundary_simplex(d)
     odd = ones_pattern(n, "odd")
     even = ones_pattern(n, "even")
     if d % 2 == 1:
         head = [[o - e for o, e in zip(odd, even)]]
         constant = (0,)
-        drop = 1
     else:
         head = [list(odd), list(even)]
         constant = (n // 2, n // 2)
-        drop = 2
+    drop = len(head)
     body = [
         [1 if j == drop + i else 0 for j in range(n)] for i in range(n - drop)
     ]
-    transform = ExactMatrix(head + body)
-    if abs(transform.det()) != 1:
+    transform = head + body
+    if abs(det_int(transform)) != 1:
         raise AssertionError("reduction transform must be unimodular")
     reduced_points = []
-    for col in lap.columns():
-        image = transform.matvec(col)
+    for col in zip(*lap):
+        image = [sum(a * b for a, b in zip(row, col)) for row in transform]
         if tuple(image[:drop]) != constant:
             raise AssertionError(
                 "affine-hull equations violated: transform does not split "
@@ -239,5 +202,4 @@ def reduce_full_dim(d):
         reduced_points.append(tuple(image[drop:]))
     if reduced_points != _deleted_rows(lap, d):
         raise AssertionError("reduction disagrees with row deletion")
-    poly = LatticePolytope(reduced_points)
-    return poly, ReductionCertificate(transform, constant, tuple(range(drop)))
+    return LatticePolytope(reduced_points), transform

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals and the integers.
 
+A matrix is a plain list of rows, as everywhere in this package.
 Everything in this package runs on exact arithmetic, and one fraction-free
 elimination serves it: rank, kernels, solves and determinants all run on
 the integer Bareiss loop `_echelon` and one exact back-substitution.
@@ -13,146 +14,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-class ExactMatrix:
-    """Dense matrix with arbitrary-precision rational entries.
-
-    Entries are stored as `int` or `Fraction`; all derived quantities
-    (rank, determinant, kernels) are computed exactly.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries, cols=None):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        if self.entries:
-            self.cols = len(self.entries[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def zero(cls, rows, cols):
-        m = cls.__new__(cls)
-        m.entries = [[0] * cols for _ in range(rows)]
-        m.rows = rows
-        m.cols = cols
-        return m
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = 1
-        return m
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            Fraction(self.entries[i][j]) == Fraction(other.entries[i][j])
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def __hash__(self):
-        return hash(
-            tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        )
-
-    def __repr__(self):
-        return f"ExactMatrix({self.entries!r})"
-
-    def copy(self):
-        return ExactMatrix(self.entries)
-
-    def transpose(self):
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            ot = other.transpose().entries
-            return ExactMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in ot]
-                    for row in self.entries
-                ],
-                cols=other.cols,
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, ExactMatrix):
-            if (self.rows, self.cols) != (other.rows, other.cols):
-                raise ValueError("shape mismatch")
-            return ExactMatrix(
-                [
-                    [a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.entries, other.entries)
-                ]
-            )
-        return NotImplemented
-
-    def matvec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
-
-    def column(self, j):
-        return [row[j] for row in self.entries]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
-
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def rank(self):
-        return rank(self.entries)
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        rows, scale = _integer_rows(self.entries)
-        if all(isinstance(x, int) for row in self.entries for x in row):
-            return det_int(rows)
-        return Fraction(det_int(rows), scale)
-
-    def nullspace(self):
-        return nullspace(self.entries)
-
-
 def _integer_rows(rows):
     """Each row scaled by the lcm of its denominators to an integer row, so
-    the row space is unchanged; returns (rows, product of the scales)."""
+    the row space is unchanged."""
     out = []
-    scale = 1
     for row in rows:
         if all(isinstance(x, int) for x in row):
             out.append(list(row))
@@ -160,8 +25,7 @@ def _integer_rows(rows):
         fracs = [Fraction(x) for x in row]
         s = lcm(*(x.denominator for x in fracs))
         out.append([int(x * s) for x in fracs])
-        scale *= s
-    return out, scale
+    return out
 
 
 def _echelon(m, ncols):
@@ -263,14 +127,14 @@ def solve_int(rows, rhs):
 
 def rank(rows):
     """Rank of a matrix given as a list of rows: its pivot count."""
-    m, _ = _integer_rows(rows)
+    m = _integer_rows(rows)
     return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 def nullspace(rows):
     """Basis of the right kernel, as lists of Fractions: one vector per free
     column, 1 there and 0 at the other free columns."""
-    m, _ = _integer_rows(rows)
+    m = _integer_rows(rows)
     ncols = len(m[0]) if m else 0
     pivots, _ = _echelon(m, ncols)
     det = _pivot_minor(m, pivots)

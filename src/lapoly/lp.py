@@ -63,7 +63,7 @@ def _simplex(tableau, basis, cost):
         _pivot(tableau, basis, best[1], col)
         f = cost[col]
         if f != 0:
-            cost[:] = [a - f * b for a, b in zip(cost, tableau[best[1]] + [])]
+            cost[:] = [a - f * b for a, b in zip(cost, tableau[best[1]])]
 
 
 def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,

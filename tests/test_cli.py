@@ -33,6 +33,11 @@ def test_build_boundary_simplex():
     assert res["dim"] == 2
     assert res["facet_count"] == 4
     assert "digest" in out["inputs"]
+    # two isolated vertices: L_0 is zero, its two equal columns one point
+    r = run_cli("build", "--boundary-simplex", "1", "--k", "0")
+    assert r.returncode == EXIT_OK
+    res = json.loads(r.stdout)["results"]
+    assert (res["dim"], res["vertex_count"], res["vertices"]) == (0, 1, [[0, 0]])
 
 
 def test_build_complex_files(tmp_path):
@@ -48,6 +53,15 @@ def test_build_complex_files(tmp_path):
     r = run_cli("build", "--complex", str(swapped), "--k", "1")
     out = json.loads(r.stdout)
     assert out["results"]["dim"] == 2
+    # an edge and two isolated vertices: the two zero columns of L_0 are one
+    # point, the midpoint of the edge's two columns
+    isolated = tmp_path / "edge_and_points.cplx"
+    isolated.write_text("order: 1 2 3 4\n1 2\n3\n4\n", encoding="utf-8")
+    r = run_cli("build", "--complex", str(isolated), "--k", "0")
+    assert r.returncode == EXIT_OK
+    res = json.loads(r.stdout)["results"]
+    assert (res["dim"], res["vertex_count"]) == (1, 2)
+    assert res["vertices"] == [[1, -1, 0, 0], [-1, 1, 0, 0]]
 
 
 def test_build_input_errors(tmp_path):
@@ -203,6 +217,17 @@ def test_main_entry_point(capsys):
     assert out["results"]["hstar"] == [1, 2, 0]
     assert main(["hstar", "--d", "1"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["inputs"]["method"] == "structural"
+
+
+def test_public_exports_resolve():
+    import lapoly
+
+    assert len(set(lapoly.__all__)) == len(lapoly.__all__)
+    for name in lapoly.__all__:
+        assert hasattr(lapoly, name), name
+    namespace = {}
+    exec("from lapoly import *", namespace)
+    assert set(lapoly.__all__) <= set(namespace)
 
 
 def test_verify_table_status_reflects_every_check(monkeypatch, capsys):

@@ -19,6 +19,16 @@ def four_cycle(ordering=(1, 2, 3, 4)):
     return from_facets([{1, 2}, {2, 3}, {3, 4}, {1, 4}], ordering)
 
 
+def composes_to_zero(c, i):
+    """d_i d_{i+1} == 0, on the row lists of the two boundary maps."""
+    di1 = boundary_matrix(c, i + 1)
+    return all(
+        sum(a * b for a, b in zip(row, col)) == 0
+        for row in boundary_matrix(c, i)
+        for col in zip(*di1)
+    )
+
+
 def test_from_facets_examples():
     c = four_cycle()
     assert f_vector(c) == (1, 4, 4)
@@ -77,20 +87,16 @@ def test_boundary_matrix_examples():
     c = four_cycle()
     m = boundary_matrix(c, 1)
     j = list(c.faces(1)).index((0, 1))
-    assert m.column(j) == [-1, 1, 0, 0]
-    b3 = boundary_of_simplex(3)
-    assert (boundary_matrix(b3, 1) * boundary_matrix(b3, 2)).is_zero()
-    b2 = boundary_of_simplex(2)
-    m1 = boundary_matrix(b2, 1)
-    assert all(sum(m1.column(j)) == 0 for j in range(m1.cols))
+    assert [row[j] for row in m] == [-1, 1, 0, 0]
+    assert composes_to_zero(boundary_of_simplex(3), 1)
+    m1 = boundary_matrix(boundary_of_simplex(2), 1)
+    assert len(m1[0]) == 3 and all(sum(col) == 0 for col in zip(*m1))
 
 
 def test_boundary_matrix_chain_convention():
     c = four_cycle()
-    m0 = boundary_matrix(c, 0)
-    assert (m0.rows, m0.cols) == (0, 4)
-    m2 = boundary_matrix(c, 2)
-    assert (m2.rows, m2.cols) == (4, 0)
+    assert boundary_matrix(c, 0) == []
+    assert boundary_matrix(c, 2) == [[], [], [], []]
     with pytest.raises(IndexError):
         boundary_matrix(c, 3)
     with pytest.raises(IndexError):
@@ -101,7 +107,7 @@ def test_chain_identity_everywhere():
     for c in [four_cycle(), boundary_of_simplex(3), boundary_of_simplex(4),
               full_simplex(3)]:
         for i in range(0, c.dim + 1):
-            assert (boundary_matrix(c, i) * boundary_matrix(c, i + 1)).is_zero()
+            assert composes_to_zero(c, i)
 
 
 def test_homology_dimensions():
@@ -116,6 +122,7 @@ def test_homology_dimensions():
 def test_rank_laplacian_equals_f_minus_homology():
     # rank L_d = f_d - dim H_d on pure complexes
     from lapoly.laplacian import laplacian_matrix
+    from lapoly.linalg import rank
 
     corpus = [
         four_cycle(),
@@ -129,7 +136,7 @@ def test_rank_laplacian_equals_f_minus_homology():
     for c in corpus:
         d = c.dim
         lap = laplacian_matrix(c, d)
-        assert lap.matrix.rank() == c.f_count(d) - homology_dimension(c, d)
+        assert rank(lap) == c.f_count(d) - homology_dimension(c, d)
 
 
 def test_read_complex_file(tmp_path):

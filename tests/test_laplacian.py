@@ -20,10 +20,10 @@ def four_cycle(ordering=(1, 2, 3, 4)):
 
 
 def test_closed_form_small_d():
-    assert laplacian_boundary_simplex(0).matrix.entries == [[0, 0], [0, 0]]
-    assert laplacian_boundary_simplex(1).matrix.entries == [
+    assert laplacian_boundary_simplex(0) == [[0, 0], [0, 0]]
+    assert laplacian_boundary_simplex(1) == [
         [2, 1, -1], [1, 2, 1], [-1, 1, 2]]
-    assert laplacian_boundary_simplex(2).matrix.entries == [
+    assert laplacian_boundary_simplex(2) == [
         [3, 1, -1, 1], [1, 3, 1, -1], [-1, 1, 3, 1], [1, -1, 1, 3]]
 
 
@@ -31,7 +31,7 @@ def test_closed_form_matches_construction_up_to_d6():
     # the constructor itself cross-checks the permuted laplacian_matrix
     for d in range(0, 7):
         lap = laplacian_boundary_simplex(d)
-        assert lap.matrix.is_symmetric()
+        assert lap == [list(col) for col in zip(*lap)]
 
 
 def test_four_cycle_laplacian_entries():
@@ -39,7 +39,7 @@ def test_four_cycle_laplacian_entries():
     lap = laplacian_matrix(c, 1)
     faces = list(c.faces(1))
     perm = [faces.index(f) for f in [(0, 1), (1, 2), (2, 3), (0, 3)]]
-    got = [[lap.matrix.entries[perm[i]][perm[j]] for j in range(4)]
+    got = [[lap[perm[i]][perm[j]] for j in range(4)]
            for i in range(4)]
     assert got == [[2, -1, 0, 1], [-1, 2, -1, 0], [0, -1, 2, 1], [1, 0, 1, 2]]
 
@@ -47,7 +47,7 @@ def test_four_cycle_laplacian_entries():
 def test_graph_laplacian_at_index_zero():
     c = four_cycle()
     lap = laplacian_matrix(c, 0)
-    assert lap.matrix.entries == [
+    assert lap == [
         [2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
 
 
@@ -57,7 +57,7 @@ def test_laplacian_diagonal_rule():
     lap = laplacian_matrix(c, 1)
     for idx, face in enumerate(c.faces(1)):
         deg = sum(1 for up in c.faces(2) if set(face) <= set(up))
-        assert lap.matrix.entries[idx][idx] == deg + 2
+        assert lap[idx][idx] == deg + 2
 
 
 def test_index_out_of_range():
@@ -70,14 +70,14 @@ def test_index_out_of_range():
 
 def test_rank_facts():
     for d in range(1, 7):
-        mat = laplacian_boundary_simplex(d).matrix
+        mat = laplacian_boundary_simplex(d)
         n = d + 2
-        assert mat.rank() == d + 1
-        cols = mat.columns()
+        assert la.rank(mat) == d + 1
+        cols = list(zip(*mat))
         for sub in combinations(range(n), d + 1):
             rows = [[cols[j][i] for j in sub] for i in range(n)]
             assert la.rank(rows) == d + 1
-        stacked = [list(r) for r in mat.entries] + [[1] * n]
+        stacked = mat + [[1] * n]
         expected = d + 1 if d % 2 == 0 else d + 2
         assert la.rank(stacked) == expected
 
@@ -154,26 +154,37 @@ def test_affine_hull_even_d_sums():
 
 
 def test_reduce_full_dim():
-    p2, cert = reduce_full_dim(2)
+    p2, transform = reduce_full_dim(2)
     assert sorted(p2.points) == sorted([(1, -1), (-1, 1), (3, 1), (1, 3)])
-    assert cert is not None and abs(cert.transform.det()) == 1
+    assert transform is not None and abs(la.det_int(transform)) == 1
     p1, _ = reduce_full_dim(1)
     assert p1.normalized_volume() == 3
-    p0, cert0 = reduce_full_dim(0)
-    assert cert0 is None and p0.points == ((),)
+    p0, transform0 = reduce_full_dim(0)
+    assert transform0 is None and p0.points == ((),)
     for d in range(1, 7):
-        p, cert = reduce_full_dim(d)
+        p, transform = reduce_full_dim(d)
+        n = d + 2
         assert p.ambient_dim == (d if d % 2 == 0 else d + 1)
         assert p.dim() == p.ambient_dim
-        assert len(cert.dropped_rows) == (2 if d % 2 == 0 else 1)
         assert p.points == tuple(reduced_vertices(d))
+        # the transform maps each Laplacian column to a constant head of
+        # 2 (even d) or 1 (odd d) rows, then the polytope's coordinates
+        drop = 2 if d % 2 == 0 else 1
+        constant = (n // 2, n // 2) if d % 2 == 0 else (0,)
+        images = [
+            [sum(a * b for a, b in zip(row, col)) for row in transform]
+            for col in zip(*laplacian_boundary_simplex(d))
+        ]
+        assert len(transform) == n and abs(la.det_int(transform)) == 1
+        assert {tuple(im[:drop]) for im in images} == {constant}
+        assert tuple(tuple(im[drop:]) for im in images) == p.points
 
 
 def test_reduce_full_dim_builds_the_laplacian_once(monkeypatch):
     expected = {}
     for d in range(1, 7):
-        p, cert = reduce_full_dim(d)
-        expected[d] = (p.points, cert.transform, cert.constant, cert.dropped_rows)
+        p, transform = reduce_full_dim(d)
+        expected[d] = (p.points, transform)
     real = laplacian.laplacian_boundary_simplex
     calls = []
 
@@ -184,9 +195,9 @@ def test_reduce_full_dim_builds_the_laplacian_once(monkeypatch):
     monkeypatch.setattr(laplacian, "laplacian_boundary_simplex", counted)
     for d in range(1, 7):
         calls.clear()
-        p, cert = reduce_full_dim(d)
+        p, transform = reduce_full_dim(d)
         assert calls == [d]
-        assert (p.points, cert.transform, cert.constant, cert.dropped_rows) == expected[d]
+        assert (p.points, transform) == expected[d]
 
 
 def test_interior_polytope_vertex_formula():
