@@ -11,7 +11,6 @@ from .budgets import BudgetError
 from .complexes import (
     SimplicialComplex,
     boundary_of_simplex,
-    f_and_h_vectors,
     from_facets,
 )
 from .ehrhart import (
@@ -37,7 +36,6 @@ from .polytope import (
 )
 from .triangulate import (
     Triangulation,
-    edgewise_subdivision,
     facet_join_partition,
     h_vector_of,
     is_regular,
@@ -51,7 +49,6 @@ __all__ = [
     "BudgetError",
     "SimplicialComplex",
     "boundary_of_simplex",
-    "f_and_h_vectors",
     "from_facets",
     "hstar_double",
     "hstar_from_counts",
@@ -69,7 +66,6 @@ __all__ = [
     "combinatorially_equivalent",
     "cyclic_polytope",
     "Triangulation",
-    "edgewise_subdivision",
     "facet_join_partition",
     "h_vector_of",
     "is_regular",

@@ -124,8 +124,9 @@ def cmd_build(args):
         poly = laplacian_polytope(c, args.k)
         dim, equations = poly.affine_hull()
         # without a zero column, column j of a Laplacian is the unique
-        # maximiser of coordinate j, so the ambient copy's vertices need no
-        # LP; the reduced copy inherits them
+        # maximiser of coordinate j, so the lexicographic seeds of
+        # `vertex_indices` already hold every point; the reduced copy
+        # inherits the answer
         vertices = poly.vertices()
         reduced, basis, base = poly.full_dimensional()
         results = {

@@ -2,16 +2,14 @@
 
 A complex stores its vertices as an ordered sequence of distinct labels and
 its faces, per dimension, as strictly increasing tuples of vertex
-*positions*.  The ordering is part of the identity of the complex: the same
-face sets over differently ordered vertices compare unequal, because all
-boundary matrices (and everything built on them) depend on it.
+*positions*.  The ordering is part of the complex: the same facets over
+differently ordered vertices give different position tuples, and so
+different boundary matrices and everything built on them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-from .linalg import rank
 
 
 class SimplicialComplex:
@@ -51,40 +49,10 @@ class SimplicialComplex:
     def dim(self):
         return len(self.faces_by_dim) - 1
 
-    def f_count(self, i):
-        """Number of i-faces; f_count(-1) == 1 for the implicit empty face."""
-        if i == -1:
-            return 1
-        if 0 <= i <= self.dim:
-            return len(self.faces_by_dim[i])
-        return 0
-
     def faces(self, i):
         if 0 <= i <= self.dim:
             return self.faces_by_dim[i]
         return ()
-
-    def is_pure(self):
-        top = set(self.faces_by_dim[-1])
-        for i in range(self.dim):
-            for f in self.faces_by_dim[i]:
-                if not any(set(f) <= set(t) for t in top):
-                    return False
-        return True
-
-    def labels_of(self, face):
-        return tuple(self.vertices[p] for p in face)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and self.faces_by_dim == other.faces_by_dim
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.faces_by_dim))
 
     def __repr__(self):
         f = tuple(len(level) for level in self.faces_by_dim)
@@ -124,18 +92,6 @@ def boundary_of_simplex(d_plus_1):
     return SimplicialComplex(range(1, n + 1), faces)
 
 
-def full_simplex(d):
-    """The full d-simplex 2^[d+1] as a complex."""
-    n = d + 1
-    faces = [combinations(range(n), k + 1) for k in range(n)]
-    return SimplicialComplex(range(1, n + 1), faces)
-
-
-def f_vector(c):
-    """(f_-1, f_0, ..., f_dim) as a tuple of integers."""
-    return (1,) + tuple(len(level) for level in c.faces_by_dim)
-
-
 def h_from_f(f):
     """h-vector from an f-vector via the standard polynomial identity.
 
@@ -170,13 +126,6 @@ def f_from_h(h):
     return tuple(f)
 
 
-def f_and_h_vectors(c):
-    if c.dim < 0:
-        raise ValueError("empty complex has no f/h-vectors here")
-    f = f_vector(c)
-    return f, h_from_f(f)
-
-
 def boundary_matrix(c, i):
     """Signed incidence matrix of the i-th boundary map, as a list of rows.
 
@@ -199,17 +148,6 @@ def boundary_matrix(c, i):
                 mat[row_index[sub]][j] = sign
             sign = -sign
     return mat
-
-
-def homology_dimension(c, i):
-    """dim_Q of the i-th rational homology group, ker(d_i)/im(d_{i+1})."""
-    if i < 0 or i > c.dim:
-        raise IndexError(f"homology index {i} out of range for dim {c.dim}")
-    return (
-        c.f_count(i)
-        - rank(boundary_matrix(c, i))
-        - rank(boundary_matrix(c, i + 1))
-    )
 
 
 def read_complex_file(path):

@@ -114,27 +114,6 @@ def ehrhart_counts(p, dim=None, budget=None):
     return counts[k:]
 
 
-def ehrhart_polynomial(counts):
-    """Interpolating polynomial through (n, E(n)), rational coefficients."""
-    n = len(counts)
-    # Newton's divided differences on the integer grid 0..n-1
-    table = [Fraction(c) for c in counts]
-    coeffs_newton = [table[0]]
-    for level in range(1, n):
-        table = [
-            (table[i + 1] - table[i]) / level for i in range(len(table) - 1)
-        ]
-        coeffs_newton.append(table[0])
-    # expand sum_k newton_k * x(x-1)...(x-k+1)/1 (falling factorial basis)
-    poly = [Fraction(0)] * n
-    basis = (1,)
-    for k, cn in enumerate(coeffs_newton):
-        for i, b in enumerate(basis):
-            poly[i] += cn * b
-        basis = _poly_mul(basis, (-k, 1))
-    return poly
-
-
 def _simplex_snf(simplex_points):
     """(W, U, diag, V) for a full-dimensional lattice simplex: W has the
     homogenized vertices [v_j; 1] as columns and W = U*S*V is its Smith
@@ -290,11 +269,6 @@ def dilation_coefficient(d, i, j):
         return comb(n, k) if 0 <= k <= n else 0
 
     return c(d + 1, 2 * i + 2 - j) - c(d + 1, 2 * i - j)
-
-
-def dilation_coefficients(d, i):
-    """The sequence r_0..r_d of dilation coefficients."""
-    return tuple(dilation_coefficient(d, i, j) for j in range(d + 1))
 
 
 def dilation_antisymmetry_holds(d, i, k):

@@ -1,11 +1,9 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Small and deliberately simple, with zero tolerance.  It answers the
-questions that exact linear algebra leaves open: the height search of
-`triangulate.is_regular`, vertex tests for point sets with two or more
-affine dependencies, and membership in a polytope that is not
-full-dimensional.  Bland's rule makes cycling impossible; everything runs
-on `Fraction`.
+Small and deliberately simple, with zero tolerance.  One question in the
+package needs it: the height search of `triangulate.is_regular` when no
+heights witness is attached.  Bland's rule makes cycling impossible;
+everything runs on `Fraction`.
 """
 
 from __future__ import annotations
@@ -171,18 +169,3 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,
     value = sum(Fraction(objective[j]) * x[j] for j in range(nvars))
     return LPResult(OPTIMAL, x, value)
 
-
-def point_in_hull(point, generators):
-    """Is `point` in the convex hull of `generators`?  Exact."""
-    if not generators:
-        return False
-    n = len(generators)
-    dim = len(point)
-    a_eq = []
-    b_eq = []
-    for i in range(dim):
-        a_eq.append([Fraction(g[i]) for g in generators])
-        b_eq.append(Fraction(point[i]))
-    a_eq.append([Fraction(1)] * n)
-    b_eq.append(Fraction(1))
-    return solve_lp([0] * n, a_eq=a_eq, b_eq=b_eq, nonneg=True).status == OPTIMAL

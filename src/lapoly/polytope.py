@@ -3,7 +3,8 @@
 V-representations over the integers with lazily computed exact affine
 hulls, vertex sets, irredundant H-representations, facet-ridge graphs,
 lattice-point scans, interior polytopes and reflexivity.  All answers are
-exact; no floating point is used anywhere.
+exact; no floating point is used anywhere.  Vertex sets come from exact
+linear algebra and facet computations alone; nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import mul
 
-from . import lp
 from .budgets import BudgetError, point_budget
 from .linalg import (
     _back_substitute,
@@ -43,20 +44,6 @@ class Halfspace:
 
     def value(self, point):
         return sum(a * x for a, x in zip(self.normal, point))
-
-    def holds(self, point):
-        return self.value(point) <= self.offset
-
-    def tight(self, point):
-        return self.value(point) == self.offset
-
-    def __eq__(self, other):
-        if not isinstance(other, Halfspace):
-            return NotImplemented
-        return self.normal == other.normal and self.offset == other.offset
-
-    def __hash__(self):
-        return hash((self.normal, self.offset))
 
     def __repr__(self):
         return f"Halfspace({self.normal}.x <= {self.offset})"
@@ -193,10 +180,9 @@ class LatticePolytope:
         D has dimension n - 1 - dim (the corank).  Corank 0: every point
         is a vertex.  Corank 1: D is spanned by one c, so p_i is a
         non-vertex iff i is the only negative index of c or of -c; a
-        point with c_i = 0 is a vertex.  Corank >= 2: coordinate-wise
-        lexicographic optima seed the vertex set, and the remaining points
-        are settled by exact LP feasibility tests, first against the known
-        vertices, then (only if needed) against all other generators.
+        point with c_i = 0 is a vertex.  Corank >= 2: a violated-facet
+        loop (`_vertex_indices_by_facets`) grows a set of known vertices
+        until its hull holds every point.
         """
         if self._vertex_indices is None:
             n = len(self.points)
@@ -213,29 +199,58 @@ class LatticePolytope:
                     i for i in range(n) if i not in inside
                 )
             else:
-                self._vertex_indices = self._vertex_indices_lp()
+                self._vertex_indices = self._vertex_indices_by_facets()
         return self._vertex_indices
 
-    def _vertex_indices_lp(self):
-        """Vertex indices by lexicographic seeding and LP tests (corank >= 2)."""
-        n = len(self.points)
+    def _vertex_indices_by_facets(self):
+        """Vertex indices by a violated-facet loop (corank >= 2).
+
+        S starts as the lexicographic maximisers of +-e_k, which are
+        vertices.  If S holds every point, it is the vertex set.  Otherwise
+        the loop runs on the index-aligned full-dimensional copy P (from
+        `full_dimensional`), whose vertices are those of the original.
+        Each round builds Q = conv(S) with every point of Q preset as a
+        vertex, and takes as functionals Q's affine-hull equations and
+        their negatives while dim Q < dim P, Q's facet inequalities after
+        that.  If some point of P exceeds some functional a.x <= b, the
+        lexicographic maximiser of a over all points joins S.
+
+        Proof.  A lexicographic maximiser of a linear functional is a
+        vertex: maximising a and then each coordinate in turn narrows the
+        maximising face to a single point.  Every point of S attains at
+        most b, and the maximiser exceeds b, so each round adds a new
+        vertex and the loop ends after at most n - |S| rounds.  While
+        dim Q < dim P some point of P leaves aff(Q), so some equation is
+        violated in one of its two signs.  When no point exceeds any
+        facet of a full-dimensional Q, every point lies in conv(S): then
+        P = conv(S), every vertex of P is in S, and S is the vertex set.
+        """
         verts = set()
         for k in range(self.ambient_dim):
             for sgn in (1, -1):
                 f = [0] * self.ambient_dim
                 f[k] = sgn
                 verts.add(self._lex_extreme(f))
-        for i in range(n):
-            if i in verts:
-                continue
-            p = self.points[i]
-            known = [self.points[j] for j in verts]
-            if lp.point_in_hull(p, known):
-                continue
-            others = [q for j, q in enumerate(self.points) if j != i]
-            if not lp.point_in_hull(p, others):
-                verts.add(i)
-        return tuple(sorted(verts))
+        if len(verts) == len(self.points):
+            return tuple(range(len(self.points)))
+        reduced, _, _ = self.full_dimensional()
+        while True:
+            hull = LatticePolytope([reduced.points[i] for i in sorted(verts)])
+            hull._vertex_indices = tuple(range(len(verts)))
+            dim, equations = hull.affine_hull()
+            if dim < reduced.ambient_dim:
+                functionals = [
+                    f for a, b in equations
+                    for f in ((a, b), (tuple(-x for x in a), -b))
+                ]
+            else:
+                functionals = [(h.normal, h.offset) for h in hull.facets()]
+            for normal, offset in functionals:
+                if any(sum(map(mul, normal, p)) > offset for p in reduced.points):
+                    verts.add(reduced._lex_extreme(normal))
+                    break
+            else:
+                return tuple(sorted(verts))
 
     def vertices(self):
         return [self.points[i] for i in self.vertex_indices()]
@@ -332,17 +347,6 @@ class LatticePolytope:
             if (rank(diffs) if diffs else 0) == d - 2:
                 edges.append((i, j))
         return FacetRidgeGraph(sets, edges)
-
-    def contains(self, point):
-        """Exact membership for an integer or rational point."""
-        dim, equations = self.affine_hull()
-        if not all(
-            sum(a * x for a, x in zip(n, point)) == b for n, b in equations
-        ):
-            return False
-        if dim == self.ambient_dim:
-            return all(h.value(point) <= h.offset for h in self.facets())
-        return lp.point_in_hull(point, list(self.points))
 
     # -- full-dimensional reduction ------------------------------------------
 
@@ -466,12 +470,6 @@ class LatticePolytope:
         if n < 0:
             raise ValueError("dilation must be >= 0")
         return self._scan(n, budget=budget, collect=False)
-
-    def lattice_points(self, n=1, budget=None):
-        """Sorted list of lattice points of nP (full-dimensional P)."""
-        if n < 0:
-            raise ValueError("dilation must be >= 0")
-        return self._scan(n, budget=budget, collect=True)
 
     def interior_lattice_points(self, budget=None):
         """Lattice points satisfying every facet inequality strictly."""

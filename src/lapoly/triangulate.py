@@ -17,7 +17,6 @@ one dot product, an integer on unimodular cells.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from functools import partial
 from fractions import Fraction
@@ -80,28 +79,6 @@ class Triangulation:
         for c in self.cells:
             used.update(c)
         return sorted(used)
-
-    def translate(self, vec):
-        pool = [tuple(x + v for x, v in zip(p, vec)) for p in self.vertex_pool]
-        carrier = self.carrier.translate(vec) if self.carrier else None
-        t = Triangulation(pool, self.cells, carrier, heights=self._heights)
-        t.checks = dict(self.checks)
-        return t
-
-    def to_json(self):
-        payload = {
-            "vertices": [list(p) for p in self.vertex_pool],
-            "cells": [list(c) for c in self.cells],
-            "checks": self.checks,
-        }
-        return json.dumps(payload, indent=None, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text, carrier=None):
-        data = json.loads(text)
-        t = cls(data["vertices"], data["cells"], carrier)
-        t.checks = dict(data.get("checks", {}))
-        return t
 
     def __repr__(self):
         return f"Triangulation({self.cell_count} cells, dim={self.dim})"
@@ -220,26 +197,6 @@ def edgewise_of_dilated(points, r):
     cells = [tuple(ids[k] for k in cell) for cell in template_cells]
     carrier = LatticePolytope(list(dict.fromkeys(points))) if ambient else LatticePolytope([()])
     return Triangulation(list(pool), cells, carrier, heights=heights)
-
-
-def edgewise_subdivision(simplex_points, r):
-    """Triangulation of r times the given unimodular simplex.
-
-    The simplex is checked for unimodularity in its own lattice; the cell
-    count is r^dim.
-    """
-    if r < 1:
-        raise ValueError("dilation parameter must be >= 1")
-    pts = [tuple(int(x) for x in p) for p in simplex_points]
-    poly = LatticePolytope(pts)
-    reduced, _, _ = poly.full_dimensional()
-    d = reduced.ambient_dim
-    if len(pts) != d + 1:
-        raise ValueError("input must be a simplex")
-    if d > 0 and abs(_simplex_det(reduced.points)) != 1:
-        raise ValueError("simplex is not unimodular")
-    dilated = [tuple(r * x for x in p) for p in pts]
-    return edgewise_of_dilated(dilated, r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,69 @@
+"""Independent oracles and fixtures shared by the tests.
+
+Each answers a question that `lapoly` settles another way, or builds an
+input the package itself never needs: the tests compare the two.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from lapoly import lp
+from lapoly.complexes import SimplicialComplex, boundary_matrix
+from lapoly.ehrhart import _poly_mul
+from lapoly.linalg import rank
+
+
+def point_in_hull(point, generators):
+    """Is `point` in the convex hull of `generators`?  One exact LP."""
+    if not generators:
+        return False
+    n = len(generators)
+    a_eq = [[Fraction(g[i]) for g in generators] for i in range(len(point))]
+    b_eq = [Fraction(x) for x in point]
+    a_eq.append([Fraction(1)] * n)
+    b_eq.append(Fraction(1))
+    return lp.solve_lp([0] * n, a_eq=a_eq, b_eq=b_eq, nonneg=True).status == lp.OPTIMAL
+
+
+def ehrhart_polynomial(counts):
+    """Interpolating polynomial through (n, E(n)), rational coefficients."""
+    n = len(counts)
+    # Newton's divided differences on the integer grid 0..n-1
+    table = [Fraction(c) for c in counts]
+    coeffs_newton = [table[0]]
+    for level in range(1, n):
+        table = [
+            (table[i + 1] - table[i]) / level for i in range(len(table) - 1)
+        ]
+        coeffs_newton.append(table[0])
+    # expand sum_k newton_k * x(x-1)...(x-k+1)/1 (falling factorial basis)
+    poly = [Fraction(0)] * n
+    basis = (1,)
+    for k, cn in enumerate(coeffs_newton):
+        for i, b in enumerate(basis):
+            poly[i] += cn * b
+        basis = _poly_mul(basis, (-k, 1))
+    return poly
+
+
+def homology_dimension(c, i):
+    """dim_Q of the i-th rational homology group, ker(d_i)/im(d_{i+1})."""
+    if i < 0 or i > c.dim:
+        raise IndexError(f"homology index {i} out of range for dim {c.dim}")
+    return (
+        len(c.faces(i))
+        - rank(boundary_matrix(c, i))
+        - rank(boundary_matrix(c, i + 1))
+    )
+
+
+def f_vector(c):
+    """(f_-1, f_0, ..., f_dim) as a tuple of integers."""
+    return (1,) + tuple(len(level) for level in c.faces_by_dim)
+
+
+def full_simplex(d):
+    """The full d-simplex 2^[d+1] as a complex."""
+    n = d + 1
+    faces = [combinations(range(n), k + 1) for k in range(n)]
+    return SimplicialComplex(range(1, n + 1), faces)

@@ -33,6 +33,8 @@ from lapoly.triangulate import (
     Triangulation,
     h_vector_of,
     is_regular,
+    standard_shelling_order,
+    verify_shelling,
     verify_triangulation,
 )
 
@@ -244,3 +246,12 @@ def test_criterion_9_ordering_sensitivity():
         laplacian_polytope(swapped, 1).dim(),
     )
     announce(9, dims == (3, 2), f"orderings give dimensions {dims[0]} and {dims[1]}")
+
+
+def test_criterion_10_shelling_of_even_facets():
+    ok = True
+    for d in (2, 4, 6, 8):
+        poly, _ = reduce_full_dim(d)
+        ok = ok and verify_shelling(poly, standard_shelling_order(d))
+    announce(10, ok, "even d<=8: the facets in the order F, E_i, O_j, then "
+                     "the pair facets, are a shelling")

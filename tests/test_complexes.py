@@ -4,19 +4,21 @@ from hypothesis import given, strategies as st
 from lapoly.complexes import (
     boundary_matrix,
     boundary_of_simplex,
-    f_and_h_vectors,
     f_from_h,
-    f_vector,
     from_facets,
-    full_simplex,
     h_from_f,
-    homology_dimension,
     read_complex_file,
 )
+from oracles import f_vector, full_simplex, homology_dimension
 
 
 def four_cycle(ordering=(1, 2, 3, 4)):
     return from_facets([{1, 2}, {2, 3}, {3, 4}, {1, 4}], ordering)
+
+
+def same_complex(a, b):
+    """Same ordered vertices and the same faces as position tuples."""
+    return (a.vertices, a.faces_by_dim) == (b.vertices, b.faces_by_dim)
 
 
 def composes_to_zero(c, i):
@@ -39,7 +41,7 @@ def test_from_facets_examples():
         [1, 2, 3, 4],
     )
     assert f_vector(b3) == (1, 4, 6, 4)
-    assert b3 == boundary_of_simplex(3)
+    assert same_complex(b3, boundary_of_simplex(3))
 
 
 def test_from_facets_errors():
@@ -52,27 +54,25 @@ def test_from_facets_errors():
 
 
 def test_ordering_is_part_of_identity():
-    assert four_cycle((1, 2, 3, 4)) != four_cycle((1, 2, 4, 3))
+    assert not same_complex(four_cycle((1, 2, 3, 4)), four_cycle((1, 2, 4, 3)))
 
 
 def test_boundary_of_simplex():
     assert f_vector(boundary_of_simplex(3)) == (1, 4, 6, 4)
     assert f_vector(boundary_of_simplex(1)) == (1, 2)
-    assert boundary_of_simplex(5).f_count(4) == 6
-    b = boundary_of_simplex(4)
-    assert b.is_pure() and b.dim == 3
+    assert len(boundary_of_simplex(5).faces(4)) == 6
+    assert boundary_of_simplex(4).dim == 3
 
 
 def test_f_and_h_vectors():
-    f, h = f_and_h_vectors(boundary_of_simplex(3))
+    f = f_vector(boundary_of_simplex(3))
     assert f == (1, 4, 6, 4)
-    assert h == (1, 1, 1, 1)
-    f, h = f_and_h_vectors(four_cycle())
+    assert h_from_f(f) == (1, 1, 1, 1)
+    f = f_vector(four_cycle())
     assert f == (1, 4, 4)
-    assert h == (1, 2, 1)
+    assert h_from_f(f) == (1, 2, 1)
     for d in range(1, 6):
-        f, h = f_and_h_vectors(full_simplex(d))
-        assert h == (1,) + (0,) * (d + 1)
+        assert h_from_f(f_vector(full_simplex(d))) == (1,) + (0,) * (d + 1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8))
@@ -136,7 +136,7 @@ def test_rank_laplacian_equals_f_minus_homology():
     for c in corpus:
         d = c.dim
         lap = laplacian_matrix(c, d)
-        assert rank(lap) == c.f_count(d) - homology_dimension(c, d)
+        assert rank(lap) == len(c.faces(d)) - homology_dimension(c, d)
 
 
 def test_read_complex_file(tmp_path):
@@ -146,7 +146,7 @@ def test_read_complex_file(tmp_path):
         encoding="utf-8",
     )
     c = read_complex_file(path)
-    assert c == four_cycle()
+    assert same_complex(c, four_cycle())
     bad = tmp_path / "bad.cplx"
     bad.write_text("1 2\n", encoding="utf-8")
     with pytest.raises(ValueError):

