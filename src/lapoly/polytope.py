@@ -207,8 +207,9 @@ class LatticePolytope:
 
         S starts as the lexicographic maximisers of +-e_k, which are
         vertices.  If S holds every point, it is the vertex set.  Otherwise
-        the loop runs on the index-aligned full-dimensional copy P (from
-        `full_dimensional`), whose vertices are those of the original.
+        the loop runs on a full-dimensional P with the same vertex indices:
+        the polytope itself when it spans its ambient space, else its
+        index-aligned copy from `full_dimensional`.
         Each round builds Q = conv(S) with every point of Q preset as a
         vertex, and takes as functionals Q's affine-hull equations and
         their negatives while dim Q < dim P, Q's facet inequalities after
@@ -233,7 +234,10 @@ class LatticePolytope:
                 verts.add(self._lex_extreme(f))
         if len(verts) == len(self.points):
             return tuple(range(len(self.points)))
-        reduced, _, _ = self.full_dimensional()
+        if self.dim() == self.ambient_dim:
+            reduced = self
+        else:
+            reduced, _, _ = self.full_dimensional()
         while True:
             hull = LatticePolytope([reduced.points[i] for i in sorted(verts)])
             hull._vertex_indices = tuple(range(len(verts)))

@@ -9,10 +9,12 @@ template (`_edgewise_template`), generated directly as chains of vertex
 multisets.  Every triangulation carries proposed lifting heights;
 `is_regular` certifies them independently by exact fold checks, falling
 back to an exact LP search when no usable heights are present.  Fold
-values, in construction and check alike, come from one walk across shared
+values of the check and of the cone level come from one walk across shared
 ridges (`_fold_values`) that carries each cell's inverse matrix by
 exact rank-one steps and a covector per height vector, so a fold value is
-one dot product, an integer on unimodular cells.
+one dot product, an integer on unimodular cells.  The even-d refinement
+takes its fold values from the cone cells and fixed data of the template
+(`_refined_fold_values`), with no walk over the refined cells.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from functools import partial
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from operator import mul
+from operator import itemgetter, mul
 
 from . import lp
 from .budgets import BudgetError, cell_budget
@@ -525,17 +527,17 @@ def is_regular(t, heights=None):
     return True, found
 
 
-def _scaled_heights(pool, cells, primary, secondary):
+def _scaled_heights(primary, secondary, fold_values):
     """N * primary + secondary for the smallest positive integer N that
     makes every fold of the lift strictly convex.
 
-    Every fold must be convex under `primary` alone, and strictly convex
-    under `secondary` where `primary` is flat.  One ridge walk
-    (`_fold_values`) gives the exact fold values of both.
+    `fold_values` yields the pair (p, s) of exact fold values of `primary`
+    and `secondary` at every fold.  Every fold must be convex under
+    `primary` alone, and strictly convex under `secondary` where `primary`
+    is flat.
     """
-    _, (primary_values, secondary_values) = _fold_values(pool, cells, [primary, secondary])
     need = 1
-    for p, s in zip(primary_values, secondary_values):
+    for p, s in fold_values:
         if p < 0:
             raise AssertionError("base fold is non-convex; construction bug")
         if p == 0:
@@ -545,6 +547,136 @@ def _scaled_heights(pool, cells, primary, secondary):
             # need N > -s / p
             need = max(need, int((-s) // p + 1))
     return [need * a + b for a, b in zip(primary, secondary)]
+
+
+def _exact_quotient(x, det):
+    """x / det, an int when it divides."""
+    return x // det if x % det == 0 else Fraction(x, det)
+
+
+def _refined_fold_values(pool, orders, ids, primary, secondary):
+    """Yield (p, s), the fold values of `primary` and `secondary` at every
+    fold of the 2nd edgewise refinement of a unimodular cone triangulation,
+    from the cone cells and constant data of the template 2 * Delta_d.
+
+    `orders[a]` lists the pool ids of cone cell A sorted by point, and
+    `ids[a][m]` is the refined id of the template point with multiset m
+    over those positions (`_edgewise_template(2, d + 1)`); `primary` and
+    `secondary` are indexed by refined id.  Every refined cell lies in one
+    2A, so a refined fold is of one of two kinds:
+
+    - interior: both cells in one 2A, a fold of the template.  The point
+      with count vector mu (mu_i = multiplicity of position i) is
+      sum(mu_i * v_i), so the affine coordinates of the opposite vertex w
+      in the other cell are C^-1 mu, C the cell's count-vector matrix
+      (det +-2), the same for every A.
+    - wall: A and B share the cone ridge opposite position ja of A and jb
+      of B.  Both list the ridge's vertices sorted by point, so the template
+      restricted to the facet (positions renumbered) is one subdivision of
+      the ridge, and the refined ridges on it pair a template cell of 2A
+      with one of 2B by their local multisets, depending only on (ja, jb).
+      B's opposite vertex w has, over A, the count vector of its non-apex
+      positions mapped into A plus m * lambda_A(apex_B), m the multiplicity
+      of jb in w; its coordinates in A's template cell are again C^-1 mu.
+      One `solve_int` per cone cell gives lambda_A(apex_B) of its folds,
+      and the coordinates are cached by (ja, jb, lambda_A(apex_B)).
+
+    Each refined fold is yielded once: its primary value p and secondary
+    value s come from the stored heights through those coordinates, never
+    from the formulas that built the heights.  Each is read over one of
+    its two cells (the template fold's first cell, or A): the values over
+    the other cell are the same positive multiple of both, and the same
+    values on unimodular cells.
+    """
+    n = len(orders[0])
+    multisets, chains = _edgewise_template(2, n)
+    cells = [tuple(sorted(c)) for c in chains]
+    counts = [[ms.count(i) for i in range(n)] for ms in multisets]
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    # det(C) and the adjugate of C, by rows, for every template cell
+    adjugates = []
+    for cell in cells:
+        det, cols = solve_int([[counts[m][i] for m in cell] for i in range(n)], unit)
+        adjugates.append((det, list(zip(*cols))))
+
+    def fold_form(t, mu, w=None):
+        # (getter, coefficients): minus the nonzero affine coordinates of
+        # the point with count vector mu in template cell t, with 1 for w,
+        # so the dot product of the two is a fold value; a point outside
+        # the cell has at least two nonzero coordinates, so the getter
+        # returns a tuple
+        det, adj = adjugates[t]
+        terms = [] if w is None else [(w, 1)]
+        for m, row in zip(cells[t], adj):
+            x = sum(map(mul, row, mu))
+            if x:
+                terms.append((m, -_exact_quotient(x, det)))
+        ms, cs = zip(*terms)
+        return itemgetter(*ms), cs
+
+    ridges, template_folds, _ = _ridge_pass(cells)
+    interior = [
+        fold_form(ta, counts[cells[tb][db]], cells[tb][db])
+        for ta, _, tb, db in template_folds
+    ]
+    # facet[j]: the template cells with a ridge opposite position j, keyed
+    # by that ridge in the facet's own positions
+    facet = [{} for _ in range(n)]
+    for ridge, got in ridges.items():
+        if len(got) == 2:
+            j = next(i for i in range(n) if not any(i in multisets[m] for m in ridge))
+            local = frozenset(tuple(p - (p > j) for p in multisets[m]) for m in ridge)
+            facet[j][local] = got
+
+    def wall(ja, jb, apex):
+        # (opposite vertex in B, its coordinates over A) of each refined
+        # fold on the wall
+        out = []
+        for local, (ta, _) in facet[ja].items():
+            tb, db = facet[jb][local]
+            w = cells[tb][db]
+            mu = [0] * n
+            for p in multisets[w]:
+                if p == jb:
+                    mu = [x + y for x, y in zip(mu, apex)]
+                else:
+                    p -= p > jb
+                    mu[p + (p >= ja)] += 1
+            out.append((w, *fold_form(ta, mu)))
+        return out
+
+    lifted = [([primary[i] for i in c], [secondary[i] for i in c]) for c in ids]
+    for pa, sa in lifted:
+        for get, cs in interior:
+            yield sum(map(mul, cs, get(pa))), sum(map(mul, cs, get(sa)))
+
+    by_cell = {}
+    for fold in _fold_data(orders):
+        by_cell.setdefault(fold[0], []).append(fold)
+    cache = {}
+    for a, folds in by_cell.items():
+        rows = [*zip(*(pool[i] for i in orders[a])), [1] * n]
+        det, sols = solve_int(rows, [[*pool[orders[b][jb]], 1] for _, _, b, jb in folds])
+        if not det:
+            raise ValueError("degenerate cell in fold computation")
+        pa, sa = lifted[a]
+        for (_, ja, b, jb), sol in zip(folds, sols):
+            apex = tuple(_exact_quotient(x, det) for x in sol)
+            key = ja, jb, apex
+            if key not in cache:
+                cache[key] = wall(ja, jb, apex)
+            pb, sb = lifted[b]
+            for w, get, cs in cache[key]:
+                yield (pb[w] + sum(map(mul, cs, get(pa))),
+                       sb[w] + sum(map(mul, cs, get(sa))))
+
+
+def _refined_heights(pool, orders, ids, primary, secondary):
+    """The scaled heights of the edgewise refinement (`_scaled_heights`
+    over `_refined_fold_values`)."""
+    return _scaled_heights(
+        primary, secondary, _refined_fold_values(pool, orders, ids, primary, secondary)
+    )
 
 
 def _interior_cone(d):
@@ -559,10 +691,10 @@ def _interior_cone(d):
     apex_idx = len(points_list)
     pool = points_list + [tuple(1 for _ in range(d))]
     cone_cells = [cell + (apex_idx,) for cell in boundary_cells]
-    heights = _scaled_heights(
-        pool, cone_cells, [1] * apex_idx + [0], lam_heights + [0]
-    )
-    return pool, cone_cells, heights
+    primary = [1] * apex_idx + [0]
+    secondary = lam_heights + [0]
+    _, values = _fold_values(pool, cone_cells, [primary, secondary])
+    return pool, cone_cells, _scaled_heights(primary, secondary, zip(*values))
 
 
 def laplacian_triangulation(d, budget=None):
@@ -579,8 +711,9 @@ def laplacian_triangulation(d, budget=None):
 
     The number of cells is (d+2)^d; the materialization budget is checked
     up front.  The integer lifting heights of the even-d refinement are
-    computed on first read of `heights`; construction assertions about
-    them fire then.
+    computed on first read of `heights`, from the cone cells and the
+    template (`_refined_fold_values`) with no pass over the refined cells;
+    construction assertions about them fire then.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -606,10 +739,14 @@ def laplacian_triangulation(d, budget=None):
     # cell that holds it, so each one is placed once
     index = {}
     cells2 = []
+    orders = []
+    cone_ids = []
     for cell in cone_cells:
         # sorting by point sorts by rank too, so ranks ascend along a multiset
-        ordered = sorted(cell, key=pool.__getitem__)
+        ordered = tuple(sorted(cell, key=pool.__getitem__))
         ids = []
+        orders.append(ordered)
+        cone_ids.append(ids)
         for ms in multisets:
             key = tuple(map(ordered.__getitem__, ms))
             if key not in index:
@@ -628,10 +765,8 @@ def laplacian_triangulation(d, budget=None):
 
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in pool2]
-    out = Triangulation(shifted, cells2, target)
-    # fold values do not change under translation, so the shifted pool serves
-    out.heights = partial(_scaled_heights, out.vertex_pool, out.cells, base_height, local2)
-    return out
+    heights = partial(_refined_heights, pool, orders, cone_ids, base_height, local2)
+    return Triangulation(shifted, cells2, target, heights=heights)
 
 
 def interior_polytope_triangulation(d, budget=None):

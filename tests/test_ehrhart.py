@@ -396,6 +396,13 @@ def test_structural_real_rooted_and_unimodal(d):
         assert is_unimodal(hs) == (True, -(-dim // 2))
 
 
+def test_even_structural_real_rooted_up_to_30():
+    # evidence beyond the paper, which proves real-rootedness for odd d only:
+    # one exact Sturm proof per even d
+    for d in range(2, 31, 2):
+        assert is_real_rooted(tuple(hstar_structural(d))), d
+
+
 def test_dilation_coefficients():
     assert tuple(dilation_coefficient(2, 0, j) for j in range(3)) == (2, 3, 1)
     assert dilation_coefficient(2, 0, -1) == -2

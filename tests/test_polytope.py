@@ -286,6 +286,27 @@ def test_interior_vertices_match_formula():
         assert sorted(q.vertices()) == sorted(interior_polytope_vertices(d))
 
 
+def test_full_dimensional_vertices_need_no_copy(monkeypatch):
+    # the interior polytopes span their ambient space; the violated-facet
+    # loop runs on them directly and finds what it finds on their
+    # index-aligned full-dimensional copy
+    copies = {}
+    for d in (2, 4, 6, 8):
+        p, _ = reduce_full_dim(d)
+        q = p.interior_polytope()
+        copy, _, _ = q.full_dimensional()
+        copies[d] = q.points, copy.vertex_indices()
+
+    def no_copy(self):
+        raise AssertionError("full_dimensional called on a full-dimensional polytope")
+
+    monkeypatch.setattr(LatticePolytope, "full_dimensional", no_copy)
+    for d, (points, expected) in copies.items():
+        q = LatticePolytope(points)
+        assert q.vertex_indices() == expected
+        assert sorted(q.vertices()) == sorted(interior_polytope_vertices(d))
+
+
 def test_doubling_identity():
     for d in (2, 4, 6, 8):
         p, _ = reduce_full_dim(d)

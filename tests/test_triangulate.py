@@ -869,20 +869,70 @@ def test_construction_golden_hash(kind, d, triangulation_cache):
 # -- lifting heights on first read --------------------------------------------
 
 
+def stored_heights(t):
+    """The stored primary and secondary heights of an unread even-d
+    refinement, indexed by refined id (the lists its lazy heights use)."""
+    return t._heights.args[3:]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_refined_heights_match_the_refined_walk(d):
+    # oracle: the scale rule over one `_fold_values` walk of all (d+2)^d
+    # refined cells, with the fold values of both stored height vectors
+    t = laplacian_triangulation(d)
+    primary, secondary = stored_heights(t)
+    folds, values = _fold_values(t.vertex_pool, t.cells, [primary, secondary])
+    walked = triangulate._scaled_heights(primary, secondary, zip(*values))
+    route = list(triangulate._refined_fold_values(*t._heights.args))
+    # interior plus wall folds: each fold of the refinement once, with its
+    # values (unimodular cells give the same values from either side)
+    assert len(route) == len(folds) == len(_fold_data(t.cells))
+    assert sorted(route) == sorted(zip(*values))
+    assert t.heights == walked
+
+
+def flat_fold_vertex(t):
+    """(w, s): the opposite vertex of a fold that is flat under the stored
+    primary heights, and the fold's secondary value."""
+    folds, (primary, secondary) = _fold_values(t.vertex_pool, t.cells, stored_heights(t))
+    k = primary.index(0)
+    _, _, cb, db = folds[k]
+    return t.cells[cb][db], secondary[k]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_corrupt_secondary_height_flattens_a_fold(d):
+    t = laplacian_triangulation(d)
+    w, s = flat_fold_vertex(t)
+    stored_heights(t)[1][w] -= s
+    with pytest.raises(AssertionError, match="flat fold with non-convex refinement"):
+        t.heights
+    with pytest.raises(AssertionError, match="flat fold with non-convex refinement"):
+        is_regular(t)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_corrupt_primary_height_breaks_a_base_fold(d):
+    t = laplacian_triangulation(d)
+    w, _ = flat_fold_vertex(t)
+    stored_heights(t)[0][w] -= 1
+    with pytest.raises(AssertionError, match="base fold is non-convex"):
+        t.heights
+
+
 def count_refined_walks(monkeypatch, d, fail=False):
-    """Patch `_scaled_heights` to count (or fail) its calls on the refined
-    cells of `laplacian_triangulation(d)`; the cone-level call passes."""
-    real = triangulate._scaled_heights
+    """Patch `_refined_heights` to count (or fail) its calls, recording the
+    number of cone cells of `laplacian_triangulation(d)` it is given."""
+    real = triangulate._refined_heights
     calls = []
 
-    def counted(pool, cells, primary, secondary):
-        if len(cells) == (d + 2) ** d:
-            calls.append(len(cells))
-            if fail:
-                raise AssertionError("flat fold with non-convex refinement")
-        return real(pool, cells, primary, secondary)
+    def counted(pool, orders, ids, primary, secondary):
+        calls.append(len(orders))
+        if fail:
+            raise AssertionError("flat fold with non-convex refinement")
+        return real(pool, orders, ids, primary, secondary)
 
-    monkeypatch.setattr(triangulate, "_scaled_heights", counted)
+    monkeypatch.setattr(triangulate, "_refined_heights", counted)
     return calls
 
 
@@ -898,7 +948,7 @@ def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cach
     t = laplacian_triangulation(d)
     assert calls == []
     first = t.heights
-    assert t.heights is first and calls == [(d + 2) ** d]
+    assert t.heights is first and calls == [((d + 2) // 2) ** d]
     assert first == triangulation_cache(d).heights
 
 
