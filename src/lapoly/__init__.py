@@ -39,7 +39,6 @@ from .triangulate import (
     facet_join_partition,
     h_vector_of,
     is_regular,
-    join,
     laplacian_triangulation,
     verify_shelling,
     verify_triangulation,
@@ -69,7 +68,6 @@ __all__ = [
     "facet_join_partition",
     "h_vector_of",
     "is_regular",
-    "join",
     "laplacian_triangulation",
     "verify_shelling",
     "verify_triangulation",

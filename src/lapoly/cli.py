@@ -76,7 +76,13 @@ def load_reference_table(path=None):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     data = json.loads(text)
-    return {int(k): tuple(v) for k, v in data["rows"].items()}
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not isinstance(rows, dict) or not all(
+        k.isdecimal() and isinstance(v, list) and all(type(x) is int for x in v)
+        for k, v in rows.items()
+    ):
+        raise ValueError('"rows" must map decimal d to lists of integers')
+    return {int(k): tuple(v) for k, v in rows.items()}
 
 
 def hstar_by_method(d, method, points_budget=None, cells_budget=None):
@@ -102,9 +108,8 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
         return hstar_simplex_fundamental(poly.points, budget=points_budget)
     if method == "ehrhart":
         poly, _ = reduce_full_dim(d)
-        dim = poly.ambient_dim
-        counts = ehrhart_counts(poly, dim, budget=points_budget)
-        return hstar_from_counts(counts, dim)
+        counts = ehrhart_counts(poly, budget=points_budget)
+        return hstar_from_counts(counts, poly.ambient_dim)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -201,7 +206,7 @@ def cmd_verify_table(args):
     t0 = time.time()
     try:
         table = load_reference_table(args.table)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load table: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.max_d < 1:

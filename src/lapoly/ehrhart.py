@@ -80,7 +80,7 @@ def hstar_from_counts(counts, dim):
     return hstar
 
 
-def ehrhart_counts(p, dim=None, budget=None):
+def ehrhart_counts(p, budget=None):
     """Exact L(n) = |nP| for n = 0..dim of a full-dimensional lattice
     polytope P.  With k = dim // 2, box scans count nP for n = 0..dim-k and
     the interiors of nP for n = 1..k; the budget is checked up front on
@@ -99,8 +99,7 @@ def ehrhart_counts(p, dim=None, budget=None):
     L(m) = sum_{j=1}^{dim+1} (-1)^(j+1) C(dim+1, j) L(m-j) extends the
     values to n = dim in exact integers.
     """
-    if dim is None:
-        dim = p.dim()
+    dim = p.dim()
     if dim != p.ambient_dim:
         raise ValueError("count the full-dimensional copy")
     k = dim // 2

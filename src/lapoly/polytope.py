@@ -5,6 +5,8 @@ hulls, vertex sets, irredundant H-representations, facet-ridge graphs,
 lattice-point scans, interior polytopes and reflexivity.  All answers are
 exact; no floating point is used anywhere.  Vertex sets come from exact
 linear algebra and facet computations alone; nothing here solves an LP.
+Combinatorial equivalence of polytopes with at most dim + 2 vertices is
+read off the signs of their one affine dependency; nothing here searches.
 """
 
 from __future__ import annotations
@@ -190,8 +192,7 @@ class LatticePolytope:
             if corank == 0:
                 self._vertex_indices = tuple(range(n))
             elif corank == 1:
-                lifted = list(zip(*self.points)) + [(1,) * n]
-                (c,) = nullspace(lifted)
+                c = _affine_dependency(self.points)
                 negative = [i for i, x in enumerate(c) if x < 0]
                 positive = [i for i, x in enumerate(c) if x > 0]
                 inside = {s[0] for s in (negative, positive) if len(s) == 1}
@@ -332,10 +333,6 @@ class LatticePolytope:
         facets = sorted(found)
         self._facets = [Halfspace(n, b) for n, b in facets]
         self._facet_vertex_sets = [found[k] for k in facets]
-
-    def is_simplicial(self):
-        d = self.dim()
-        return all(len(s) == d for s in self.facet_vertex_sets())
 
     def facet_ridge_graph(self):
         sets = self.facet_vertex_sets()
@@ -582,13 +579,39 @@ def gale_evenness_sets(d, n):
     return sets
 
 
-def combinatorially_equivalent(p, q):
-    """Vertex bijection carrying the facet hypergraph of `p` onto `q`'s.
+def _affine_dependency(points):
+    """The affine dependency c (sum c_i p_i = 0, sum c_i = 0) of points
+    whose dependencies form a line (corank 1): the one kernel vector of
+    the lifted matrix with columns (p_i, 1)."""
+    (c,) = nullspace(list(zip(*points)) + [(1,) * len(points)])
+    return c
 
-    Returns (True, mapping) with mapping as a dict over vertex positions,
-    or (False, None).  Both polytopes must be simplicial with equal
-    dimension and vertex count; the search is a backtracking matcher
-    pruned by facet-degree and pair-degree invariants.
+
+def combinatorially_equivalent(p, q):
+    """Vertex bijection carrying the facet hypergraph of `p` onto `q`'s:
+    (True, mapping) with mapping a dict over vertex positions, or
+    (False, None).  Simplices match by any bijection; with dim + 2
+    vertices the signs of the one affine dependency c decide (Gale
+    duality; Grünbaum, *Convex Polytopes*, 6.1; Ziegler, *Lectures on
+    Polytopes*, ch. 6); more vertices raise ValueError.
+
+    Theorem.  Two d-polytopes with d + 2 vertices are combinatorially
+    equivalent iff their classes of zero, positive and negative c_i have
+    equal sizes, the two signs allowed to swap; a bijection that maps
+    class onto class is then a witness.
+    Proof.  c is unique up to scale and has two entries of each sign, as
+    a lone negative c_i would put p_i in the hull of the others.  A facet
+    of P = conv(V) misses one or two vertices.  V - {j} spans a hyperplane
+    iff it is dependent, iff c_j = 0, and that hyperplane misses p_j: a
+    facet.  If c_i = c_k = 0, V - {i, k} spans no hyperplane; otherwise it
+    spans {l = 0}, l affine, and l applied to the dependency leaves
+    c_i l(p_i) + c_k l(p_k) = 0.  So p_i, p_k lie strictly on one side (a
+    facet) iff c_i c_k < 0; with one sign the sides differ, and if c_k = 0
+    then p_i lies on it.  The facets, the V - {j} with c_j = 0 and the
+    V - {i, k} with c_i c_k < 0, depend only on the classes.  Conversely,
+    the z zero vertices are those that miss only one facet (the others
+    miss m or n >= 2, the sizes of the sign classes), and there are
+    z + m*n facets; with m + n = d + 2 - z, these fix {m, n}.
     """
     if p.dim() != q.dim():
         return False, None
@@ -596,69 +619,22 @@ def combinatorially_equivalent(p, q):
     qv = q.vertex_indices()
     if len(pv) != len(qv):
         return False, None
-    if not (p.is_simplicial() and q.is_simplicial()):
-        raise ValueError("combinatorial equivalence expects simplicial input")
+    if len(pv) == p.dim() + 1:
+        return True, dict(zip(pv, qv))
+    if len(pv) > p.dim() + 2:
+        raise ValueError("combinatorial equivalence needs at most dim + 2 vertices")
 
-    def hypergraph(poly, verts):
-        relabel = {v: i for i, v in enumerate(verts)}
-        return [frozenset(relabel[v] for v in s) for s in poly.facet_vertex_sets()]
+    def classes(poly, verts):
+        c = _affine_dependency([poly.points[i] for i in verts])
+        return (
+            [v for v, x in zip(verts, c) if x == 0],
+            [v for v, x in zip(verts, c) if x > 0],
+            [v for v, x in zip(verts, c) if x < 0],
+        )
 
-    pf = hypergraph(p, pv)
-    qf = hypergraph(q, qv)
-    if len(pf) != len(qf):
+    (pz, pp, pn), (qz, qp, qn) = classes(p, pv), classes(q, qv)
+    if len(pp) != len(qp):
+        qp, qn = qn, qp
+    if (len(pz), len(pp), len(pn)) != (len(qz), len(qp), len(qn)):
         return False, None
-    m = len(pv)
-
-    def degree(facets, v):
-        return sum(1 for f in facets if v in f)
-
-    def pair_degree(facets, u, v):
-        return sum(1 for f in facets if u in f and v in f)
-
-    pdeg = [degree(pf, v) for v in range(m)]
-    qdeg = [degree(qf, v) for v in range(m)]
-    if sorted(pdeg) != sorted(qdeg):
-        return False, None
-    ppair = [[pair_degree(pf, u, v) for v in range(m)] for u in range(m)]
-    qpair = [[pair_degree(qf, u, v) for v in range(m)] for u in range(m)]
-    qfacets = set(qf)
-
-    # assign p-vertices in order of decreasing constraint (degree spread)
-    order = sorted(range(m), key=lambda v: (-pdeg[v], v))
-    assignment = {}
-    used = set()
-
-    def consistent(v, image):
-        if pdeg[v] != qdeg[image]:
-            return False
-        for u, iu in assignment.items():
-            if ppair[v][u] != qpair[image][iu]:
-                return False
-        return True
-
-    def backtrack(k):
-        # every facet is checked when its last vertex is assigned
-        if k == m:
-            return True
-        v = order[k]
-        for image in range(m):
-            if image in used or not consistent(v, image):
-                continue
-            assignment[v] = image
-            used.add(image)
-            ok = True
-            for f in pf:
-                if all(x in assignment for x in f):
-                    if frozenset(assignment[x] for x in f) not in qfacets:
-                        ok = False
-                        break
-            if ok and backtrack(k + 1):
-                return True
-            del assignment[v]
-            used.discard(image)
-        return False
-
-    if backtrack(0):
-        mapping = {pv[v]: qv[i] for v, i in assignment.items()}
-        return True, mapping
-    return False, None
+    return True, dict(zip(pz + pp + pn, qz + qp + qn))

@@ -202,37 +202,6 @@ def edgewise_of_dilated(points, r):
 
 
 # ---------------------------------------------------------------------------
-# joins
-# ---------------------------------------------------------------------------
-
-
-def join(t1, t2):
-    """Join of two triangulations via the standard block embedding.
-
-    The first factor lands in coordinates (x, 0, 0), the second in
-    (0, y, 1); cells are all unions of a cell from each side.  Heights
-    concatenate.
-    """
-    d1 = len(t1.vertex_pool[0]) if t1.vertex_pool else 0
-    d2 = len(t2.vertex_pool[0]) if t2.vertex_pool else 0
-    pool = [p + (0,) * d2 + (0,) for p in t1.vertex_pool]
-    off = len(pool)
-    pool += [(0,) * d1 + q + (1,) for q in t2.vertex_pool]
-    cells = [
-        tuple(c1) + tuple(off + i for i in c2)
-        for c1 in t1.cells
-        for c2 in t2.cells
-    ]
-    carrier_pts = [p + (0,) * d2 + (0,) for p in t1.carrier.points]
-    carrier_pts += [(0,) * d1 + q + (1,) for q in t2.carrier.points]
-    carrier = LatticePolytope(carrier_pts)
-    heights = None
-    if t1.heights is not None and t2.heights is not None:
-        heights = list(t1.heights) + list(t2.heights)
-    return Triangulation(pool, cells, carrier, heights=heights)
-
-
-# ---------------------------------------------------------------------------
 # the facet join partition of the interior polytope (even d)
 # ---------------------------------------------------------------------------
 

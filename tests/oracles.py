@@ -5,7 +5,7 @@ input the package itself never needs: the tests compare the two.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex, boundary_matrix
@@ -67,3 +67,14 @@ def full_simplex(d):
     n = d + 1
     faces = [combinations(range(n), k + 1) for k in range(n)]
     return SimplicialComplex(range(1, n + 1), faces)
+
+
+def combinatorial_type(p):
+    """The least relabelling of the computed facet vertex sets of `p` over
+    every ordering of its vertices.  Two polytopes get the same value iff
+    some vertex bijection carries the facets of one onto the other's."""
+    verts = p.vertex_indices()
+    return min(
+        tuple(sorted(tuple(sorted(label[v] for v in f)) for f in p.facet_vertex_sets()))
+        for label in (dict(zip(perm, range(len(verts)))) for perm in permutations(verts))
+    )

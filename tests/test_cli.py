@@ -205,6 +205,20 @@ def test_verify_table_tampered_reference(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("table", [
+    {"rows": {"1": 5}},
+    {"rows": [1]},
+    [1],
+], ids=["row-not-a-list", "rows-not-an-object", "table-not-an-object"])
+def test_verify_table_malformed_table(tmp_path, table):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(table), encoding="utf-8")
+    r = run_cli("verify-table", "--max-d", "1", "--table", str(bad))
+    assert r.returncode == EXIT_INPUT
+    assert r.stderr.startswith("error: cannot load table")
+    assert "Traceback" not in r.stderr
+
+
 def test_main_entry_point(capsys):
     rc = main(["hstar", "--d", "2"])
     assert rc == EXIT_OK

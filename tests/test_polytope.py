@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,7 +15,7 @@ from lapoly.polytope import (
     cyclic_polytope,
     gale_evenness_sets,
 )
-from oracles import point_in_hull
+from oracles import combinatorial_type, point_in_hull
 
 
 def unit_square():
@@ -167,7 +168,7 @@ def test_facets_unit_square_and_cube():
     cube = LatticePolytope(
         [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert len(cube.facets()) == 6
-    assert not cube.is_simplicial()
+    assert {len(s) for s in cube.facet_vertex_sets()} == {4}
     assert cube.normalized_volume() == 6
     with pytest.raises(NotFullDimensionalError):
         LatticePolytope([(0, 0), (1, 1)]).facets()
@@ -179,7 +180,7 @@ def test_even_d_facet_description():
         got = {(h.normal, h.offset) for h in p.facets()}
         assert got == even_facet_families(d)
         assert len(got) == (d + 2) ** 2 // 4
-        assert p.is_simplicial()
+        assert all(len(s) == d for s in p.facet_vertex_sets())
         g = p.facet_ridge_graph()
         assert g.is_regular(d)
         assert g.edge_count == d * (d + 2) ** 2 // 8
@@ -250,6 +251,61 @@ def test_combinatorial_equivalence():
     tri = LatticePolytope([(0, 0), (1, 0), (0, 1)])
     eq, mapping = combinatorially_equivalent(tri, unit_square())
     assert not eq and mapping is None
+
+
+def random_polytope(rng, d):
+    """A d-polytope with d + 2 vertices, in shuffled order.  From d = 3 on,
+    one time in three it is a pyramid, the one way for the affine
+    dependency of d + 2 vertices to have a zero entry."""
+    if d >= 3 and rng.random() < 1 / 3:
+        base = random_polytope(rng, d - 1)
+        apex = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,)
+        pts = [q + (0,) for q in base.points] + [apex]
+        rng.shuffle(pts)
+        return LatticePolytope(pts)
+    while True:
+        pts = sorted({tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 2)})
+        rng.shuffle(pts)
+        p = LatticePolytope(pts)
+        if len(pts) == d + 2 and p.dim() == d and len(p.vertex_indices()) == d + 2:
+            return p
+
+
+@pytest.mark.parametrize("d, types", [(2, 1), (3, 2), (4, 4)])
+def test_combinatorial_equivalence_matches_brute_force(d, types):
+    # every pair of 14 random d-polytopes with d + 2 vertices, against an
+    # isomorphism search over all vertex bijections; the sample holds
+    # every combinatorial type there is (zeros in the dependency included)
+    rng = random.Random(1800 + d)
+    polys = [random_polytope(rng, d) for _ in range(14)]
+    kinds = [combinatorial_type(p) for p in polys]
+    assert len(set(kinds)) == types
+    for (p, kp), (q, kq) in combinations(zip(polys, kinds), 2):
+        eq, mapping = combinatorially_equivalent(p, q)
+        assert eq == (kp == kq)
+        if eq:
+            image = {frozenset(mapping[v] for v in s) for s in p.facet_vertex_sets()}
+            assert image == set(q.facet_vertex_sets())
+        else:
+            assert mapping is None
+
+
+def test_combinatorial_equivalence_pyramid_and_bipyramid():
+    pyramid = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    bipyramid = LatticePolytope([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    assert combinatorial_type(pyramid) != combinatorial_type(bipyramid)
+    assert combinatorially_equivalent(pyramid, bipyramid) == (False, None)
+
+
+def test_combinatorial_equivalence_of_simplices_and_its_limit():
+    tri = LatticePolytope([(0, 0), (1, 0), (0, 1)])
+    # (1, 1) is no vertex, so the witness skips its position
+    big = LatticePolytope([(0, 0), (4, 0), (0, 4), (1, 1)])
+    eq, mapping = combinatorially_equivalent(tri, big)
+    assert eq and sorted(mapping) == [0, 1, 2] and sorted(mapping.values()) == [0, 1, 2]
+    hexagon = LatticePolytope([(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match="dim \\+ 2"):
+        combinatorially_equivalent(hexagon, hexagon)
 
 
 def test_lattice_point_counts():
@@ -334,10 +390,10 @@ def test_reflexive_iff_unique_interior_and_palindromic():
 
     p2, _ = reduce_full_dim(2)
     q = p2.interior_polytope().translate((-1, -1))
-    h = hstar_from_counts(ehrhart_counts(q, 2), 2)
+    h = hstar_from_counts(ehrhart_counts(q), 2)
     assert is_palindromic(tuple(h), 2)
     assert len(q.interior_lattice_points()) == 1
-    ptilde_h = hstar_from_counts(ehrhart_counts(p2, 2), 2)
+    ptilde_h = hstar_from_counts(ehrhart_counts(p2), 2)
     assert not is_palindromic(tuple(ptilde_h), 2)
 
 

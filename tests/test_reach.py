@@ -3,8 +3,8 @@
 A public (non-underscore) function, class or method counts as reached when
 its name occurs in `src/lapoly` outside its own definition and outside the
 re-exports of `__init__.py`, or in the acceptance suite.  The scan is by
-name, so a dead name spelled like a live one passes: `triangulate.join`
-does, by `str.join`.
+name, so a dead name spelled like a live one would pass: a public `join`
+would be hidden by every `str.join` call.
 """
 
 import ast

@@ -23,7 +23,6 @@ from lapoly.triangulate import (
     interior_facet_families,
     interior_polytope_triangulation,
     is_regular,
-    join,
     laplacian_triangulation,
     standard_shelling_order,
     verify_shelling,
@@ -248,48 +247,6 @@ def test_inconsistent_alcove_heights_are_a_construction_bug(monkeypatch):
     monkeypatch.setattr(triangulate, "alcove_height", lambda positions, m: next(count))
     with pytest.raises(AssertionError, match="inconsistent across facets"):
         laplacian_triangulation(2)
-
-
-# -- joins --------------------------------------------------------------------
-
-
-def test_join_small():
-    seg = edgewise_of_standard(1, 1)
-    pt = edgewise_of_standard(0, 1)
-    tri = join(seg, pt)
-    assert tri.cell_count == 1 and tri.dim == 2
-    tetra = join(seg, seg)
-    assert tetra.cell_count == 1 and tetra.dim == 3
-    assert verify_triangulation(tetra)["ok"]
-
-
-def test_join_of_subdivided_segment():
-    j = join(edgewise_of_standard(1, 3), edgewise_of_standard(0, 3))
-    assert j.cell_count == 3
-    assert verify_triangulation(j)["ok"]
-    ok, _ = is_regular(j)
-    assert ok
-
-
-def test_join_h_polynomial_multiplicative():
-    import random
-
-    rng = random.Random(9)
-    for _ in range(6):
-        m1, r1 = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3)])
-        m2, r2 = rng.choice([(0, 1), (1, 2), (1, 4), (2, 2)])
-        t1 = edgewise_of_standard(m1, r1)
-        t2 = edgewise_of_standard(m2, r2)
-        tj = join(t1, t2)
-        h1 = h_vector_of(t1)
-        h2 = h_vector_of(t2)
-        hj = h_vector_of(tj)
-        prod = [0] * (len(h1) + len(h2) - 1)
-        for i, a in enumerate(h1):
-            for k, b in enumerate(h2):
-                prod[i + k] += a * b
-        assert list(hj) == prod[: len(hj)]
-        assert all(c == 0 for c in prod[len(hj):])
 
 
 # -- facet join partitions -----------------------------------------------------
