@@ -36,8 +36,8 @@ from .polytope import (
 )
 from .triangulate import (
     Triangulation,
-    facet_join_partition,
     h_vector_of,
+    interior_facets,
     is_regular,
     laplacian_triangulation,
     verify_shelling,
@@ -65,8 +65,8 @@ __all__ = [
     "combinatorially_equivalent",
     "cyclic_polytope",
     "Triangulation",
-    "facet_join_partition",
     "h_vector_of",
+    "interior_facets",
     "is_regular",
     "laplacian_triangulation",
     "verify_shelling",

@@ -329,21 +329,19 @@ def _interior_hstar_structural(d):
     The triangulation cones the interior lattice point over a boundary
     complex whose part over a facet of Q is the join of edgewise
     subdivisions of the facet's odd- and even-labelled vertex sets
-    (`facet_join_partition`).  Each face of that complex lies in the
-    relative interior of exactly one face of Q.  If that face has a1 odd
-    and a2 even labels, the complex's faces inside it are the joins of
+    (`triangulate.interior_facets`).  Each face of that complex lies in
+    the relative interior of exactly one face of Q.  If that face has a1
+    odd and a2 even labels, the complex's faces inside it are the joins of
     interior faces of edgewise subdivisions of simplices with a1 and a2
     vertices, counted by inclusion-exclusion.
 
     The faces of Q are counted by their signature (a1, a2).  Q has
-    m = d/2 + 1 labels of each parity, and every facet omits one odd and
-    one even label: "all" omits (1, 2), "even_skip" i omits (1, i+2),
-    "odd_skip" j omits (j+2, 2) and "pair" (i, j) with i+j odd omits
-    (i+2, j+2).  These omitted pairs are exactly the m^2 odd x even pairs,
-    once each.  Q is simplicial, so a label set is a face of its boundary
-    exactly when it omits at least one odd and one even label.  There are
-    C(m, a1) * C(m, a2) such sets with a1 odd and a2 even labels, for
-    0 <= a1, a2 < m.
+    m = d/2 + 1 labels of each parity, and its facets omit exactly the
+    m^2 pairs of one odd and one even label, once each (Gale's evenness
+    condition; see `interior_facets`).  Q is simplicial, so a label set
+    is a face of its boundary exactly when it omits at least one odd and
+    one even label.  There are C(m, a1) * C(m, a2) such sets with a1 odd
+    and a2 even labels, for 0 <= a1, a2 < m.
     """
     r = (d + 2) // 2
     # interior face enumerators per factor size

@@ -2,8 +2,10 @@
 
 Small and deliberately simple, with zero tolerance.  One question in the
 package needs it: the height search of `triangulate.is_regular` when no
-heights witness is attached.  Bland's rule makes cycling impossible;
-everything runs on `Fraction`.
+heights witness is attached.  So `solve_lp` takes the one form that search
+poses, max c.x subject to A x <= b over free x; an equality row is two
+such rows, and x_j >= 0 is the row -x_j <= 0.  Bland's rule makes cycling
+impossible; everything runs on `Fraction`.
 """
 
 from __future__ import annotations
@@ -64,66 +66,30 @@ def _simplex(tableau, basis, cost):
             cost[:] = [a - f * b for a, b in zip(cost, tableau[best[1]])]
 
 
-def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,
-             nonneg=None):
-    """Solve max/min objective . x subject to a_ub x <= b_ub, a_eq x = b_eq.
+def solve_lp(objective, a_ub, b_ub):
+    """Maximize objective . x subject to a_ub x <= b_ub, over free x.
 
-    Variables are free by default (internally split into positive parts);
-    pass `nonneg` (per-variable booleans, or True for all) to keep sign-
-    constrained variables as single columns.  Returns an LPResult; `x` is a
-    list of Fractions when the status is "optimal".
+    Variable j is split into the nonnegative columns 2j and 2j+1, its
+    positive and negative parts; a slack column follows for each row.
+    Phase 1 starts from artificial columns, since b_ub may be negative.
+    Returns an LPResult; `x` is a list of Fractions when the status is
+    "optimal".
     """
-    nvars = len(objective)
-    if nonneg is None:
-        nonneg = [False] * nvars
-    elif nonneg is True:
-        nonneg = [True] * nvars
-    else:
-        nonneg = list(nonneg)
-    rows = []
-    rhs = []
-    n_slack = len(a_ub)
-    for r, b in zip(a_ub, b_ub):
-        rows.append([Fraction(x) for x in r])
-        rhs.append(Fraction(b))
-    for r, b in zip(a_eq, b_eq):
-        rows.append([Fraction(x) for x in r])
-        rhs.append(Fraction(b))
-
-    # standard-form columns: one per nonneg var, a +/- pair per free var
-    pos_col = [0] * nvars
-    neg_col = [None] * nvars
-    total = 0
-    for j in range(nvars):
-        pos_col[j] = total
-        total += 1
-        if not nonneg[j]:
-            neg_col[j] = total
-            total += 1
-    slack0 = total
-    total += n_slack
+    nvars, m = len(objective), len(a_ub)
+    total = 2 * nvars + m
+    art0 = total
     tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        t = [Fraction(0)] * total
+    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
+        t = [Fraction(0)] * (total + m) + [Fraction(b)]
         for j, v in enumerate(row):
-            if v:
-                t[pos_col[j]] = v
-                if neg_col[j] is not None:
-                    t[neg_col[j]] = -v
-        if i < n_slack:
-            t[slack0 + i] = Fraction(1)
+            t[2 * j], t[2 * j + 1] = Fraction(v), Fraction(-v)
+        t[2 * nvars + i] = Fraction(1)
         if b < 0:
             t = [-x for x in t]
-            b = -b
-        tableau.append(t + [b])
+        t[art0 + i] = Fraction(1)
+        tableau.append(t)
 
-    m = len(tableau)
     # phase 1: artificial variables
-    art0 = total
-    for i in range(m):
-        tableau[i] = tableau[i][:-1] + [
-            Fraction(1) if k == i else Fraction(0) for k in range(m)
-        ] + [tableau[i][-1]]
     basis = [art0 + i for i in range(m)]
     cost = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
     for i in range(m):
@@ -142,14 +108,10 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,
     tableau = [tableau[i][:total] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # phase 2
-    sign = -1 if maximize else 1
-    cost = [Fraction(0)] * total + [Fraction(0)]
-    for j in range(nvars):
-        c = sign * Fraction(objective[j])
-        cost[pos_col[j]] = c
-        if neg_col[j] is not None:
-            cost[neg_col[j]] = -c
+    # phase 2: minimize -objective . x
+    cost = [Fraction(0)] * (total + 1)
+    for j, c in enumerate(objective):
+        cost[2 * j], cost[2 * j + 1] = -Fraction(c), Fraction(c)
     for i, b in enumerate(basis):
         if cost[b] != 0:
             f = cost[b]
@@ -160,12 +122,6 @@ def solve_lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=True,
     xfull = [Fraction(0)] * total
     for i, b in enumerate(basis):
         xfull[b] = tableau[i][-1]
-    x = []
-    for j in range(nvars):
-        v = xfull[pos_col[j]]
-        if neg_col[j] is not None:
-            v = v - xfull[neg_col[j]]
-        x.append(v)
-    value = sum(Fraction(objective[j]) * x[j] for j in range(nvars))
+    x = [xfull[2 * j] - xfull[2 * j + 1] for j in range(nvars)]
+    value = sum(Fraction(c) * v for c, v in zip(objective, x))
     return LPResult(OPTIMAL, x, value)
-

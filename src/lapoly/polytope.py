@@ -472,27 +472,27 @@ class LatticePolytope:
             raise ValueError("dilation must be >= 0")
         return self._scan(n, budget=budget, collect=False)
 
-    def interior_lattice_points(self, budget=None):
+    def interior_lattice_points(self):
         """Lattice points satisfying every facet inequality strictly."""
         if self.ambient_dim == 0:
             return []
-        return self._scan(1, budget=budget, collect=True, strict=True)
+        return self._scan(1, collect=True, strict=True)
 
-    def interior_polytope(self, budget=None):
+    def interior_polytope(self):
         """Convex hull of the interior lattice points, or None if empty."""
         if not self.is_full_dimensional():
             raise NotFullDimensionalError("interior polytope needs full dim")
-        pts = self.interior_lattice_points(budget=budget)
+        pts = self.interior_lattice_points()
         if not pts:
             return None
         return LatticePolytope(pts)
 
-    def is_reflexive(self, budget=None):
+    def is_reflexive(self):
         """True iff, after translating the unique interior lattice point to
         the origin, every facet inequality has offset exactly 1."""
         if not self.is_full_dimensional():
             raise NotFullDimensionalError("reflexivity needs full dim")
-        interior = self.interior_lattice_points(budget=budget)
+        interior = self.interior_lattice_points()
         if len(interior) != 1:
             return False
         z = interior[0]

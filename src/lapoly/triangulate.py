@@ -202,66 +202,33 @@ def edgewise_of_dilated(points, r):
 
 
 # ---------------------------------------------------------------------------
-# the facet join partition of the interior polytope (even d)
+# the facets of the interior polytope (even d)
 # ---------------------------------------------------------------------------
 
 
-def facet_join_partition(d, family, i=None, j=None):
-    """Vertex-index split of a facet of the interior polytope into the two
-    dilated-simplex factors of its join structure.
+def interior_facets(d):
+    """The facets of the interior polytope (even d), each as its labels
+    split into (odd labels, even labels), the two dilated-simplex factors
+    of its join structure.
 
-    Indices are the 1-based labels of the vertex formula; `family` is one
-    of "all" (the facet 1.x <= d+1), "even_skip" (odd-support normal
-    missing an even coordinate i), "odd_skip" (even-support normal missing
-    an odd coordinate j) and "pair" (x_i + x_j >= 1).  The first factor
-    always collects the odd-labelled vertices of the facet, the second the
-    even-labelled ones.
+    Labels are the 1-based indices 1..d+2 of the vertex formula.  The
+    polytope is combinatorially the cyclic polytope C(d, d+2) with its
+    vertices in label order, and d is even, so Gale's evenness condition
+    decides its facets: a d-set of labels is a facet iff any two omitted
+    labels a < b have an even number of kept labels between them.  With
+    only a and b omitted, that number is b - a - 1, so the facets are the
+    complements of the pairs {a, b} with a + b odd: one odd and one even
+    label, each of the (d/2 + 1)^2 such pairs once.  The facets come in
+    lexicographic order of their omitted pairs.
     """
     if d < 2 or d % 2:
         raise ValueError("facet joins are defined for even d >= 2")
-    missing = _missing_labels(d, family, i, j)
-    v1 = tuple(l for l in range(1, d + 3, 2) if l not in missing)
-    v2 = tuple(l for l in range(2, d + 3, 2) if l not in missing)
-    return v1, v2
-
-
-def _missing_labels(d, family, i, j):
-    """The two 1-based vertex labels off the facet named by `family`."""
-    if family == "all":
-        return {1, 2}
-    if family == "even_skip":
-        if i is None or i % 2 or not (2 <= i <= d):
-            raise ValueError("even_skip needs even i in [d]")
-        return {1, i + 2}
-    if family == "odd_skip":
-        if j is None or j % 2 == 0 or not (1 <= j <= d):
-            raise ValueError("odd_skip needs odd j in [d]")
-        return {2, j + 2}
-    if family == "pair":
-        if (
-            i is None
-            or j is None
-            or not (1 <= i < j <= d)
-            or (i + j) % 2 == 0
-        ):
-            raise ValueError("pair needs 1 <= i < j <= d with i+j odd")
-        return {i + 2, j + 2}
-    raise ValueError(f"unknown facet family {family!r}")
-
-
-def interior_facet_families(d):
-    """All facet family descriptors of the interior polytope, with the
-    vertex labels attaining equality."""
-    fams = [("all", None, None)]
-    for i in range(2, d + 1, 2):
-        fams.append(("even_skip", i, None))
-    for j in range(1, d + 1, 2):
-        fams.append(("odd_skip", None, j))
-    for a in range(1, d + 1):
-        for b in range(a + 1, d + 1):
-            if (a + b) % 2:
-                fams.append(("pair", a, b))
-    return fams
+    return [
+        (tuple(l for l in range(1, d + 3, 2) if l not in (a, b)),
+         tuple(l for l in range(2, d + 3, 2) if l not in (a, b)))
+        for a, b in combinations(range(1, d + 3), 2)
+        if (a + b) % 2
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +268,9 @@ def _interior_boundary_triangulation(d):
     pool = {}
     heights = []
     cells = []
-    for family, i, j in interior_facet_families(d):
+    for facet in interior_facets(d):
         parts = []
-        for labels in facet_join_partition(d, family, i, j):
+        for labels in facet:
             multisets, template_cells = _edgewise_template(r, len(labels))
             ids = []
             for ms in multisets:
@@ -485,7 +452,7 @@ def is_regular(t, heights=None):
     a_ub.append([0] * len(used) + [1])
     b_ub = [0] * len(folds) + [1]
     objective = [0] * len(used) + [1]
-    res = lp.solve_lp(objective, a_ub, b_ub, maximize=True)
+    res = lp.solve_lp(objective, a_ub, b_ub)
     assert res.status == lp.OPTIMAL
     if res.value <= 0:
         return False, None
@@ -949,13 +916,7 @@ def verify_shelling(p, order):
 
 
 def standard_shelling_order(d):
-    """The facet order F, E_2..E_d, O_1..O_{d-1}, then the pair facets in
-    lexicographic order, as vertex-index sets of the reduced polytope."""
-    if d < 2 or d % 2:
-        raise ValueError("defined for even d >= 2")
-    # the facets in `interior_facet_families` order; 1-based labels become
-    # point indices of the reduced polytope
-    return [
-        frozenset(range(d + 2)) - {l - 1 for l in _missing_labels(d, *fam)}
-        for fam in interior_facet_families(d)
-    ]
+    """The facets in `interior_facets` order (omitted label pairs
+    lexicographic: F, E_2..E_d, O_1..O_{d-1}, then the pair facets), as
+    vertex-index sets of the reduced polytope."""
+    return [frozenset(l - 1 for l in odd + even) for odd, even in interior_facets(d)]

@@ -13,6 +13,16 @@ from lapoly.ehrhart import _poly_mul
 from lapoly.linalg import rank
 
 
+def ub_form(a_eq, b_eq, nonneg):
+    """a_eq x = b_eq and x_j >= 0 for j < `nonneg` as `<=` rows (a_ub,
+    b_ub), the one form `lp.solve_lp` takes: each equality as two rows,
+    each sign constraint as -x_j <= 0."""
+    n = len(a_eq[0])
+    a_ub = a_eq + [[-x for x in row] for row in a_eq]
+    a_ub += [[-int(k == j) for k in range(n)] for j in range(nonneg)]
+    return a_ub, b_eq + [-b for b in b_eq] + [0] * nonneg
+
+
 def point_in_hull(point, generators):
     """Is `point` in the convex hull of `generators`?  One exact LP."""
     if not generators:
@@ -22,7 +32,7 @@ def point_in_hull(point, generators):
     b_eq = [Fraction(x) for x in point]
     a_eq.append([Fraction(1)] * n)
     b_eq.append(Fraction(1))
-    return lp.solve_lp([0] * n, a_eq=a_eq, b_eq=b_eq, nonneg=True).status == lp.OPTIMAL
+    return lp.solve_lp([0] * n, *ub_form(a_eq, b_eq, n)).status == lp.OPTIMAL
 
 
 def ehrhart_polynomial(counts):

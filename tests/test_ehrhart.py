@@ -26,8 +26,7 @@ from lapoly.laplacian import reduce_full_dim
 from lapoly.polytope import LatticePolytope
 from lapoly.triangulate import (
     _edgewise_template,
-    facet_join_partition,
-    interior_facet_families,
+    interior_facets,
     verify_triangulation,
 )
 from oracles import ehrhart_polynomial
@@ -331,8 +330,7 @@ def materialised_face_enumerator(r, nverts):
 def materialised_signature_counts(d):
     signature_counts = {}
     faces = set()
-    for family, i, j in interior_facet_families(d):
-        v1, v2 = facet_join_partition(d, family, i, j)
+    for v1, v2 in interior_facets(d):
         labels = tuple(sorted(v1 + v2))
         for size in range(0, len(labels) + 1):
             faces.update(combinations(labels, size))

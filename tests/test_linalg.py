@@ -19,7 +19,7 @@ from lapoly.linalg import (
     snf_with_transform,
     solve_int,
 )
-from oracles import point_in_hull
+from oracles import point_in_hull, ub_form
 
 
 def det_cofactor(m):
@@ -123,18 +123,15 @@ def simplices_interior_overlap(cell_a, cell_b):
     a_eq.append([1] * na + [0] * nb + [0])
     a_eq.append([0] * na + [1] * nb + [0])
     b_eq = [0] * dim + [1, 1]
-    a_ub = []
+    a_ub, b_ub = ub_form(a_eq, b_eq, na + nb)  # coords >= 0, s free
     for j in range(na + nb):
         row = [0] * nvars
         row[j] = -1
         row[-1] = 1
         a_ub.append(row)  # s - coord_j <= 0
     a_ub.append([0] * (nvars - 1) + [1])  # s <= 1
-    b_ub = [0] * (na + nb) + [1]
-    res = lp.solve_lp(
-        [0] * (na + nb) + [1], a_ub, b_ub, a_eq, b_eq, maximize=True,
-        nonneg=[True] * (na + nb) + [False],
-    )
+    b_ub += [0] * (na + nb) + [1]
+    res = lp.solve_lp([0] * (na + nb) + [1], a_ub, b_ub)
     if res.status == lp.INFEASIBLE:
         return False
     assert res.status == lp.OPTIMAL
@@ -328,8 +325,9 @@ def test_lp_optimum_and_statuses():
     res = lp.solve_lp([1, 1], a_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]],
                       b_ub=[2, 3, 0, 0])
     assert res.status == lp.OPTIMAL and res.value == 5
-    assert lp.solve_lp([1], a_ub=[[-1]], b_ub=[-4],
-                       a_eq=[[1]], b_eq=[3]).status == lp.INFEASIBLE
+    # x >= 4 and x = 3, the equality as two rows
+    assert lp.solve_lp([1], a_ub=[[-1], [1], [-1]],
+                       b_ub=[-4, 3, -3]).status == lp.INFEASIBLE
     assert lp.solve_lp([1], a_ub=[[-1]], b_ub=[0]).status == lp.UNBOUNDED
 
 

@@ -13,14 +13,13 @@ from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
-from lapoly.polytope import LatticePolytope
+from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
     edgewise_of_dilated,
     face_census,
-    facet_join_partition,
     h_vector_of,
-    interior_facet_families,
+    interior_facets,
     interior_polytope_triangulation,
     is_regular,
     laplacian_triangulation,
@@ -29,7 +28,7 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _fold_data, _fold_values
-from oracles import f_vector, point_in_hull
+from oracles import f_vector, point_in_hull, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -253,21 +252,23 @@ def test_inconsistent_alcove_heights_are_a_construction_bug(monkeypatch):
 
 
 def test_facet_join_partition_appendix_data():
-    assert facet_join_partition(4, "all") == ((3, 5), (4, 6))
-    # skips label i+2 = 4 in the even factor
-    assert facet_join_partition(4, "even_skip", i=2) == ((3, 5), (2, 6))
-    # skips label j+2 = 3 in the odd factor
-    assert facet_join_partition(4, "odd_skip", j=1) == ((1, 5), (4, 6))
-    # pair facets skip one label in each factor
-    assert facet_join_partition(4, "pair", i=1, j=2) == ((1, 5), (2, 6))
-    assert facet_join_partition(4, "pair", i=2, j=3) == ((1, 3), (2, 6))
+    facets = interior_facets(4)
+    # F omits labels {1, 2}
+    assert facets[0] == ((3, 5), (4, 6))
+    # E_2 omits {1, 4}: label i+2 = 4 in the even factor
+    assert facets[1] == ((3, 5), (2, 6))
+    # O_1 omits {2, 3}: label j+2 = 3 in the odd factor
+    assert facets[3] == ((1, 5), (4, 6))
+    # pair facets omit {i+2, j+2}, one label in each factor
+    assert facets[5] == ((1, 5), (2, 6))
+    assert facets[7] == ((1, 3), (2, 6))
 
 
 def test_facet_join_partition_structure():
     for d in (2, 4, 6, 8):
-        cs = interior_polytope_vertices(d)
-        for family, i, j in interior_facet_families(d):
-            v1, v2 = facet_join_partition(d, family, i, j)
+        facets = interior_facets(d)
+        assert len(facets) == (d // 2 + 1) ** 2
+        for v1, v2 in facets:
             assert len(v1) == d // 2 and len(v2) == d // 2
             assert all(l % 2 == 1 for l in v1)
             assert all(l % 2 == 0 for l in v2)
@@ -277,34 +278,28 @@ def test_facet_join_partition_structure():
 
 
 def test_facet_join_partition_d2_singletons():
-    for family, i, j in interior_facet_families(2):
-        v1, v2 = facet_join_partition(2, family, i, j)
+    for v1, v2 in interior_facets(2):
         assert len(v1) == 1 and len(v2) == 1
 
 
 def test_facet_join_partition_errors():
-    with pytest.raises(ValueError):
-        facet_join_partition(4, "even_skip", i=3)
-    with pytest.raises(ValueError):
-        facet_join_partition(4, "pair", i=1, j=3)
-    with pytest.raises(ValueError):
-        facet_join_partition(4, "nonsense")
-    with pytest.raises(ValueError):
-        facet_join_partition(3, "all")
+    for d in (-2, 0, 1, 3):
+        with pytest.raises(ValueError):
+            interior_facets(d)
 
 
 def test_partition_matches_computed_facets():
-    # family vertex sets coincide with the exact H-representation of the
-    # interior polytope
-    for d in (2, 4, 6):
+    # the declared vertex sets coincide with the exact H-representations of
+    # the interior polytope and of the reduced polytope, and with Gale's
+    # evenness condition for C(d, d+2)
+    for d in (2, 4, 6, 8):
         p, _ = reduce_full_dim(d)
         q = LatticePolytope(interior_polytope_vertices(d))
-        computed = {frozenset(s) for s in q.facet_vertex_sets()}
-        declared = set()
-        for family, i, j in interior_facet_families(d):
-            v1, v2 = facet_join_partition(d, family, i, j)
-            declared.add(frozenset(l - 1 for l in v1 + v2))
-        assert computed == declared
+        declared = {frozenset(l - 1 for l in v1 + v2) for v1, v2 in interior_facets(d)}
+        assert len(declared) == (d // 2 + 1) ** 2
+        assert {frozenset(s) for s in q.facet_vertex_sets()} == declared
+        assert {frozenset(s) for s in p.facet_vertex_sets()} == declared
+        assert {frozenset(s) for s in gale_evenness_sets(d, d + 2)} == declared
 
 
 # -- gluing consistency ---------------------------------------------------------
@@ -501,7 +496,7 @@ def _meet_in_common_face(t, a, b, facet_cache):
     a_eq += [[1] * na + [0] * nb, [0] * na + [1] * nb]
     b_eq = [0] * (len(a_eq) - 2) + [1, 1]
     objective = [int(v not in shared) for v in sorted(rest_a)] + [0] * nb
-    res = lp.solve_lp(objective, a_eq=a_eq, b_eq=b_eq, nonneg=True)
+    res = lp.solve_lp(objective, *ub_form(a_eq, b_eq, na + nb))
     return res.status == lp.INFEASIBLE or res.value == 0
 
 
