@@ -8,28 +8,33 @@ second edgewise subdivision.  All three edgewise subdivisions come from one
 template (`_edgewise_template`), generated directly as chains of vertex
 multisets.  Every triangulation carries proposed lifting heights;
 `is_regular` certifies them independently by exact fold checks, falling
-back to an exact LP search when no usable heights are present.  Fold
-values of the check and of the cone level come from one walk across shared
-ridges (`_fold_values`) that carries each cell's inverse matrix by
-exact rank-one steps and a covector per height vector, so a fold value is
-one dot product, an integer on unimodular cells.  The even-d refinement
-takes its fold values from the cone cells and fixed data of the template
-(`_refined_fold_values`), with no walk over the refined cells.
+back to an exact LP search when no usable heights are present.  Both
+checkers read one walk across the shared ridges (`_RidgeWalk`), built from
+the cells and the pool by whichever runs first and kept on the
+triangulation: it carries each cell's inverse matrix by exact rank-one
+steps, whose pivots give every cell's determinant for
+`verify_triangulation`, and it keeps the steps, so a height vector's fold
+values take one covector pass over them, one dot product per fold (an
+integer on unimodular cells).  The cone level uses a walk of its own
+(`_fold_values`).  The even-d refinement takes its fold values from the
+cone cells and fixed data of the template (`_refined_fold_values`), with no
+walk over the refined cells.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import partial
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 
 from . import lp
 from .budgets import BudgetError, cell_budget
 from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import _simplex_det, solve_int
+from .linalg import solve_int
 from .polytope import LatticePolytope
 
 # largest triangulation on which `is_regular` searches heights by exact LP
@@ -41,10 +46,12 @@ class Triangulation:
 
     `heights` are proposed lifting heights, or None.  They may be given as
     a zero-argument callable, which runs on the first read of `heights`;
-    its list is stored.
+    its list is stored.  The ridge walk of the cells (`_walk_of`) is built
+    by the first checker that needs it and kept; `cells` and `vertex_pool`
+    are replaced, never edited in place, and assigning either drops it.
     """
 
-    __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks")
+    __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
         self.vertex_pool = [tuple(int(x) for x in p) for p in vertex_pool]
@@ -54,6 +61,11 @@ class Triangulation:
         self.carrier = carrier
         self._heights = heights
         self.checks = {}
+
+    def __setattr__(self, name, value):
+        if name in ("vertex_pool", "cells"):
+            object.__setattr__(self, "_walk", None)
+        object.__setattr__(self, name, value)
 
     @property
     def heights(self):
@@ -72,9 +84,6 @@ class Triangulation:
     @property
     def cell_count(self):
         return len(self.cells)
-
-    def cell_points(self, cell):
-        return [self.vertex_pool[i] for i in cell]
 
     def used_vertex_indices(self):
         used = set()
@@ -326,93 +335,208 @@ def _fold_data(cells):
     return folds
 
 
-def _fold_values(pool, cells, heights):
-    """Returns (folds, values): the folds of `_fold_data` and, per height
-    vector h in `heights`, its fold values aligned with them.
+class _RidgeWalk:
+    """One walk across the shared ridges of `cells` over `pool`: the
+    per-cell facts that `verify_triangulation` and `is_regular` read.  It
+    reads nothing but `pool` and `cells`.
 
-    The value at (ca, da, cb, db) is the height of w = cells[cb][db] above
-    the lift of h over ca: h[w] - c_ca . [w; 1], where the covector
-    c_a = sum(h[a_i] * M_a[i]) interpolates h on a, M_a the inverse of a's
-    matrix [v_i; 1].  A breadth-first walk across shared ridges runs one
-    `solve_int` per connected component, at its first cell.  A step from a
-    to b swaps a's vertex at position `here` for w: with lam = M_a [w; 1]
-    and t = lam[here] (zero iff b is degenerate), M_b has the row
-    piv = M_a[here] / t for w and M_a[i] - lam_i * piv for the others, in
-    b's order, and c_b = c_a + phi * piv with phi = h[w] - c_a . [w; 1].
-    So lam is formed on tree edges only; any other fold costs one dot
-    product per height vector.  Inverses and covectors are dropped once
-    their cell is expanded.
+    One `_ridge_pass` pairs the ridges into folds (ca, da, cb, db), kept as
+    the four arrays `ca`, `da`, `cb`, `db` in the order the ridges pair;
+    `excess` holds the index of every fold whose ridge lies in a third
+    cell, and `boundary_cell`, `boundary_pos` the cell and dropped position
+    of every ridge in one cell, in the order the ridges were first met.
+
+    A breadth-first walk across the folds carries the inverse M_a of each
+    cell's homogeneous matrix E_a = [v_i; 1] (vertices as columns, in cell
+    order).  A cell that no earlier walk reached is a root: one `solve_int`
+    inverts it, and `roots` holds (root, M_root), M_root None when the root
+    is degenerate.  A step from a to b swaps a's vertex at position `here`
+    for w = cells[b][there]: with lam = M_a [w; 1] and t = lam[here], M_b
+    has the row piv = M_a[here] / t for w and M_a[i] - lam_i * piv for the
+    others, in b's order, and det E_b = (-1)^(here - there) * t * det E_a
+    (proof in `verify_triangulation`).  `dets` holds det E of every cell:
+    0 for a degenerate cell, which is not expanded, and for a cell of the
+    wrong size, which is never entered.  The steps are kept in walk order
+    as the arrays `step_b`, `step_a`, `step_w` and the rows piv, one after
+    another in `pivots`, so a height vector's covectors follow the tree
+    (`fold_values`).  `pivots` and `dets` are the narrowest integer arrays
+    that hold them (`_compact`), lists only where none can.  Inverses are
+    dropped once their cell is expanded, and no ridge index is kept.
     """
-    folds = _fold_data(cells)
-    incident = [[] for _ in cells]
-    for k, (ca, _, cb, _) in enumerate(folds):
-        incident[ca].append(k)
-        incident[cb].append(k)
-    values = [[None] * len(folds) for _ in heights]
-    seen = bytearray(len(cells))
-    frontier = {}
-    for root, ks in enumerate(incident):
-        if seen[root] or not ks:
-            continue
-        cell = cells[root]
-        n = len(cell)
-        rows = [*zip(*(pool[i] for i in cell)), [1] * n]
-        unit = [[int(i == j) for i in range(n)] for j in range(n)]
-        det, cols = solve_int(rows, unit)
-        if not det:
-            raise ValueError("degenerate cell in fold computation")
-        if det in (1, -1):
-            m = [[det * col[i] for col in cols] for i in range(n)]
+
+    def __init__(self, pool, cells):
+        self.pool = pool
+        self.cells = cells
+        # vertices of a full-dimensional cell
+        self.size = len(pool[0]) + 1 if pool else 1
+        # the ridge index and the fold tuples are the memory peak of the
+        # walk; each is dropped once its arrays are filled
+        ridges, folds, excess = _ridge_pass(cells)
+        one = [got for got in ridges.values() if len(got) == 2]
+        del ridges
+        self.boundary_cell = array("I", map(itemgetter(0), one))
+        self.boundary_pos = array("B", map(itemgetter(1), one))
+        del one
+        crowded = {fold for fold, _ in excess}
+        self.excess = (
+            [k for k, fold in enumerate(folds) if fold in crowded] if crowded else []
+        )
+        self.ca, self.da, self.cb, self.db = (
+            array(code, map(itemgetter(i), folds)) for i, code in enumerate("IBIB")
+        )
+        del folds
+        self._traverse()
+        if self.excess:
+            self.fault = "three cells share a ridge; not a triangulation"
+        elif 0 in self.dets:
+            self.fault = "degenerate cell in fold computation"
         else:
-            m = [[Fraction(col[i], det) for col in cols] for i in range(n)]
-        frontier[root] = m, [
-            [sum(h[i] * x for i, x in zip(cell, col)) for col in zip(*m)]
-            for h in heights
+            self.fault = None
+
+    def _traverse(self):
+        pool, cells = self.pool, self.cells
+        ca, da, cb, db = self.ca, self.da, self.cb, self.db
+        incident = [[] for _ in cells]
+        for k, (a, b) in enumerate(zip(ca, cb)):
+            incident[a].append(k)
+            incident[b].append(k)
+        n = self.size
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        dets = self.dets = [0] * len(cells)
+        roots = self.roots = []
+        step_b, step_a, step_w = self.step_b, self.step_a, self.step_w = (
+            array("I"), array("I"), array("I"))
+        pivots = []
+        seen = bytearray(len(cells))
+        frontier = {}
+        for root, cell in enumerate(cells):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            if len(cell) != n:
+                continue
+            rows = [*zip(*(pool[i] for i in cell)), [1] * n]
+            det, cols = solve_int(rows, unit)
+            dets[root] = det
+            if not det:
+                roots.append((root, None))
+                continue
+            if det in (1, -1):
+                m = [[det * col[i] for col in cols] for i in range(n)]
+            else:
+                m = [[Fraction(col[i], det) for col in cols] for i in range(n)]
+            roots.append((root, m))
+            frontier[root] = m
+            queue = deque([root])
+            while queue:
+                a = queue.popleft()
+                m = frontier.pop(a)
+                for k in incident[a]:
+                    if ca[k] == a:
+                        b, here, there = cb[k], da[k], db[k]
+                    else:
+                        b, here, there = ca[k], db[k], da[k]
+                    if seen[b]:
+                        continue
+                    seen[b] = 1
+                    w = cells[b][there]
+                    v = pool[w]
+                    lam = [sum(map(mul, row, v)) + row[-1] for row in m]
+                    t = lam[here]
+                    det = t * dets[a]
+                    dets[b] = int(-det if (here - there) % 2 else det)
+                    if not t:
+                        continue
+                    if t == 1:
+                        piv = m[here]
+                    elif t == -1:
+                        piv = [-x for x in m[here]]
+                    else:
+                        piv = [Fraction(x, t) for x in m[here]]
+                    nxt = [
+                        [x - l * y for x, y in zip(row, piv)] if l else row
+                        for i, (row, l) in enumerate(zip(m, lam))
+                        if i != here
+                    ]
+                    nxt.insert(there, piv)
+                    step_b.append(b)
+                    step_a.append(a)
+                    step_w.append(w)
+                    pivots.extend(piv)
+                    frontier[b] = nxt
+                    queue.append(b)
+        self.pivots = _compact(pivots)
+        self.dets = _compact(dets)
+
+    def folds(self):
+        """The folds as tuples (ca, da, cb, db), in pairing order."""
+        return list(zip(self.ca, self.da, self.cb, self.db))
+
+    def require_triangulation(self):
+        """Raise ValueError where three cells share a ridge or a cell is
+        degenerate: fold values are then undefined."""
+        if self.fault:
+            raise ValueError(self.fault)
+
+    def fold_values(self, h):
+        """The fold values of the height vector h, aligned with the folds.
+
+        The value at (ca, da, cb, db) is the height of w = cells[cb][db]
+        above the lift of h over ca: h[w] - c_ca . [w; 1], where the
+        covector c_a = sum(h[a_i] * M_a[i]) interpolates h on a.  Each root
+        forms its covector from its inverse.  Along a step a -> b, piv (the
+        row of M_b for w) is the affine function that is 1 at w and 0 on
+        the shared ridge, where c_a already interpolates h, so
+        c_b = c_a + phi * piv with phi = h[w] - c_a . [w; 1].  A height
+        vector thus costs O(d) per cell and per fold.
+        """
+        self.require_triangulation()
+        pool, cells = self.pool, self.cells
+        cov = [None] * len(cells)
+        for root, m in self.roots:
+            cov[root] = [
+                sum(h[i] * x for i, x in zip(cells[root], col)) for col in zip(*m)
+            ]
+        rows = zip(*[iter(self.pivots)] * self.size)
+        for b, a, w, piv in zip(self.step_b, self.step_a, self.step_w, rows):
+            c = cov[a]
+            phi = h[w] - sum(map(mul, c, pool[w])) - c[-1]
+            cov[b] = [x + phi * y for x, y in zip(c, piv)] if phi else c
+        opposite = map(getitem, map(cells.__getitem__, self.cb), self.db)
+        return [
+            h[w] - sum(map(mul, c, pool[w])) - c[-1]
+            for c, w in zip(map(cov.__getitem__, self.ca), opposite)
         ]
-        seen[root] = 1
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            m, covs = frontier.pop(a)
-            for k in incident[a]:
-                ca, da, cb, db = folds[k]
-                if ca == a:
-                    b, here, there = cb, da, db
-                elif seen[ca]:
-                    continue  # ca's own covectors give this fold
-                else:
-                    b, here, there = ca, db, da
-                w = cells[b][there]
-                v = pool[w]
-                phis = [h[w] - sum(map(mul, c, v)) - c[-1] for h, c in zip(heights, covs)]
-                if ca == a:
-                    for out, phi in zip(values, phis):
-                        out[k] = phi
-                if seen[b]:
-                    continue
-                lam = [sum(map(mul, row, v)) + row[-1] for row in m]
-                t = lam[here]
-                if not t:
-                    raise ValueError("degenerate cell in fold computation")
-                if t == 1:
-                    piv = m[here]
-                elif t == -1:
-                    piv = [-x for x in m[here]]
-                else:
-                    piv = [Fraction(x, t) for x in m[here]]
-                nxt = [
-                    [x - l * y for x, y in zip(row, piv)] if l else row
-                    for i, (row, l) in enumerate(zip(m, lam))
-                    if i != here
-                ]
-                nxt.insert(there, piv)
-                frontier[b] = nxt, [
-                    [x + phi * y for x, y in zip(c, piv)] if phi else c
-                    for c, phi in zip(covs, phis)
-                ]
-                seen[b] = 1
-                queue.append(b)
-    return folds, values
+
+
+def _compact(values):
+    """`values` as the narrowest signed integer array that holds them, or
+    unchanged when one is a Fraction or too wide for any."""
+    for code in "bhiq":
+        try:
+            return array(code, values)
+        except OverflowError:
+            continue
+        except TypeError:
+            break
+    return values
+
+
+def _walk_of(t):
+    """The ridge walk of t's cells, built on first use and kept on t."""
+    if t._walk is None:
+        t._walk = _RidgeWalk(t.vertex_pool, t.cells)
+    return t._walk
+
+
+def _fold_values(pool, cells, heights):
+    """Returns (folds, values): the folds (ca, da, cb, db) of one
+    `_RidgeWalk` over the cells and, per height vector h in `heights`,
+    its fold values aligned with them (`_RidgeWalk.fold_values`).  Raises
+    ValueError where three cells share a ridge or a cell is degenerate."""
+    walk = _RidgeWalk(pool, cells)
+    walk.require_triangulation()
+    return walk.folds(), [walk.fold_values(h) for h in heights]
 
 
 def is_regular(t, heights=None):
@@ -425,17 +549,19 @@ def is_regular(t, heights=None):
     criterion).  Without a usable witness the strict system is solved as
     an exact LP maximizing the minimum fold slack (positive optimum iff
     regular); the LP is refused above `LP_CELL_LIMIT` cells.  Fold values
-    come from a ridge walk over the cells (`_fold_values`), never from the
-    construction; the LP's coefficients are those of the unit heights of
-    the used vertices.
+    come from the ridge walk over the cells (`_walk_of`, shared with
+    `verify_triangulation`), never from the construction: one covector
+    pass per height vector.  The LP's coefficients are those of the unit
+    heights of the used vertices.
 
     Returns (regular, heights_or_none).
     """
     use = heights if heights is not None else t.heights
     if use is not None:
-        folds, (values,) = _fold_values(t.vertex_pool, t.cells, [use])
-        if all(v > 0 for v in values):
-            t.checks["regular"] = {"witness": "heights", "folds": len(folds)}
+        walk = _walk_of(t)
+        if all(v > 0 for v in walk.fold_values(use)):
+            t.checks["regular"] = {"witness": "heights", "folds": len(walk.ca),
+                                   "walk_roots": len(walk.roots)}
             return True, list(use)
         if heights is not None:
             return False, None
@@ -444,9 +570,11 @@ def is_regular(t, heights=None):
             f"regularity LP over {t.cell_count} cells exceeds the limit "
             f"{LP_CELL_LIMIT} and no valid heights witness is attached"
         )
+    walk = _walk_of(t)
     used = t.used_vertex_indices()
     units = [[int(i == v) for i in range(len(t.vertex_pool))] for v in used]
-    folds, values = _fold_values(t.vertex_pool, t.cells, units)
+    values = [walk.fold_values(u) for u in units]
+    folds = walk.folds()
     # fold >= s  <=>  s - fold <= 0, in first-met ridge order; then s <= 1
     a_ub = [[-x for x in row] + [1] for _, row in sorted(zip(folds, zip(*values)))]
     a_ub.append([0] * len(used) + [1])
@@ -459,7 +587,8 @@ def is_regular(t, heights=None):
     found = [Fraction(0)] * len(t.vertex_pool)
     for v, x in zip(used, res.x):
         found[v] = x
-    t.checks["regular"] = {"witness": "lp", "folds": len(folds)}
+    t.checks["regular"] = {"witness": "lp", "folds": len(folds),
+                           "walk_roots": len(walk.roots)}
     return True, found
 
 
@@ -764,13 +893,31 @@ def verify_triangulation(t):
     covered twice.)  So A and B meet in a union of common faces, and since
     A and B are convex, in a single common face.
 
-    Sides come from the one signed determinant per cell that the volume
-    sum needs: the orientation of (ridge..., dropped vertex) is the cell's
-    sign times (-1)^(d - dropped position), with every cell in sorted
-    vertex order.  The ridges are paired in one pass over `t.cells`
-    (`_ridge_pass`); no number from the construction is reused.  In
-    dimension 0 there are no ridges and the volume identity (one cell) is
-    the whole certificate.
+    Sides and volumes come from one signed determinant per cell, read from
+    the ridge walk (`_walk_of`), which pairs the ridges in one pass over
+    `t.cells` (`_ridge_pass`) and is shared with `is_regular`; no number
+    from the construction is reused.  The walk's determinant is det E for
+    the homogeneous matrix E = [v_i; 1], the cell's vertices as columns in
+    sorted order.  Subtracting the first column from the others and
+    expanding along the row of ones gives det E = (-1)^d det[v_i - v_0], so
+    |det E| is the normalized volume, and the fixed factor (-1)^d cancels
+    in the product of two cells' signs.  The orientation of
+    (ridge..., dropped vertex) is the cell's sign times
+    (-1)^(d - dropped position).
+
+    Determinant step.  A root cell takes det E from one fraction-free solve,
+    which also inverts E.  Let cell b share the ridge of cell a opposite
+    a's position `here`, let w be b's vertex off that ridge, at b's
+    position `there`, and lam = E_a^-1 [w; 1].  E_a times the identity with
+    column `here` replaced by lam is E_a with column `here` replaced by
+    [w; 1]; that factor has determinant lam[here] = t (the matrix
+    determinant lemma).  Moving the new column from position `here` to
+    b's sorted position `there` is a cycle of |here - there| + 1 columns,
+    of sign (-1)^(here - there), since both cells list the ridge in the
+    same sorted order.  So det E_b = (-1)^(here - there) * t * det E_a,
+    exactly, and t = 0 iff b is degenerate; the walk carries E^-1 by the
+    matching rank-one update (`_RidgeWalk`).  In dimension 0 there are no
+    ridges and the volume identity (one cell) is the whole certificate.
 
     Returns a report dict; `ok` is the conjunction of the checks.  Failures
     are collected from the whole pass as tagged tuples: ("cell_size", c),
@@ -792,16 +939,14 @@ def verify_triangulation(t):
     }
     failures = report["failures"]
     dim = len(t.vertex_pool[0]) if t.vertex_pool else 0
+    walk = _walk_of(t)
     vol = 0
-    sign = [0] * t.cell_count
     for ci, cell in enumerate(t.cells):
         if len(cell) != dim + 1:
             report["affinely_independent"] = False
             failures.append(("cell_size", ci))
             continue
-        det = _simplex_det(t.cell_points(cell))
-        sign[ci] = (det > 0) - (det < 0)
-        det = abs(det)
+        det = abs(walk.dets[ci])
         if det == 0:
             report["affinely_independent"] = False
             failures.append(("degenerate", ci))
@@ -830,21 +975,23 @@ def verify_triangulation(t):
         report["volume_ok"] = vol == report["carrier_nvol"]
 
     if dim > 0:
-        ridges, folds, excess = _ridge_pass(t.cells)
+        cells, dets = t.cells, walk.dets
         # keyed by where each ridge was first met, the order of the report
-        found = [(fold[:2], ("ridge_excess", ridge)) for fold, ridge in excess]
-        crowded = {fold for fold, _ in excess}
-        for ridge, got in ridges.items():
-            if len(got) == 2:
-                on_facet = -1
-                for v in ridge:
-                    on_facet &= tight.get(v, 0)
-                if not on_facet:
-                    found.append((got, ("open_boundary", ridge)))
-        for fold in folds:
-            a, ka, b, kb = fold
+        found = []
+        for k in walk.excess:
+            a, ka = walk.ca[k], walk.da[k]
+            found.append(((a, ka), ("ridge_excess", cells[a][:ka] + cells[a][ka + 1:])))
+        for c, pos in zip(walk.boundary_cell, walk.boundary_pos):
+            ridge = cells[c][:pos] + cells[c][pos + 1:]
+            on_facet = -1
+            for v in ridge:
+                on_facet &= tight.get(v, 0)
+            if not on_facet:
+                found.append(((c, pos), ("open_boundary", ridge)))
+        crowded = set(walk.excess)
+        for k, (a, ka, b, kb) in enumerate(zip(walk.ca, walk.da, walk.cb, walk.db)):
             # orientations sign*(-1)^(dim-k) agree: same side
-            if sign[a] * sign[b] * (-1) ** (ka + kb) > 0 and fold not in crowded:
+            if dets[a] * dets[b] * (-1) ** (ka + kb) > 0 and k not in crowded:
                 found.append(((a, ka), ("overlap", a, b)))
         failures.extend(f for _, f in sorted(found))
         report["disjoint_ok"] = not found
@@ -855,7 +1002,8 @@ def verify_triangulation(t):
         and report["disjoint_ok"]
     )
     t.checks["verify"] = {
-        k: v for k, v in report.items() if k != "failures"
+        **{k: v for k, v in report.items() if k != "failures"},
+        "walk_roots": len(walk.roots),
     }
     return report
 

@@ -12,7 +12,7 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import det_int, nullspace, primitive_vector, solve_int
+from lapoly.linalg import _simplex_det, det_int, nullspace, primitive_vector, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
@@ -27,7 +27,7 @@ from lapoly.triangulate import (
     verify_shelling,
     verify_triangulation,
 )
-from lapoly.triangulate import _fold_data, _fold_values
+from lapoly.triangulate import _RidgeWalk, _fold_data, _fold_values, _walk_of
 from oracles import f_vector, point_in_hull, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
@@ -43,6 +43,10 @@ def edgewise_of_standard(m, r):
     return edgewise_of_dilated(
         [tuple(r * x for x in p) for p in standard_simplex(m)], r
     )
+
+
+def cell_points(t, cell):
+    return [t.vertex_pool[i] for i in cell]
 
 
 def oracle_ridges(cells):
@@ -418,7 +422,7 @@ def _cell_facet_halfspaces(t, ci, cache):
     """Facet inequalities of one cell, oriented so the cell satisfies <=."""
     if ci in cache:
         return cache[ci]
-    pts = t.cell_points(t.cells[ci])
+    pts = cell_points(t, t.cells[ci])
     dim = len(pts[0])
     out = []
     for drop in range(len(pts)):
@@ -445,8 +449,8 @@ def _cells_disjoint(t, a, b, facet_cache=None):
     """Interiors of two full-dimensional cells do not meet."""
     if facet_cache is None:
         facet_cache = {}
-    pa = t.cell_points(t.cells[a])
-    pb = t.cell_points(t.cells[b])
+    pa = cell_points(t, t.cells[a])
+    pb = cell_points(t, t.cells[b])
     # fast path: a facet hyperplane of one cell separating the other
     for ci, others in ((a, pb), (b, pa)):
         for normal, off in _cell_facet_halfspaces(t, ci, facet_cache):
@@ -515,7 +519,7 @@ def covers_carrier(t):
     with vertices in the carrier whose volumes sum to the carrier's."""
     dets = []
     for cell in t.cells:
-        pts = t.cell_points(cell)
+        pts = cell_points(t, cell)
         dets.append(abs(det_int([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])))
     return (
         all(dets)
@@ -793,6 +797,172 @@ def test_fold_coordinates_reject_degenerate_cell():
             is_regular(t)
         with pytest.raises(ValueError, match="degenerate cell"):
             is_regular(t, heights=[0, 1, 2, 3])
+
+
+# -- one ridge walk per triangulation -----------------------------------------
+
+
+def isolated_cell_fixture():
+    """The square cut along a diagonal, plus a triangle of det 3 that
+    shares no ridge with it: the triangle is a root with no fold."""
+    return fixture(SQUARE + [(4, 0), (7, 0), (4, 1)], [(0, 1, 2), (0, 2, 3), (4, 5, 6)])
+
+
+WALK_CASES = {
+    **FIXTURES,
+    "two_components": two_component_fixture(),
+    "degenerate_reached": degenerate_reached_fixture(),
+    "one_cell": fixture([(3, 0), (0, 3), (0, 0)], [(0, 1, 2)]),
+    "isolated_cell": isolated_cell_fixture(),
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES) + ["laplacian_1", "laplacian_2",
+                                                     "laplacian_3", "laplacian_4"])
+def test_walk_determinants_match_bareiss(name, triangulation_cache):
+    t = WALK_CASES[name] if name in WALK_CASES else triangulation_cache(int(name[-1]))
+    walk = _RidgeWalk(t.vertex_pool, t.cells)
+    # det [v_i; 1] = (-1)^ambient * det [v_i - v_0], one Bareiss elimination per cell
+    sign = (-1) ** len(t.vertex_pool[0])
+    assert list(walk.dets) == [sign * _simplex_det(cell_points(t, c)) for c in t.cells]
+    # a cell is a root or is reached once; a degenerate cell is never
+    # expanded, so no step records it
+    roots = [r for r, _ in walk.roots]
+    flat = {c for c, det in enumerate(walk.dets) if det == 0}
+    steps = list(walk.step_b)
+    assert sorted(roots + steps) == sorted(set(roots + steps))
+    assert set(roots + steps) | flat == set(range(t.cell_count))
+    assert flat.isdisjoint(steps) and flat.isdisjoint(walk.step_a)
+    assert all((m is None) == (r in flat) for r, m in walk.roots)
+
+
+def test_walk_edge_cases():
+    # a cell with no fold is its own root
+    walk = _walk_of(WALK_CASES["isolated_cell"])
+    assert [r for r, _ in walk.roots] == [0, 2] and list(map(abs, walk.dets)) == [1, 1, 3]
+    walk = _walk_of(WALK_CASES["one_cell"])
+    assert len(walk.roots) == 1 and list(walk.dets) == [9] and not walk.folds()
+    # a flat root is not expanded: its neighbour becomes the next root
+    walk = _walk_of(FIXTURES["degenerate_cell"])
+    assert walk.roots[0] == (0, None) and len(walk.roots) == 2
+    # a flat cell reached by a step is not expanded either
+    walk = _walk_of(WALK_CASES["degenerate_reached"])
+    assert list(walk.dets) == [1, 0] and len(walk.roots) == 1 and not walk.step_b
+    # a ridge in three cells is recorded; the walk crosses its fold, and
+    # the third cell, on no fold, is a root
+    walk = _walk_of(FIXTURES["ridge_in_three_cells"])
+    assert [walk.folds()[k] for k in walk.excess] == [(0, 2, 1, 2)]
+    assert [r for r, _ in walk.roots] == [0, 2] and list(walk.step_b) == [1]
+
+
+# the failure lists of the Bareiss-and-ridge-pass checker that the walk
+# replaced, for every fixture
+FIXTURE_FAILURES = {
+    "hanging_vertex": [("open_boundary", (0, 2)), ("open_boundary", (0, 4)),
+                       ("open_boundary", (2, 4))],
+    "double_cover": [("overlap", 0, 3), ("overlap", 0, 2), ("overlap", 1, 3),
+                     ("overlap", 1, 2)],
+    "ridge_in_three_cells": [("open_boundary", (1, 2)), ("ridge_excess", (0, 1)),
+                             ("open_boundary", (0, 4))],
+    "cell_outside_carrier": [("outside_carrier", 3), ("open_boundary", (2, 3)),
+                             ("open_boundary", (1, 3))],
+    "cell_in_facet_lines": [("outside_carrier", 4)],
+    "overlap": [("open_boundary", (1, 2)), ("overlap", 0, 1), ("open_boundary", (0, 3))],
+    "degenerate_cell": [("degenerate", 0)],
+    "square": [],
+    "esd_3_2": [],
+    "nonregular": [],
+    "two_components": [("open_boundary", (2, 3)), ("open_boundary", (1, 3)),
+                       ("open_boundary", (4, 6))],
+    "degenerate_reached": [("degenerate", 1), ("open_boundary", (1, 2))],
+    "one_cell": [],
+    "isolated_cell": [("open_boundary", (1, 2)), ("open_boundary", (4, 6))],
+}
+
+
+@pytest.mark.parametrize("name", list(FIXTURE_FAILURES))
+def test_verify_failure_lists_are_unchanged(name):
+    assert verify_triangulation(WALK_CASES[name])["failures"] == FIXTURE_FAILURES[name]
+
+
+def test_verify_accepts_fan_triangulations_of_random_polytopes():
+    """`LatticePolytope.fan_triangulation` of seeded random lattice
+    polytopes in dimensions 2-4: none is unimodular, so the walk runs on
+    Fraction inverses, and simplices give one-cell triangulations."""
+    rng = random.Random(2026)
+    one_cell = checked = 0
+    while checked < 100:
+        dim = 2 + checked % 3
+        points = {tuple(rng.randint(-2, 2) for _ in range(dim))
+                  for _ in range(dim + 1 + rng.randint(0, 4))}
+        p = LatticePolytope(sorted(points))
+        if p.dim() != dim:
+            continue
+        t = Triangulation(p.points, p.fan_triangulation(), p)
+        report = verify_triangulation(t)
+        assert report["ok"], report["failures"]
+        assert report["volume_sum"] == p.normalized_volume()
+        assert not report["unimodular"]
+        one_cell += t.cell_count == 1
+        checked += 1
+    assert one_cell
+
+
+def count_walk_work(monkeypatch):
+    """Patch `solve_int` and `_ridge_pass` in the triangulate module to
+    count their calls."""
+    calls = {"solve_int": 0, "_ridge_pass": 0}
+    for name in calls:
+        real = getattr(triangulate, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(triangulate, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,roots", [("laplacian_2", 1), ("laplacian_3", 1),
+                                        ("two_components", 2)])
+@pytest.mark.parametrize("verify_first", [True, False])
+def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
+    if name == "two_components":
+        t = two_component_fixture()
+    else:
+        t = laplacian_triangulation(int(name[-1]))
+        assert t._walk is None
+        t.heights  # the refinement's own passes run here, before counting
+    assert t._walk is None
+    calls = count_walk_work(monkeypatch)
+    order = ["verify", "regular"] if verify_first else ["regular", "verify"]
+    checks = {"verify": lambda: verify_triangulation(t)["ok"],
+              "regular": lambda: is_regular(t)[0]}
+    results = {check: checks[check]() for check in order}
+    # the two squares do not cover their convex hull, but are regular
+    assert results == {"verify": roots == 1, "regular": True}
+    assert calls == {"solve_int": roots, "_ridge_pass": 1}
+    assert t.checks["verify"]["walk_roots"] == t.checks["regular"]["walk_roots"] == roots
+    rng = random.Random(name)
+    for _ in range(3):
+        is_regular(t, [rng.randint(-9, 9) for _ in t.vertex_pool])
+    assert calls == {"solve_int": roots, "_ridge_pass": 1}
+
+
+def test_reassigning_cells_or_pool_drops_the_walk():
+    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
+    assert verify_triangulation(t)["ok"] and t._walk is not None
+    t.cells = [(0, 1, 2), (0, 1, 3)]
+    assert t._walk is None
+    assert ("overlap", 0, 1) in verify_triangulation(t)["failures"]
+    t.cells = [(0, 1, 2), (0, 2, 3)]
+    assert verify_triangulation(t)["ok"]
+    # the same cells over a pool where the first is flat
+    t.vertex_pool = [(0, 0), (1, 0), (2, 0), (0, 1)]
+    assert t._walk is None
+    assert verify_triangulation(t)["failures"][0] == ("degenerate", 0)
+    with pytest.raises(ValueError, match="degenerate cell"):
+        is_regular(t, heights=[0, 1, 2, 3])
 
 
 # sha256 of repr((vertex_pool, cells, heights)): the constructions must
