@@ -62,8 +62,7 @@ def _report(command, inputs, results, timings, budgets):
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def load_reference_table(path=None):

@@ -308,11 +308,11 @@ def saturation_basis(rows):
     """Basis of the saturation of the integer row lattice.
 
     Given integer generators, returns a basis (list of integer rows) of
-    span_Q(rows) intersected with Z^n.
+    span_Q(rows) intersected with Z^n: the first r rows of V in
+    A = U*S*V, r the rank of A, which is the number of nonzero diagonal
+    entries of S (they come first).
     """
-    r = rank(rows)
-    if r == 0:
-        return []
-    _, _, v = snf_with_transform(rows)
+    _, s, v = snf_with_transform(rows)
+    r = sum(1 for i in range(min(len(s), len(v))) if s[i][i])
     return [list(v[i]) for i in range(r)]
 

@@ -2,16 +2,16 @@
 
 V-representations over the integers with lazily computed exact affine
 hulls, vertex sets, irredundant H-representations, facet-ridge graphs,
-lattice-point scans, interior polytopes and reflexivity.  All answers are
-exact; no floating point is used anywhere.  Vertex sets come from exact
-linear algebra and facet computations alone; nothing here solves an LP.
-Combinatorial equivalence of polytopes with at most dim + 2 vertices is
-read off the signs of their one affine dependency; nothing here searches.
+lattice-point scans, interior polytopes and reflexivity, all exact, with
+no floating point and no LP.  A polytope with at most dim + 2 vertices
+needs no search: its facets and volume come from one exact inverse per
+cell of its circuit triangulation, its combinatorial type from the signs
+of its one affine dependency.  Only more vertices take the vertex-subset
+scan and the fan triangulation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 from operator import mul
@@ -27,6 +27,7 @@ from .linalg import (
     primitive_vector,
     rank,
     saturation_basis,
+    solve_int,
     vec_gcd,
 )
 
@@ -131,40 +132,28 @@ class LatticePolytope:
     def affine_hull(self):
         """(dimension, equations); each equation is (normal, offset) with
         the normals forming a canonical (HNF) basis of the saturated
-        equation lattice."""
+        equation lattice.  The dimension is the ambient one less the
+        kernel's; a single primitive normal is already saturated."""
         if self._affine is None:
-            base = self.points[0]
-            diffs = [
-                [p[i] - base[i] for i in range(self.ambient_dim)]
-                for p in self.points[1:]
+            base, n = self.points[0], self.ambient_dim
+            diffs = [[p[i] - base[i] for i in range(n)] for p in self.points[1:]]
+            kernel = nullspace(diffs) if diffs else [
+                [int(i == j) for j in range(n)] for i in range(n)
             ]
-            dim = rank(diffs) if diffs else 0
-            if diffs:
-                kernel = nullspace(diffs)
-            else:
-                kernel = [
-                    [Fraction(int(i == j)) for j in range(self.ambient_dim)]
-                    for i in range(self.ambient_dim)
-                ]
             normals = [primitive_vector(v) for v in kernel]
-            normals = hnf(normals) if normals else []
+            if len(normals) > 1:
+                normals = saturation_basis(normals)
             equations = [
-                (tuple(a), sum(x * y for x, y in zip(a, base))) for a in normals
+                (tuple(a), sum(x * y for x, y in zip(a, base))) for a in hnf(normals)
             ]
-            self._affine = (dim, equations)
+            self._affine = (n - len(kernel), equations)
         return self._affine
 
     def _lex_extreme(self, functional):
         """Index of the lexicographically largest maximizer of a linear
         functional; always a vertex."""
-        best_key = None
-        best = None
-        for i, p in enumerate(self.points):
-            key = (sum(a * x for a, x in zip(functional, p)), p)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = i
-        return best
+        pts = self.points
+        return max(range(len(pts)), key=lambda i: (sum(map(mul, functional, pts[i])), pts[i]))
 
     def vertex_indices(self):
         """Indices of generator points that are genuine vertices.
@@ -271,12 +260,10 @@ class LatticePolytope:
     # -- H-representation ---------------------------------------------------
 
     def facets(self):
-        """Irredundant H-representation of a full-dimensional polytope.
-
-        Every supporting hyperplane spanned by an affinely independent
-        dim-subset of vertices is a facet, so scanning those subsets is
-        both the simplicial fast path and the generic fallback.
-        """
+        """Irredundant H-representation of a full-dimensional polytope,
+        sorted by (normal, offset): read off the inverses of the cells of
+        `_circuit_cells` with at most dim + 2 vertices, found by
+        `_facets_by_scan` with more."""
         if self._facets is None:
             self._compute_facets()
         return self._facets
@@ -296,6 +283,60 @@ class LatticePolytope:
             )
         if d < 1:
             raise NotFullDimensionalError("no facets in dimension 0")
+        circuit = self._circuit_cells()
+        if circuit is None:
+            found = self._facets_by_scan()
+        else:
+            sign, cells = circuit
+            verts = frozenset(sign)
+            found = {}
+            for k, cell in cells:
+                for i, key in zip(cell, _simplex_facets([self.points[j] for j in cell])):
+                    if not sign[i]:
+                        found[key] = verts - {i}
+                    elif sign[i] != sign[k]:
+                        found[key] = verts - {i, k}
+        facets = sorted(found)
+        self._facets = [Halfspace(n, b) for n, b in facets]
+        self._facet_vertex_sets = [found[k] for k in facets]
+
+    def _circuit_cells(self):
+        """With at most dim + 2 vertices V, (sign, cells): sign maps each
+        vertex i to the sign of c_i, c the affine dependency of V (0 for a
+        simplex), and cells are the pairs (k, V - {k}) for k in the smaller
+        sign class, or (None, V) for a simplex.  None with more vertices.
+
+        Theorem.  The cells triangulate P (the circuit triangulation; De
+        Loera, Rambau and Santos, *Triangulations*, 2.4), and P's facets
+        are the facets of a cell V - {k} opposite an i with c_i = 0, tight
+        at V - {i}, or with c_i c_k < 0, tight at V - {i, k}.
+        Proof.  V - {k} is a simplex, as c_k != 0 and every dependency is a
+        multiple of c.  The convex weights of a point of P are l + t c, t
+        in an interval, and at its lower end some weight of the positive
+        class vanishes, so the cells cover P.  If x were interior to
+        V - {k} and V - {k'}, k != k' positive, its weights would differ
+        by t c with t c_k > 0 > t c_k', so the interiors are disjoint; the
+        negative class is alike.  P's facets are the V - {j} with c_j = 0
+        and the V - {i, k} with c_i c_k < 0 (`combinatorially_equivalent`).
+        A cell's facet opposite i spans aff(V - {i, k}), the hyperplane of
+        V - {i} when c_i = 0, and the cell lies in P on p_i's side.  Every
+        cell gives each V - {j}, and the cell of whichever of i, k lies in
+        the smaller class gives V - {i, k}.
+        """
+        verts = self.vertex_indices()
+        if len(verts) == self.dim() + 1:
+            return dict.fromkeys(verts, 0), [(None, verts)]
+        if len(verts) > self.dim() + 2:
+            return None
+        c = _affine_dependency([self.points[i] for i in verts])
+        sign = {i: (x > 0) - (x < 0) for i, x in zip(verts, c)}
+        side = min(([i for i in verts if sign[i] == s] for s in (1, -1)), key=len)
+        return sign, [(k, tuple(i for i in verts if i != k)) for k in side]
+
+    def _facets_by_scan(self):
+        """{(normal, offset): tight vertex set} over the hyperplanes spanned
+        by vertex dim-subsets that support P, each of them a facet."""
+        d = self.ambient_dim
         verts = self.vertex_indices()
         found = {}
         for subset in combinations(verts, d):
@@ -313,26 +354,16 @@ class LatticePolytope:
             g = vec_gcd(normal)
             normal = [a // g for a in normal]
             offset = sum(a * x for a, x in zip(normal, base))
-            values = [
-                sum(a * x for a, x in zip(normal, p)) for p in self.points
-            ]
-            if all(v <= offset for v in values):
-                pass
-            elif all(v >= offset for v in values):
-                normal = tuple(-a for a in normal)
-                offset = -offset
+            values = [sum(a * x for a, x in zip(normal, p)) for p in self.points]
+            if max(values) > offset:
+                if min(values) < offset:
+                    continue
+                normal, offset = [-a for a in normal], -offset
                 values = [-v for v in values]
-            else:
-                continue
             key = (tuple(normal), offset)
             if key not in found:
-                tight = frozenset(
-                    i for i in verts if values[i] == offset
-                )
-                found[key] = tight
-        facets = sorted(found)
-        self._facets = [Halfspace(n, b) for n, b in facets]
-        self._facet_vertex_sets = [found[k] for k in facets]
+                found[key] = frozenset(i for i in verts if values[i] == offset)
+        return found
 
     def facet_ridge_graph(self):
         sets = self.facet_vertex_sets()
@@ -359,6 +390,9 @@ class LatticePolytope:
         original point = base + coords . basis.  The copy's points follow
         the original's index for index under an injective affine map, which
         preserves vertices, so a computed vertex set carries over.
+        Its affine hull is preset to (r, []), r = len(basis): the
+        differences are coords . basis with independent basis rows, so the
+        coords, which include the base point's zero vector, have rank r.
         """
         base = self.points[0]
         diffs = [
@@ -382,6 +416,7 @@ class LatticePolytope:
                 raise AssertionError("saturated basis must span all points")
             coords.append(tuple(v // det for v in x))
         reduced = LatticePolytope(coords)
+        reduced._affine = (r, [])
         reduced._vertex_indices = self._vertex_indices
         return reduced, basis, base
 
@@ -525,16 +560,17 @@ class LatticePolytope:
         return cells
 
     def normalized_volume(self):
-        """dim! times the Euclidean volume, via a fan triangulation."""
+        """dim! times the Euclidean volume, summed over the circuit
+        triangulation (`_circuit_cells`) with at most dim + 2 vertices,
+        over a fan triangulation with more."""
         d = self.dim()
         if d != self.ambient_dim:
             raise NotFullDimensionalError("reduce to full dimension first")
         if d == 0:
             return 1
-        return sum(
-            abs(_simplex_det([self.points[i] for i in c]))
-            for c in self.fan_triangulation()
-        )
+        circuit = self._circuit_cells()
+        cells = [c for _, c in circuit[1]] if circuit else self.fan_triangulation()
+        return sum(abs(_simplex_det([self.points[i] for i in c])) for c in cells)
 
     def __repr__(self):
         return (
@@ -564,18 +600,9 @@ def gale_evenness_sets(d, n):
     """All facet vertex sets (0-based indices) of C(d, n) by Gale evenness."""
     sets = []
     for s in combinations(range(n), d):
-        sset = set(s)
-        rest = [i for i in range(n) if i not in sset]
-        ok = True
-        for a, b in combinations(rest, 2):
-            if a > b:
-                a, b = b, a
-            between = sum(1 for k in s if a < k < b)
-            if between % 2:
-                ok = False
-                break
-        if ok:
-            sets.append(tuple(s))
+        rest = [i for i in range(n) if i not in s]
+        if all(sum(a < k < b for k in s) % 2 == 0 for a, b in combinations(rest, 2)):
+            sets.append(s)
     return sets
 
 
@@ -585,6 +612,27 @@ def _affine_dependency(points):
     the lifted matrix with columns (p_i, 1)."""
     (c,) = nullspace(list(zip(*points)) + [(1,) * len(points)])
     return c
+
+
+def _simplex_facets(points):
+    """The facet of the d-simplex conv(points) opposite each point, as
+    (primitive normal, offset) with normal . x <= offset on the simplex.
+
+    Proof.  Let E have the rows (p_j, 1).  Column i of E^-1 is (a, b)
+    with a . p_j + b = 1 for j = i and 0 otherwise, so a . x + b is >= 0
+    on the simplex and vanishes exactly on the facet opposite p_i, which
+    is -a . x <= b.  `solve_int` gives det E times the column, an integer
+    vector; divide it by sign(det E) times the gcd of its a-part, which
+    also divides its b-part -(det E) a . p_j for any j != i.
+    """
+    n = len(points)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    det, cols = solve_int([[*p, 1] for p in points], identity)
+    out = []
+    for col in cols:
+        g = vec_gcd(col[:-1]) * (1 if det > 0 else -1)
+        out.append((tuple(-a // g for a in col[:-1]), col[-1] // g))
+    return out
 
 
 def combinatorially_equivalent(p, q):
@@ -615,24 +663,16 @@ def combinatorially_equivalent(p, q):
     """
     if p.dim() != q.dim():
         return False, None
-    pv = p.vertex_indices()
-    qv = q.vertex_indices()
-    if len(pv) != len(qv):
+    if len(p.vertex_indices()) != len(q.vertex_indices()):
         return False, None
-    if len(pv) == p.dim() + 1:
-        return True, dict(zip(pv, qv))
-    if len(pv) > p.dim() + 2:
+    if len(p.vertex_indices()) > p.dim() + 2:
         raise ValueError("combinatorial equivalence needs at most dim + 2 vertices")
 
-    def classes(poly, verts):
-        c = _affine_dependency([poly.points[i] for i in verts])
-        return (
-            [v for v, x in zip(verts, c) if x == 0],
-            [v for v, x in zip(verts, c) if x > 0],
-            [v for v, x in zip(verts, c) if x < 0],
-        )
+    def classes(poly):
+        sign, _ = poly._circuit_cells()
+        return [[v for v in sign if sign[v] == s] for s in (0, 1, -1)]
 
-    (pz, pp, pn), (qz, qp, qn) = classes(p, pv), classes(q, qv)
+    (pz, pp, pn), (qz, qp, qn) = classes(p), classes(q)
     if len(pp) != len(qp):
         qp, qn = qn, qp
     if (len(pz), len(pp), len(pn)) != (len(qz), len(qp), len(qn)):

@@ -1,3 +1,4 @@
+import io
 import json
 import resource
 import subprocess
@@ -38,6 +39,26 @@ def test_build_boundary_simplex():
     assert r.returncode == EXIT_OK
     res = json.loads(r.stdout)["results"]
     assert (res["dim"], res["vertex_count"], res["vertices"]) == (0, 1, [[0, 0]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--boundary-simplex", "3", "--k", "2"],
+    ["hstar", "--d", "3"],
+    ["verify-table", "--max-d", "1"],
+], ids=["build", "hstar", "verify-table"])
+def test_report_is_one_write(argv, monkeypatch):
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Counting.writes += 1
+            return super().write(text)
+
+    out = Counting()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == EXIT_OK
+    assert Counting.writes == 1 and out.getvalue().endswith("}\n")
+    json.loads(out.getvalue())
 
 
 def test_build_complex_files(tmp_path):

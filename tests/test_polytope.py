@@ -1,12 +1,15 @@
 import random
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 import pytest
 
 from lapoly import lp
 from lapoly.budgets import BudgetError
-from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
+from lapoly.complexes import boundary_of_simplex
+from lapoly.laplacian import interior_polytope_vertices, laplacian_polytope, reduce_full_dim
+from lapoly.linalg import _simplex_det, det_int
 from lapoly.polytope import (
     Halfspace,
     LatticePolytope,
@@ -409,3 +412,137 @@ def test_full_dimensional_reduction():
             for i in range(3)
         ]
         assert tuple(rebuilt) == orig
+
+
+# -- closed forms for at most dim + 2 vertices ---------------------------------
+
+
+def scan_facets(poly):
+    """The subset scan's facets as sorted ((normal, offset), tight set)."""
+    found = poly._facets_by_scan()
+    return [(key, found[key]) for key in sorted(found)]
+
+
+def closed_facets(poly):
+    return [((h.normal, h.offset), s) for h, s in zip(poly.facets(), poly.facet_vertex_sets())]
+
+
+def fan_volume(poly):
+    return sum(abs(_simplex_det([poly.points[i] for i in c])) for c in poly.fan_triangulation())
+
+
+def random_full_dim(rng, d, n):
+    """n distinct random points spanning Z^d, in random order."""
+    while True:
+        pts = list({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)})
+        rng.shuffle(pts)
+        if len(pts) == n and LatticePolytope(pts).dim() == d:
+            return pts
+
+
+def random_pyramid(rng, d):
+    """An iterated pyramid over a random circuit of m + 2 points in Z^m,
+    m < d: its apexes have c_j = 0."""
+    m = rng.randint(1, d - 1)
+    base = [p + (0,) * (d - m) for p in random_full_dim(rng, m, m + 2)]
+    apexes = [
+        tuple(rng.randint(-2, 2) for _ in range(m))
+        + tuple(rng.choice((-2, -1, 1, 2)) * (i == j) for i in range(d - m))
+        for j in range(d - m)
+    ]
+    pts = base + apexes
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("corank", [0, 1])
+def test_closed_forms_match_scan_and_fan_volume(corank):
+    rng = random.Random(2100 + corank)
+    seen = set()
+    for trial in range(200):
+        d = rng.randint(1, 5)
+        if corank and d > 1 and trial % 3 == 0:
+            pts = random_pyramid(rng, d)
+        else:
+            pts = random_full_dim(rng, d, d + 1 + corank)
+        poly = LatticePolytope(pts)
+        sign, cells = poly._circuit_cells()
+        assert closed_facets(poly) == scan_facets(poly)
+        assert poly.normalized_volume() == fan_volume(poly)
+        verts = poly.vertex_indices()
+        seen.add(f"dim {d}")
+        if len(verts) == d + 1:
+            assert cells == [(None, verts)] and not any(sign.values())
+            e = det_int([[*poly.points[i], 1] for i in verts])
+            seen.add("det < 0" if e < 0 else "det > 0")
+        else:
+            assert len(cells) == min(
+                sum(x > 0 for x in sign.values()), sum(x < 0 for x in sign.values()))
+            seen.add("pyramid" if 0 in sign.values() else "circuit")
+        if len(verts) < len(pts):
+            seen.add("non-vertex")
+    want = {f"dim {d}" for d in range(1, 6)} | (
+        {"det < 0", "det > 0"} if corank == 0 else {"pyramid", "circuit", "non-vertex"})
+    assert want <= seen
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_closed_forms_on_reduced_boundary_polytopes(d):
+    # the carriers that verify_triangulation reads facets and volume from
+    p, _ = reduce_full_dim(d)
+    # a simplex for odd d, d + 2 vertices in dimension d for even d
+    assert len(p.vertex_indices()) == p.dim() + 2 - d % 2
+    assert closed_facets(p) == scan_facets(p)
+    assert p.normalized_volume() == fan_volume(p)
+
+
+def test_scan_only_beyond_dim_plus_two_vertices(monkeypatch):
+    cube = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    triangle = LatticePolytope([(0, 0), (2, 0), (0, 1)])
+    polys = (unit_square(), triangle, cube)
+    for poly in polys:
+        poly.vertex_indices()  # the cube's violated-facet loop scans its hulls
+    calls = []
+    scan = LatticePolytope._facets_by_scan
+    monkeypatch.setattr(
+        LatticePolytope, "_facets_by_scan", lambda self: calls.append(self) or scan(self))
+    for poly in polys:
+        poly.facets()
+    assert calls == [cube] and cube._circuit_cells() is None
+
+
+def test_affine_hull_equations_are_saturated():
+    # the normals of the kernel, (1, 0, -2) and (0, 2, -2), miss (0, 1, -1)
+    dim, eqs = LatticePolytope([(0, 0, 0), (2, 1, 1)]).affine_hull()
+    assert (dim, eqs) == (1, [((1, 0, -2), 0), ((0, 1, -1), 0)])
+    rng = random.Random(2101)
+    for _ in range(60):
+        n, r = rng.randint(2, 5), rng.randint(0, 3)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        base = [rng.randint(-3, 3) for _ in range(n)]
+        pts = {tuple(b + sum(rng.randint(-2, 2) * g[i] for g in gens) for i, b in enumerate(base))
+               for _ in range(6)}
+        poly = LatticePolytope(pts)
+        dim, eqs = poly.affine_hull()
+        assert len(eqs) == n - dim
+        assert all(sum(map(mul, a, p)) == b for a, b in eqs for p in pts)
+        # a lattice basis is saturated iff its maximal minors have gcd 1
+        normals = [a for a, _ in eqs]
+        minors = [det_int([[a[j] for j in cols] for a in normals])
+                  for cols in combinations(range(n), len(normals))]
+        assert gcd(*minors) == 1
+
+
+def test_preset_reduced_hull_matches_recomputed():
+    rng = random.Random(2102)
+    polys = [laplacian_polytope(boundary_of_simplex(d + 1), k)
+             for d in range(1, 5) for k in range(d + 1)]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        polys.append(LatticePolytope(
+            {tuple(sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(n))
+             for _ in range(5)}))
+    for poly in polys:
+        reduced, _, _ = poly.full_dimensional()
+        assert reduced._affine == LatticePolytope(reduced.points).affine_hull()

@@ -5,6 +5,7 @@ structural facts every Laplacian polytope must satisfy regardless of the
 underlying complex.
 """
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -79,6 +80,14 @@ def test_every_column_is_a_vertex(c):
     assert f_vector(c)[k + 1] == len(c.faces(k))
 
 
+def write_complex(c, path):
+    """The complex as a `build --complex` input file; returns the path."""
+    lines = ["order: " + " ".join(map(str, c.vertices))]
+    lines += [" ".join(map(str, (c.vertices[p] for p in f))) for f in c.faces(c.dim)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def has_isolated_vertex(c):
     """A vertex in no edge: a zero column of the 0-th Laplacian."""
     covered = {v for edge in c.faces(1) for v in edge}
@@ -104,11 +113,41 @@ def test_build_runs_no_lp(c, tmp_path, monkeypatch, capsys):
         raise AssertionError("vertex enumeration ran an LP")
 
     monkeypatch.setattr(lp, "solve_lp", no_lp)
-    path = tmp_path / "complex.txt"
-    lines = ["order: " + " ".join(map(str, c.vertices))]
-    lines += [" ".join(map(str, (c.vertices[p] for p in f))) for f in c.faces(c.dim)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = write_complex(c, tmp_path / "complex.txt")
     for k in range(c.dim + 1):
         assert main(["build", "--complex", str(path), "--k", str(k)]) == EXIT_OK
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["vertex_count"] == len(c.faces(k))
+
+
+def build_corpus():
+    """(complex, k) pairs: 60 seeded pure complexes on 4-7 vertices with
+    facet dimension 1-3, 2-8 facets and a random Laplacian index."""
+    rng = random.Random(2103)
+    out = []
+    while len(out) < 60:
+        n = rng.randint(4, 7)
+        dim = rng.randint(1, min(3, n - 2))
+        c = random_pure_complex(rng, n, dim, rng.randint(2, 8))
+        out.append((c, rng.randint(0, dim)))
+    return out
+
+
+# sha256 of the `results` blocks (with exit codes) of `lapoly build` on
+# `build_corpus()`: affine hulls, vertices, reductions and facets must not move
+BUILD_GOLDEN = "83d80bf1067bd88e"
+
+
+def build_results(tmp_path, capsys):
+    out = []
+    for i, (c, k) in enumerate(build_corpus()):
+        path = write_complex(c, tmp_path / f"complex_{i:02d}.txt")
+        code = main(["build", "--complex", str(path), "--k", str(k)])
+        text = capsys.readouterr().out
+        out.append((code, json.loads(text)["results"] if code == EXIT_OK else None))
+    return out
+
+
+def test_build_golden_hash(tmp_path, capsys):
+    text = json.dumps(build_results(tmp_path, capsys), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BUILD_GOLDEN
