@@ -122,7 +122,7 @@ def _simplex_snf(simplex_points):
     if len(pts) != d + 1:
         raise ValueError("need a full-dimensional simplex")
     cols = [[p[i] for p in pts] for i in range(d)] + [[1] * (d + 1)]
-    u, s, v = snf_with_transform(cols)
+    u, s, v, _ = snf_with_transform(cols)
     return cols, u, [s[i][i] for i in range(d + 1)], v
 
 

@@ -1,31 +1,18 @@
 """Exact linear algebra over the rationals and the integers.
 
 A matrix is a plain list of rows, as everywhere in this package.
-Everything in this package runs on exact arithmetic, and one fraction-free
-elimination serves it: rank, kernels, solves and determinants all run on
-the integer Bareiss loop `_echelon` and one exact back-substitution.
-Rational input rows are first scaled to integer rows.  Results are
+Everything in this package runs on exact arithmetic.  Solves and
+determinants run on the integer Bareiss loop `_echelon` and one exact
+back-substitution.  Ranks, lattice kernels and saturated bases come from
+the Smith normal form with its transforms (`snf_with_transform`), which
+`polytope.LatticePolytope` computes once per point set.  Results are
 integers or `fractions.Fraction`s.  No floating point, ever.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-
-def _integer_rows(rows):
-    """Each row scaled by the lcm of its denominators to an integer row, so
-    the row space is unchanged."""
-    out = []
-    for row in rows:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        s = lcm(*(x.denominator for x in fracs))
-        out.append([int(x * s) for x in fracs])
-    return out
+from math import gcd
 
 
 def _echelon(m, ncols):
@@ -125,28 +112,6 @@ def solve_int(rows, rhs):
     return det, _back_substitute(m, pivots, n, range(n, n + len(rhs)), det)
 
 
-def rank(rows):
-    """Rank of a matrix given as a list of rows: its pivot count."""
-    m = _integer_rows(rows)
-    return len(_echelon(m, len(m[0]) if m else 0)[0])
-
-
-def nullspace(rows):
-    """Basis of the right kernel, as lists of Fractions: one vector per free
-    column, 1 there and 0 at the other free columns."""
-    m = _integer_rows(rows)
-    ncols = len(m[0]) if m else 0
-    pivots, _ = _echelon(m, ncols)
-    det = _pivot_minor(m, pivots)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f, x in zip(free, _back_substitute(m, pivots, ncols, free, det)):
-        v = [Fraction(-y, det) for y in x]
-        v[f] = Fraction(1)
-        basis.append(v)
-    return basis
-
-
 def vec_gcd(v):
     g = 0
     for x in v:
@@ -209,19 +174,24 @@ def hnf(rows):
 
 
 def snf_with_transform(rows):
-    """Smith normal form with transforms: returns (U, S, V) with A = U*S*V.
+    """Smith normal form with transforms: returns (U, S, V, V^-1) with
+    A = U*S*V.
 
     U and V are unimodular integer matrices, S is diagonal (as a full
-    matrix) with s_1 | s_2 | ... >= 0.
+    matrix) with s_1 | s_2 | ... >= 0.  V^-1 is carried along by the
+    column operations, so with r nonzero invariants the columns r.. of
+    V^-1 are a basis of the integer kernel of A.
     """
     a = [list(map(int, r)) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    vinv = [row[:] for row in v]
 
     # Row ops act on U inversely: we maintain A_orig = U * A * V with U, V
-    # updated by the inverse of each elementary operation applied to A.
+    # updated by the inverse of each elementary operation applied to A, and
+    # V^-1 by the operation itself.
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         for r in u:
@@ -241,11 +211,15 @@ def snf_with_transform(rows):
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
+        for r in vinv:
+            r[i], r[j] = r[j], r[i]
         v[i], v[j] = v[j], v[i]
 
     def col_add(i, j, q):
-        # column i += q * column j; V row j -= q * row i
+        # column i += q * column j, in A and in V^-1; V row j -= q * row i
         for r in a:
+            r[i] += q * r[j]
+        for r in vinv:
             r[i] += q * r[j]
         v[j] = [x - q * y for x, y in zip(v[j], v[i])]
 
@@ -301,18 +275,5 @@ def snf_with_transform(rows):
             break
         col_add(bad, bad + 1, 1)
         diagonalize(bad)
-    return u, a, v
-
-
-def saturation_basis(rows):
-    """Basis of the saturation of the integer row lattice.
-
-    Given integer generators, returns a basis (list of integer rows) of
-    span_Q(rows) intersected with Z^n: the first r rows of V in
-    A = U*S*V, r the rank of A, which is the number of nonzero diagonal
-    entries of S (they come first).
-    """
-    _, s, v = snf_with_transform(rows)
-    r = sum(1 for i in range(min(len(s), len(v))) if s[i][i])
-    return [list(v[i]) for i in range(r)]
+    return u, a, v, vinv
 

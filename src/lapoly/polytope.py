@@ -3,11 +3,14 @@
 V-representations over the integers with lazily computed exact affine
 hulls, vertex sets, irredundant H-representations, facet-ridge graphs,
 lattice-point scans, interior polytopes and reflexivity, all exact, with
-no floating point and no LP.  A polytope with at most dim + 2 vertices
-needs no search: its facets and volume come from one exact inverse per
-cell of its circuit triangulation, its combinatorial type from the signs
-of its one affine dependency.  Only more vertices take the vertex-subset
-scan and the fan triangulation.
+no floating point and no LP.  One Smith normal form of the difference
+rows p_i - p_0 serves each point set: its dimension, affine-hull
+equations, saturated lattice basis, reduced coordinates and, at corank
+1, its affine dependency are all read from it.  A polytope with at most
+dim + 2 vertices needs no search: its facets and volume come from one
+exact inverse per cell of its circuit triangulation, its combinatorial
+type from the signs of its one affine dependency.  Only more vertices
+take the vertex-subset scan and the fan triangulation.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ from .linalg import (
     _pivot_minor,
     _simplex_det,
     hnf,
-    nullspace,
-    primitive_vector,
-    rank,
-    saturation_basis,
+    snf_with_transform,
     solve_int,
     vec_gcd,
 )
@@ -103,6 +103,8 @@ class LatticePolytope:
         "points",
         "ambient_dim",
         "_vertex_indices",
+        "_smith",
+        "_dependency_cache",
         "_affine",
         "_facets",
         "_facet_vertex_sets",
@@ -120,6 +122,8 @@ class LatticePolytope:
             if len(p) != self.ambient_dim:
                 raise ValueError("points of mixed dimension")
         self._vertex_indices = None
+        self._smith = None
+        self._dependency_cache = None
         self._affine = None
         self._facets = None
         self._facet_vertex_sets = None
@@ -129,25 +133,55 @@ class LatticePolytope:
     def dim(self):
         return self.affine_hull()[0]
 
+    def _smith_form(self):
+        """(U, diag, V, V^-1) of the Smith form D = U S V of the difference
+        rows D_i = p_i - p_0, the zero row of p_0 included; diag holds the
+        r nonzero invariants, r = dim, which come first on S's diagonal.
+        Computed once, and preset on the copy from `full_dimensional`."""
+        if self._smith is None:
+            base = self.points[0]
+            diffs = [[a - b for a, b in zip(p, base)] for p in self.points]
+            u, s, v, vinv = snf_with_transform(diffs)
+            diag = [s[i][i] for i in range(min(len(s), len(v))) if s[i][i]]
+            self._smith = (u, diag, v, vinv)
+        return self._smith
+
     def affine_hull(self):
         """(dimension, equations); each equation is (normal, offset) with
         the normals forming a canonical (HNF) basis of the saturated
-        equation lattice.  The dimension is the ambient one less the
-        kernel's; a single primitive normal is already saturated."""
+        equation lattice.  With D = U S V (`_smith_form`) and r nonzero
+        invariants, the dimension is r, and the columns r.. of V^-1 are a
+        unimodular basis of the integer kernel of D: D V^-1 = U S vanishes
+        past column r, and x in ker D has V x zero up to r."""
         if self._affine is None:
-            base, n = self.points[0], self.ambient_dim
-            diffs = [[p[i] - base[i] for i in range(n)] for p in self.points[1:]]
-            kernel = nullspace(diffs) if diffs else [
-                [int(i == j) for j in range(n)] for i in range(n)
-            ]
-            normals = [primitive_vector(v) for v in kernel]
-            if len(normals) > 1:
-                normals = saturation_basis(normals)
-            equations = [
-                (tuple(a), sum(x * y for x, y in zip(a, base))) for a in hnf(normals)
-            ]
-            self._affine = (n - len(kernel), equations)
+            _, diag, _, vinv = self._smith_form()
+            base = self.points[0]
+            normals = list(zip(*vinv))[len(diag):]
+            equations = [(tuple(a), sum(map(mul, a, base))) for a in hnf(normals)]
+            self._affine = (len(diag), equations)
         return self._affine
+
+    def _dependency(self):
+        """The affine dependency c (sum c_i p_i = 0, sum c_i = 0) of a
+        point set whose dependencies form a line (corank 1).
+
+        With D = U S V (`_smith_form`) and r nonzero invariants, y D = 0
+        iff y U vanishes on its first r entries, so the rows r.. of U^-1,
+        found by one solve of U^T, span the left kernel of D.  Such a y
+        gives the dependency c_i = y_i (i >= 1), c_0 = -sum_{i>=1} y_i,
+        as D_i = p_i - p_0; y_0 multiplies the zero row and drops out.
+        Of the (two) rows the first with a nonzero image is kept."""
+        if self._dependency_cache is None:
+            u, diag, _, _ = self._smith_form()
+            n = len(u)
+            _, ys = solve_int(
+                [list(col) for col in zip(*u)],
+                [[int(i == j) for i in range(n)] for j in range(len(diag), n)],
+            )
+            self._dependency_cache = next(
+                c for c in ([-sum(y[1:]), *y[1:]] for y in ys) if any(c)
+            )
+        return self._dependency_cache
 
     def _lex_extreme(self, functional):
         """Index of the lexicographically largest maximizer of a linear
@@ -181,7 +215,7 @@ class LatticePolytope:
             if corank == 0:
                 self._vertex_indices = tuple(range(n))
             elif corank == 1:
-                c = _affine_dependency(self.points)
+                c = self._dependency()
                 negative = [i for i, x in enumerate(c) if x < 0]
                 positive = [i for i, x in enumerate(c) if x > 0]
                 inside = {s[0] for s in (negative, positive) if len(s) == 1}
@@ -328,8 +362,9 @@ class LatticePolytope:
             return dict.fromkeys(verts, 0), [(None, verts)]
         if len(verts) > self.dim() + 2:
             return None
-        c = _affine_dependency([self.points[i] for i in verts])
-        sign = {i: (x > 0) - (x < 0) for i, x in zip(verts, c)}
+        hull = self if len(verts) == len(self.points) else LatticePolytope(
+            [self.points[i] for i in verts])
+        sign = {i: (x > 0) - (x < 0) for i, x in zip(verts, hull._dependency())}
         side = min(([i for i in verts if sign[i] == s] for s in (1, -1)), key=len)
         return sign, [(k, tuple(i for i in verts if i != k)) for k in side]
 
@@ -366,6 +401,9 @@ class LatticePolytope:
         return found
 
     def facet_ridge_graph(self):
+        """Facets joined when their common vertices span a ridge, a face
+        of dimension d - 2; the empty face has dimension -1, so the two
+        endpoints of a segment are adjacent."""
         sets = self.facet_vertex_sets()
         edges = []
         d = self.dim()
@@ -373,10 +411,8 @@ class LatticePolytope:
             common = sets[i] & sets[j]
             if len(common) < d - 1:
                 continue
-            pts = [self.points[k] for k in common]
-            base = pts[0]
-            diffs = [[p[k] - base[k] for k in range(self.ambient_dim)] for p in pts[1:]]
-            if (rank(diffs) if diffs else 0) == d - 2:
+            ridge = LatticePolytope([self.points[k] for k in common]).dim() if common else -1
+            if ridge == d - 2:
                 edges.append((i, j))
         return FacetRidgeGraph(sets, edges)
 
@@ -387,37 +423,30 @@ class LatticePolytope:
 
         Returns (polytope, basis, base) where basis rows generate the
         saturated lattice of the affine hull and base is the translation:
-        original point = base + coords . basis.  The copy's points follow
-        the original's index for index under an injective affine map, which
-        preserves vertices, so a computed vertex set carries over.
-        Its affine hull is preset to (r, []), r = len(basis): the
-        differences are coords . basis with independent basis rows, so the
-        coords, which include the base point's zero vector, have rank r.
+        original point = base + coords . basis.  Both are read from
+        D = U S V (`_smith_form`) with r nonzero invariants: basis = V[:r]
+        and coords = (U S)[:, :r], as S vanishes past column r; an exact
+        check rebuilds every point.  The copy's points follow the
+        original's index for index under an injective affine map, which
+        preserves vertices and affine dependencies, so a computed vertex
+        set and dependency carry over.  The copy's own difference rows are
+        its coords (the base point's row is zero), so its Smith form is
+        preset to (U, diag, I, I).
         """
+        u, diag, v, _ = self._smith_form()
+        r = len(diag)
         base = self.points[0]
-        diffs = [
-            [p[i] - base[i] for i in range(self.ambient_dim)]
-            for p in self.points
-        ]
-        basis = saturation_basis(diffs)
-        # one elimination solves basis^T x = diff for every point at once
-        r = len(basis)
-        m = [
-            [row[i] for row in basis] + [p[i] for p in diffs]
-            for i in range(self.ambient_dim)
-        ]
-        pivots, _ = _echelon(m, r)
-        det = _pivot_minor(m, pivots)
-        cols = range(r, r + len(diffs))
-        coords = []
-        for c, x in zip(cols, _back_substitute(m, pivots, r, cols, det)):
-            # x is det times the solution; it must be consistent and integral
-            if any(row[c] for row in m[len(pivots):]) or any(v % det for v in x):
+        basis = [list(row) for row in v[:r]]
+        coords = [tuple(map(mul, row, diag)) for row in u]
+        columns = list(zip(*basis)) if basis else [()] * self.ambient_dim
+        for p, x in zip(self.points, coords):
+            if tuple([b + sum(map(mul, x, col)) for b, col in zip(base, columns)]) != p:
                 raise AssertionError("saturated basis must span all points")
-            coords.append(tuple(v // det for v in x))
         reduced = LatticePolytope(coords)
-        reduced._affine = (r, [])
+        identity = [[int(i == j) for j in range(r)] for i in range(r)]
+        reduced._smith = (u, diag, identity, identity)
         reduced._vertex_indices = self._vertex_indices
+        reduced._dependency_cache = self._dependency_cache
         return reduced, basis, base
 
     # -- lattice points -------------------------------------------------------
@@ -604,14 +633,6 @@ def gale_evenness_sets(d, n):
         if all(sum(a < k < b for k in s) % 2 == 0 for a, b in combinations(rest, 2)):
             sets.append(s)
     return sets
-
-
-def _affine_dependency(points):
-    """The affine dependency c (sum c_i p_i = 0, sum c_i = 0) of points
-    whose dependencies form a line (corank 1): the one kernel vector of
-    the lifted matrix with columns (p_i, 1)."""
-    (c,) = nullspace(list(zip(*points)) + [(1,) * len(points)])
-    return c
 
 
 def _simplex_facets(points):

@@ -552,7 +552,9 @@ def is_regular(t, heights=None):
     come from the ridge walk over the cells (`_walk_of`, shared with
     `verify_triangulation`), never from the construction: one covector
     pass per height vector.  The LP's coefficients are those of the unit
-    heights of the used vertices.
+    heights of the used vertices, and the heights it finds are checked
+    again on the walk before they are returned (AssertionError if a fold
+    is not positive).
 
     Returns (regular, heights_or_none).
     """
@@ -587,6 +589,8 @@ def is_regular(t, heights=None):
     found = [Fraction(0)] * len(t.vertex_pool)
     for v, x in zip(used, res.x):
         found[v] = x
+    if not all(v > 0 for v in walk.fold_values(found)):
+        raise AssertionError("LP heights fail a fold of the walk")
     t.checks["regular"] = {"witness": "lp", "folds": len(folds),
                            "walk_roots": len(walk.roots)}
     return True, found

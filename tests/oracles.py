@@ -10,7 +10,56 @@ from itertools import combinations, permutations
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex, boundary_matrix
 from lapoly.ehrhart import _poly_mul
-from lapoly.linalg import rank
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Fraction Gauss-Jordan elimination, independent of the fraction-free
+    and Smith-form routines in `lapoly.linalg`: the oracle for rank,
+    kernels and solves.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def rank(rows):
+    """Rank of a matrix given as a list of rows: its rref pivot count."""
+    return len(rref(rows)[1])
+
+
+def nullspace(rows):
+    """Basis of the right kernel, as lists of Fractions: one vector per
+    free column, 1 there and 0 at the other free columns."""
+    m, pivots = rref(rows)
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append(v)
+    return basis
 
 
 def ub_form(a_eq, b_eq, nonneg):

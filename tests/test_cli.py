@@ -296,17 +296,39 @@ def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
 
 def test_build_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     import lapoly.polytope as polytope
-    from lapoly.linalg import saturation_basis
+    from lapoly.linalg import snf_with_transform
 
-    # a basis short of one row leaves points outside its span; a doubled
-    # basis gives them non-integral coordinates
-    for broken in (lambda rows: saturation_basis(rows)[:-1],
-                   lambda rows: [[2 * x for x in r] for r in saturation_basis(rows)]):
-        monkeypatch.setattr(polytope, "saturation_basis", broken)
+    # with the first row of V dropped or doubled, the basis V[:r] no
+    # longer rebuilds the points from their coordinates (U S)[:, :r]
+    for broken in (lambda v: v[1:], lambda v: [[2 * x for x in v[0]], *v[1:]]):
+        def smith(rows, broken=broken):
+            u, s, v, vinv = snf_with_transform(rows)
+            return u, s, broken(v), vinv
+
+        monkeypatch.setattr(polytope, "snf_with_transform", smith)
         assert main(["build", "--boundary-simplex", "2", "--k", "1"]) == EXIT_MISMATCH
         captured = capsys.readouterr()
         assert "mismatch: saturated basis must span all points" in captured.err
         assert captured.out == ""
+
+
+def test_build_makes_one_smith_form_at_corank_0_and_1(monkeypatch, tmp_path, capsys):
+    import lapoly.polytope as polytope
+    from lapoly.linalg import snf_with_transform
+
+    calls = []
+    monkeypatch.setattr(polytope, "snf_with_transform",
+                        lambda rows: calls.append(len(rows)) or snf_with_transform(rows))
+    cycle = tmp_path / "cycle4.cplx"
+    cycle.write_text("order: 1 2 3 4\n1 2\n2 3\n3 4\n1 4\n", encoding="utf-8")
+    for argv, points, corank in ((["--boundary-simplex", "5", "--k", "4"], 6, 1),
+                                 (["--complex", str(cycle), "--k", "1"], 4, 0)):
+        calls.clear()
+        assert main(["build", *argv]) == EXIT_OK
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert (res["vertex_count"], points - 1 - res["dim"]) == (points, corank)
+        # one Smith form of the points' difference rows, none on the copy
+        assert calls == [points]
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,7 +122,7 @@ def test_homology_dimensions():
 def test_rank_laplacian_equals_f_minus_homology():
     # rank L_d = f_d - dim H_d on pure complexes
     from lapoly.laplacian import laplacian_matrix
-    from lapoly.linalg import rank
+    from oracles import rank
 
     corpus = [
         four_cycle(),

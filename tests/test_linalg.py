@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -8,18 +9,15 @@ from lapoly import lp
 from lapoly.linalg import (
     _back_substitute,
     _echelon,
-    _integer_rows,
     _pivot_minor,
     det_int,
     hnf,
-    nullspace,
     primitive_vector,
-    rank,
-    saturation_basis,
     snf_with_transform,
     solve_int,
 )
-from oracles import point_in_hull, ub_form
+from lapoly.polytope import LatticePolytope
+from oracles import point_in_hull, rank, rref, ub_form
 
 
 def det_cofactor(m):
@@ -35,49 +33,6 @@ def det_cofactor(m):
             for cols in combinations(range(len(m)), i + 1)
         }
     return minors[tuple(range(len(m)))]
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list).
-
-    Fraction Gauss-Jordan elimination, independent of the fraction-free
-    routine in `lapoly.linalg`: the oracle for rank, nullspace and solve.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def oracle_nullspace(rows):
-    m, pivots = rref(rows)
-    ncols = len(rows[0]) if rows else 0
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
-        basis.append(v)
-    return basis
 
 
 def oracle_solve(rows, rhs):
@@ -100,7 +55,10 @@ def solve(rows, rhs):
     one solution (0 at every free unknown), or None if inconsistent.  The
     rref oracle checks it, and it is the oracle for `solve_int`."""
     ncols = len(rows[0]) if rows else 0
-    m = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    m = []
+    for row in (list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)):
+        s = lcm(*(x.denominator for x in row))  # integer rows, same solutions
+        m.append([int(x * s) for x in row])
     pivots, _ = _echelon(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
@@ -139,13 +97,10 @@ def simplices_interior_overlap(cell_a, cell_b):
 
 
 def assert_matches_oracle(a, rhs):
-    """rank, nullspace and solve equal the rref oracle exactly (Fraction
-    entries, the same basis, None where inconsistent); for a square
-    matrix, det and solve_int equal the cofactor expansion and the oracle.
-    Returns (rank, solution)."""
-    expected_rank = len(rref(a)[1])
-    assert rank(a) == expected_rank
-    assert nullspace(a) == oracle_nullspace(a)
+    """solve equals the rref oracle exactly (Fraction entries, None where
+    inconsistent); for a square matrix, det and solve_int equal the
+    cofactor expansion and the oracle.  Returns (rank, solution)."""
+    expected_rank = rank(a)
     got = solve(a, rhs)
     expected = oracle_solve(a, rhs)
     assert got == expected
@@ -209,9 +164,6 @@ def test_solve_named_cases():
     assert solve([[0, 1, 2], [0, 3, 4]], [1, 2]) == [0, 0, Fraction(1, 2)]
     assert solve([[0, 0, 0]], [1]) is None
     assert solve([[1, 2], [3, 4], [5, 6], [7, 8]], [1, 1, 1, 2]) is None
-    assert nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
-    assert nullspace([[1, 2, 3, 4], [2, 4, 6, 9]]) == [[-2, 1, 0, 0], [-3, 0, 1, 0]]
-    assert rank([[0, 0, 0]]) == 0 and rank([]) == 0
 
 
 def test_det_matches_cofactor_expansion():
@@ -257,13 +209,6 @@ def test_solve_int_is_det_times_solve():
     assert seen == {"singular", "unimodular", "large det", "pivot swap"}
 
 
-def test_rank_and_nullspace():
-    m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank(m) == 2
-    for v in nullspace(m):
-        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in m)
-
-
 def test_solve_consistency():
     m = [[2, 1], [1, 3]]
     x = solve(m, [5, 5])
@@ -297,10 +242,11 @@ def test_snf_randomized():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        u, s, v = snf_with_transform(a)
+        u, s, v, vinv = snf_with_transform(a)
         assert abs(det_int(u)) == 1
         assert abs(det_int(v)) == 1
         assert mat_mul(mat_mul(u, s), v) == a
+        assert mat_mul(v, vinv) == [[int(i == j) for j in range(c)] for i in range(c)]
         diag = [s[i][i] for i in range(min(r, c))]
         for i in range(len(diag) - 1):
             if diag[i] == 0:
@@ -314,11 +260,11 @@ def test_snf_randomized():
 
 
 def test_saturation_basis():
-    basis = saturation_basis([[2, 0, 0], [0, 3, 0]])
+    # the Smith basis of the affine hull spans its saturated lattice:
+    # e1 and e2, though the points differ by 2 e1 and 3 e2
+    _, basis, _ = LatticePolytope([(0, 0, 0), (2, 0, 0), (0, 3, 0)]).full_dimensional()
     assert len(basis) == 2
-    # e1 and e2 must lie in the saturation
-    got = hnf(basis)
-    assert got == [[1, 0, 0], [0, 1, 0]]
+    assert hnf(basis) == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_lp_optimum_and_statuses():

@@ -18,7 +18,7 @@ from lapoly.polytope import (
     cyclic_polytope,
     gale_evenness_sets,
 )
-from oracles import combinatorial_type, point_in_hull
+from oracles import combinatorial_type, nullspace, point_in_hull
 
 
 def unit_square():
@@ -224,6 +224,9 @@ def test_simplex_facet_ridge_graph_complete():
     g = tri.facet_ridge_graph()
     assert len(g.nodes) == 4 and g.edge_count == 6
     assert g.is_regular(3)
+    # the endpoints of a segment meet in the empty face, its ridge
+    g = LatticePolytope([(0,), (2,)]).facet_ridge_graph()
+    assert len(g.nodes) == 2 and g.edges == [(0, 1)]
 
 
 def test_cyclic_polytopes():
@@ -486,6 +489,34 @@ def test_closed_forms_match_scan_and_fan_volume(corank):
     assert want <= seen
 
 
+def proportional(c, e):
+    """c = t e for some t != 0, for a nonzero e."""
+    return any(c) and all(a * y == b * x for (a, b), (x, y) in combinations(zip(c, e), 2))
+
+
+def test_dependency_matches_rref_oracle():
+    rng = random.Random(2103)
+    seen = set()
+    for trial in range(240):
+        d = rng.randint(1, 5)
+        pts = random_pyramid(rng, d) if d > 1 and trial % 3 == 0 else random_full_dim(rng, d, d + 2)
+        poly = LatticePolytope(pts)
+        # the copy reads its dependency from the preset Smith form before
+        # the parent has one to hand down
+        reduced, _, _ = poly.full_dimensional()
+        c = reduced._dependency()
+        (oracle,) = nullspace(list(zip(*pts)) + [(1,) * len(pts)])
+        assert proportional(poly._dependency(), oracle)
+        assert proportional(c, oracle)
+        assert proportional(LatticePolytope(reduced.points)._dependency(), oracle)
+        seen.add(f"dim {d}")
+        if 0 in c:
+            seen.add("pyramid")
+        if len(poly.vertex_indices()) < len(pts):
+            seen.add("non-vertex")
+    assert seen == {f"dim {d}" for d in range(1, 6)} | {"pyramid", "non-vertex"}
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_closed_forms_on_reduced_boundary_polytopes(d):
     # the carriers that verify_triangulation reads facets and volume from
@@ -545,4 +576,7 @@ def test_preset_reduced_hull_matches_recomputed():
              for _ in range(5)}))
     for poly in polys:
         reduced, _, _ = poly.full_dimensional()
-        assert reduced._affine == LatticePolytope(reduced.points).affine_hull()
+        # the preset Smith form of the copy has V = V^-1 = I
+        assert reduced._smith[2] == reduced._smith[3] == [
+            [int(i == j) for j in range(reduced.ambient_dim)] for i in range(reduced.ambient_dim)]
+        assert reduced.affine_hull() == LatticePolytope(reduced.points).affine_hull()

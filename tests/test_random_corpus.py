@@ -16,8 +16,7 @@ from lapoly import lp
 from lapoly.cli import EXIT_OK, main
 from lapoly.complexes import boundary_matrix, from_facets
 from lapoly.laplacian import laplacian_matrix, laplacian_polytope
-from lapoly.linalg import rank
-from oracles import f_vector, homology_dimension
+from oracles import f_vector, homology_dimension, rank
 
 
 def random_pure_complex(rng, n_vertices, facet_dim, n_facets):

@@ -1,10 +1,13 @@
-"""Reach guard: every public name defined in `src/lapoly` is used.
+"""Reach guard: every function, class and method defined in `src/lapoly`
+is used.
 
-A public (non-underscore) function, class or method counts as reached when
-its name occurs in `src/lapoly` outside its own definition and outside the
-re-exports of `__init__.py`, or in the acceptance suite.  The scan is by
-name, so a dead name spelled like a live one would pass: a public `join`
-would be hidden by every `str.join` call.
+A name counts as reached when it is read or taken as an attribute in
+`src/lapoly` outside its own definition and outside `__init__.py`; a
+public (non-underscore) name may instead be used in the acceptance suite.
+Importing a name is not a use, so a stale import does not keep it alive.
+Dunder methods are exempt.  The scan is by name, so a dead name spelled
+like a live one would pass: a public `join` would be hidden by every
+`str.join` call.
 """
 
 import ast
@@ -20,20 +23,18 @@ DEFERRED = {"interior_polytope_triangulation"}
 
 
 def names_used(tree):
-    """How often each identifier is read, taken as an attribute or imported
-    in `tree`."""
+    """How often each identifier is read or taken as an attribute in
+    `tree`."""
     used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            used[node.name] += 1
     return used
 
 
-def public_definitions(tree):
+def definitions(tree):
     """Top-level functions and classes, and the methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -53,10 +54,10 @@ def unreached_names():
     return sorted(
         node.name
         for tree in trees
-        for node in public_definitions(tree)
-        if not node.name.startswith("_")
+        for node in definitions(tree)
+        if not node.name.startswith("__")
         and used[node.name] == names_used(node)[node.name]
-        and not acceptance[node.name]
+        and (node.name.startswith("_") or not acceptance[node.name])
     )
 
 

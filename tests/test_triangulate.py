@@ -12,7 +12,7 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import _simplex_det, det_int, nullspace, primitive_vector, solve_int
+from lapoly.linalg import _simplex_det, det_int, primitive_vector, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
@@ -28,7 +28,7 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _RidgeWalk, _fold_data, _fold_values, _walk_of
-from oracles import f_vector, point_in_hull, ub_form
+from oracles import f_vector, nullspace, point_in_hull, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -1081,6 +1081,21 @@ def test_heights_set_to_none_takes_lp_path():
     ok, found = is_regular(t)
     assert ok and t.checks["regular"]["witness"] == "lp"
     assert is_regular(t, heights=found)[0]
+
+
+def test_lp_heights_are_checked_on_the_walk(monkeypatch):
+    # a positive optimum whose heights are all 0, so every fold is 0
+    solve_lp = lp.solve_lp
+
+    def corrupted(*args):
+        res = solve_lp(*args)
+        return lp.LPResult(res.status, [0] * (len(res.x) - 1) + res.x[-1:], res.value)
+
+    monkeypatch.setattr(lp, "solve_lp", corrupted)
+    t = laplacian_triangulation(2)
+    t.heights = None
+    with pytest.raises(AssertionError, match="LP heights fail a fold"):
+        is_regular(t)
 
 
 def test_heights_assertion_fires_on_first_read(monkeypatch):
