@@ -126,30 +126,6 @@ def f_from_h(h):
     return tuple(f)
 
 
-def boundary_matrix(c, i):
-    """Signed incidence matrix of the i-th boundary map, as a list of rows.
-
-    Rows are indexed by the (i-1)-faces, columns by the i-faces, both in
-    lexicographic order of position tuples.  The chain groups vanish
-    outside 0..dim, so i == 0 yields no rows (f_0 columns) and
-    i == dim+1 yields f_dim empty rows.
-    """
-    if i < 0 or i > c.dim + 1:
-        raise IndexError(f"boundary index {i} out of range for dim {c.dim}")
-    cols = c.faces(i)
-    rows = c.faces(i - 1)
-    row_index = {f: r for r, f in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        sign = 1
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            if sub:
-                mat[row_index[sub]][j] = sign
-            sign = -sign
-    return mat
-
-
 def read_complex_file(path):
     """Parse the complex file format used by the CLI.
 

@@ -440,7 +440,9 @@ def is_real_rooted(h):
 
     Each member is scaled to a primitive integer vector, a positive
     multiple: that keeps every sign, and the remainders of positive
-    multiples are positive multiples of the remainders.
+    multiples are positive multiples of the remainders.  `_poly_rem`
+    returns a positive multiple of the remainder too, so the loop runs in
+    integers.
     """
     p = list(h)
     while p and p[-1] == 0:
@@ -465,18 +467,23 @@ def is_real_rooted(h):
 
 
 def _poly_rem(a, b):
-    """Remainder of rational polynomials, low degree first.
+    """Pseudo-remainder |lc(b)|^s * (a mod b) of integer polynomials, low
+    degree first, with s = max(0, len(a) - len(b) + 1), in integers.
 
-    `b` must have a nonzero leading coefficient.  The remainder carries no
-    trailing zeros; the zero remainder is [].
+    `b` must have a nonzero leading coefficient.  Each of the s steps
+    scales a by |lc(b)| and cancels its top term, so the result is that
+    positive multiple of the rational remainder (by uniqueness of
+    division).  It carries no trailing zeros; the zero remainder is [].
     """
-    a = [Fraction(c) for c in a]
+    a = list(a)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
+        f = sign * a.pop()
+        shift = len(a) - len(b) + 1
+        a = [scale * c for c in a]
+        for i, c in enumerate(b[:-1]):
             a[shift + i] -= f * c
-        a.pop()
     while a and a[-1] == 0:
         a.pop()
     return a

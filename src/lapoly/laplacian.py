@@ -2,109 +2,139 @@
 
 The i-th Laplacian is d_{i+1} d_{i+1}^T + d_i^T d_i over the face bases
 fixed by the complex's vertex ordering; like every matrix in this package
-it is a list of integer rows.  Every constructed matrix is
-verified entry-by-entry against the combinatorial description (upper degree
-on the diagonal, +-1 via similar/dissimilar common lower simplices), so an
-ordering bug anywhere upstream fails fast instead of corrupting geometry.
+it is a list of integer rows.  It is assembled from the signed face
+incidences, one outer product per (i+1)-face and per (i-1)-face, with no
+boundary matrix built.  Every entry of it is then compared with the
+combinatorial description (upper degree on the diagonal, +-1 via
+similar/dissimilar common lower simplices), evaluated apart from those
+sums and only where it can be nonzero, so an ordering bug anywhere
+upstream fails fast instead of corrupting geometry.
 """
 
 from __future__ import annotations
 
-from .complexes import boundary_matrix, boundary_of_simplex
+from collections import Counter
+from itertools import combinations
+
+from .complexes import boundary_of_simplex
 from .linalg import det_int
 from .polytope import LatticePolytope
 
 
 class LaplacianOrderingError(RuntimeError):
-    """Raised when the matrix product disagrees with the combinatorial rule."""
+    """Raised when the assembled matrix disagrees with the combinatorial rule."""
 
 
-def _lower_simplex_sign(face, sub):
-    # sign of e_sub inside the boundary of e_face
-    k = next(i for i, v in enumerate(face) if v not in sub)
-    return (-1) ** k
+def _combinatorial_entry(i, upper, degree, f, g):
+    """Entry (f, g) of the i-th Laplacian by the combinatorial rule, for
+    i-faces f and g that are equal or share i vertices.
 
-
-def _combinatorial_entry(c, i, faces, upper, f, g):
-    """Entry predicted by the combinatorial description of the Laplacian."""
+    `upper` is the set of (i+1)-faces and `degree` counts the (i+1)-faces
+    on each i-face.  The diagonal is the upper degree, plus i + 1 when
+    i > 0.  For i = 0 an edge gives -1.  For i > 0 two faces whose union
+    is an (i+1)-face give 0; otherwise the entry is the product of the
+    signs (-1)^k with which their common (i-1)-face lies in each, k the
+    position of the vertex it omits.
+    """
     if f == g:
-        return upper[f] + (i + 1 if i > 0 else 0)
-    union = tuple(sorted(set(f) | set(g)))
-    inter = tuple(sorted(set(f) & set(g)))
-    if i == 0:
-        return -1 if union in faces.get(i + 1, frozenset()) else 0
-    if len(inter) != i or union in faces.get(i + 1, frozenset()):
-        return 0
-    same = _lower_simplex_sign(f, inter) == _lower_simplex_sign(g, inter)
-    return 1 if same else -1
+        return degree[f] + (i + 1 if i > 0 else 0)
+    for x, v in enumerate(f):
+        if v not in g:
+            break
+    for y, w in enumerate(g):
+        if w not in f:
+            break
+    if tuple(sorted(f + (w,))) in upper:
+        return -1 if i == 0 else 0
+    return 1 if (x + y) % 2 == 0 else -1
+
+
+def _add_star(lap, star):
+    """Add the outer product of the signed incidences `star`, pairs
+    (row, sign), to `lap`."""
+    for a, s in star:
+        row = lap[a]
+        for b, t in star:
+            row[b] += s * t
 
 
 def laplacian_matrix(c, i):
     """The i-th Laplacian of `c`, verified against the combinatorial rule.
 
-    It is the Gram matrix of the rows of [d_{i+1} | d_i^T], one row per
-    i-face.
+    Assembly: each (i+1)-face U adds (-1)^(j+l) at (a, b) for its
+    boundary faces a and b, omitting positions j and l of U; each
+    (i-1)-face adds likewise over the i-faces that contain it.
+
+    Check: the rule is evaluated on the diagonal and on the candidate
+    pairs, the i-faces that share an (i-1)-face (i > 0) or the two ends of
+    an edge (i = 0); every other entry must be 0, and all n^2 are
+    compared.  Proof that the rule gives 0 off the candidates: for
+    distinct f and g, (d_{i+1} d_{i+1}^T)[f, g] sums over the
+    (i+1)-faces that contain both, which must be f | g, so |f & g| = i;
+    (d_i^T d_i)[f, g] sums over the (i-1)-faces in both, so again
+    |f & g| = i, and f & g is then a face since the complex is closed.
+    For i = 0 the second term is absent (d_0 = 0) and the first is
+    nonzero only on an edge.
     """
     if i < 0 or i > c.dim:
         raise IndexError(f"Laplacian index {i} out of range for dim {c.dim}")
-    di = boundary_matrix(c, i)
-    stacked = [
-        up + [row[a] for row in di]
-        for a, up in enumerate(boundary_matrix(c, i + 1))
-    ]
-    lap = [[sum(x * y for x, y in zip(r, s)) for s in stacked] for r in stacked]
-    faces_i = c.faces(i)
-    faces = {i + 1: frozenset(c.faces(i + 1))}
-    upper = {
-        f: sum(1 for up in c.faces(i + 1) if set(f) <= set(up)) for f in faces_i
-    }
-    for a, f in enumerate(faces_i):
-        for b, g in enumerate(faces_i):
-            expected = _combinatorial_entry(c, i, faces, upper, f, g)
-            if lap[a][b] != expected:
-                raise LaplacianOrderingError(
-                    f"Laplacian entry ({f}, {g}) is {lap[a][b]}, "
-                    f"combinatorial rule gives {expected}"
-                )
+    faces = c.faces(i)
+    index = {f: a for a, f in enumerate(faces)}
+    n = len(faces)
+    lap = [[0] * n for _ in range(n)]
+    upper = c.faces(i + 1)
+    for up in upper:
+        _add_star(lap, [(index[up[:j] + up[j + 1 :]], (-1) ** j) for j in range(i + 2)])
+    lower = {}
+    for a, f in enumerate(faces if i > 0 else ()):
+        for j in range(i + 1):
+            lower.setdefault(f[:j] + f[j + 1 :], []).append((a, (-1) ** j))
+    for star in lower.values():
+        _add_star(lap, star)
+    # the check: candidates, degrees and entries found apart from the sums
+    shared = {}
+    for a, f in enumerate(faces if i > 0 else ()):
+        for low in combinations(f, i):
+            shared.setdefault(low, []).append(a)
+    groups = (
+        shared.values() if i > 0
+        else ([index[(u,)], index[(v,)]] for u, v in c.faces(1))
+    )
+    near = [[a] for a in range(n)]
+    for group in groups:
+        for a in group:
+            near[a] += (b for b in group if b != a)
+    degree = Counter(sub for up in upper for sub in combinations(up, i + 1))
+    upper = frozenset(upper)
+    for a, f in enumerate(faces):
+        expected = [0] * n
+        for b in near[a]:
+            expected[b] = _combinatorial_entry(i, upper, degree, f, faces[b])
+        if lap[a] != expected:
+            b = next(b for b in range(n) if lap[a][b] != expected[b])
+            raise LaplacianOrderingError(
+                f"Laplacian entry ({f}, {faces[b]}) is {lap[a][b]}, "
+                f"combinatorial rule gives {expected[b]}"
+            )
     return lap
-
-
-def boundary_simplex_face_order(d):
-    """Top-face order used for the closed form: F_i = [d+2] minus {d+3-i}.
-
-    Faces are returned as position tuples (0-based); this coincides with
-    the lexicographic order used by `boundary_matrix`.
-    """
-    n = d + 2
-    return [
-        tuple(p for p in range(n) if p != n - i) for i in range(1, n + 1)
-    ]
 
 
 def laplacian_boundary_simplex(d):
     """Closed form for the top Laplacian of the boundary of a (d+1)-simplex.
 
     Zero for d = 0; otherwise d+1 on the diagonal and (-1)^(i+j-1) off it,
-    rows/columns ordered by `boundary_simplex_face_order`.  The result is
-    cross-checked against `laplacian_matrix` after permuting to that order.
+    rows/columns ordered F_1, ..., F_(d+2), F_i = [d+2] minus {d+3-i}.
+    That is the lexicographic order of the d-faces, so the result is
+    cross-checked against `laplacian_matrix` as it stands.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     n = d + 2
-    if d == 0:
-        mat = [[0, 0], [0, 0]]
-    else:
-        mat = [
-            [d + 1 if i == j else (-1) ** (i + j - 1) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    c = boundary_of_simplex(d + 1)
-    computed = laplacian_matrix(c, d)
-    order = boundary_simplex_face_order(d)
-    lex = list(c.faces(d))
-    perm = [lex.index(f) for f in order]
-    permuted = [[computed[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    if permuted != mat:
+    mat = [
+        [(d + 1 if i == j else (-1) ** (i + j + 1)) if d else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    if laplacian_matrix(boundary_of_simplex(d + 1), d) != mat:
         raise LaplacianOrderingError(
             "closed form disagrees with the constructed Laplacian"
         )
@@ -114,19 +144,11 @@ def laplacian_boundary_simplex(d):
 def laplacian_polytope(c, k):
     """Convex hull of the columns of the k-th Laplacian, one point per
     distinct column (isolated vertices, for one, all give the zero column),
-    in the order of the k-faces that first give them."""
+    in the order of the k-faces that first give them.  The Laplacian is
+    symmetric, so its rows are its columns."""
     if k < 0 or k > c.dim:
         raise IndexError(f"Laplacian index {k} out of range for dim {c.dim}")
-    return LatticePolytope(dict.fromkeys(zip(*laplacian_matrix(c, k))))
-
-
-def ones_pattern(n, parity):
-    """0/1 vector of length n with ones at positions of the given parity.
-
-    Positions are 1-based: parity "odd" marks coordinates 1, 3, 5, ...
-    """
-    want = 1 if parity == "odd" else 0
-    return tuple(1 if (k % 2) == want else 0 for k in range(1, n + 1))
+    return LatticePolytope(dict.fromkeys(map(tuple, laplacian_matrix(c, k))))
 
 
 def reduced_vertices(d):
@@ -151,13 +173,10 @@ def interior_polytope_vertices(d):
     interior polytope of the reduced Laplacian polytope."""
     if d < 2 or d % 2 != 0:
         raise ValueError("defined for even d >= 2")
-    verts = []
-    for b in reduced_vertices(d):
-        v = tuple((x + 1) // 2 for x in b)
-        if any((x + 1) % 2 for x in b):
-            raise AssertionError("reduced vertex coordinates must be odd")
-        verts.append(v)
-    return verts
+    verts = reduced_vertices(d)
+    if any(x % 2 == 0 for b in verts for x in b):
+        raise AssertionError("reduced vertex coordinates must be odd")
+    return [tuple((x + 1) // 2 for x in b) for b in verts]
 
 
 def reduce_full_dim(d):
@@ -176,19 +195,16 @@ def reduce_full_dim(d):
         return LatticePolytope([()]), None
     n = d + 2
     lap = laplacian_boundary_simplex(d)
-    odd = ones_pattern(n, "odd")
-    even = ones_pattern(n, "even")
+    odd = [k % 2 for k in range(1, n + 1)]  # ones at the odd 1-based positions
+    even = [1 - o for o in odd]
     if d % 2 == 1:
         head = [[o - e for o, e in zip(odd, even)]]
         constant = (0,)
     else:
-        head = [list(odd), list(even)]
+        head = [odd, even]
         constant = (n // 2, n // 2)
     drop = len(head)
-    body = [
-        [1 if j == drop + i else 0 for j in range(n)] for i in range(n - drop)
-    ]
-    transform = head + body
+    transform = head + [[int(j == i) for j in range(n)] for i in range(drop, n)]
     if abs(det_int(transform)) != 1:
         raise AssertionError("reduction transform must be unimodular")
     reduced_points = []

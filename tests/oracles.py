@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from lapoly import lp
-from lapoly.complexes import SimplicialComplex, boundary_matrix
+from lapoly.complexes import SimplicialComplex
 from lapoly.ehrhart import _poly_mul
 
 
@@ -103,6 +103,58 @@ def ehrhart_polynomial(counts):
             poly[i] += cn * b
         basis = _poly_mul(basis, (-k, 1))
     return poly
+
+
+def poly_rem(a, b):
+    """Remainder of rational polynomials, low degree first, by long
+    division in Fractions; no trailing zeros, the zero remainder is []."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def boundary_matrix(c, i):
+    """Signed incidence matrix of the i-th boundary map, as a list of rows.
+
+    Rows are indexed by the (i-1)-faces, columns by the i-faces, both in
+    lexicographic order of position tuples.  The chain groups vanish
+    outside 0..dim, so i == 0 yields no rows (f_0 columns) and
+    i == dim+1 yields f_dim empty rows.
+    """
+    if i < 0 or i > c.dim + 1:
+        raise IndexError(f"boundary index {i} out of range for dim {c.dim}")
+    cols = c.faces(i)
+    rows = c.faces(i - 1)
+    row_index = {f: r for r, f in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for j, face in enumerate(cols):
+        sign = 1
+        for k in range(len(face)):
+            sub = face[:k] + face[k + 1 :]
+            if sub:
+                mat[row_index[sub]][j] = sign
+            sign = -sign
+    return mat
+
+
+def dense_laplacian(c, i):
+    """The i-th Laplacian as the Gram matrix of the rows of
+    [d_{i+1} | d_i^T], one row per i-face, from the dense boundary
+    matrices: the definition, apart from the sparse assembly of
+    `lapoly.laplacian.laplacian_matrix`."""
+    di = boundary_matrix(c, i)
+    stacked = [
+        up + [row[a] for row in di]
+        for a, up in enumerate(boundary_matrix(c, i + 1))
+    ]
+    return [[sum(x * y for x, y in zip(r, s)) for s in stacked] for r in stacked]
 
 
 def homology_dimension(c, i):

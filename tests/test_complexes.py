@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lapoly.complexes import (
-    boundary_matrix,
     boundary_of_simplex,
     f_from_h,
     from_facets,
     h_from_f,
     read_complex_file,
 )
-from oracles import f_vector, full_simplex, homology_dimension
+from oracles import boundary_matrix, f_vector, full_simplex, homology_dimension
 
 
 def four_cycle(ordering=(1, 2, 3, 4)):

@@ -29,7 +29,7 @@ from lapoly.triangulate import (
     interior_facets,
     verify_triangulation,
 )
-from oracles import ehrhart_polynomial
+from oracles import ehrhart_polynomial, poly_rem
 
 REFERENCE = {
     1: (1, 2, 0),
@@ -504,6 +504,34 @@ def test_real_rooted_with_repeated_roots():
         zeros = [0] * rng.randint(0, 2)
         assert is_real_rooted(p + zeros), p
         assert not is_real_rooted(q + zeros), q
+
+
+def test_integer_pseudo_remainder_is_a_positive_multiple():
+    # seeded integer polynomials with either sign of leading coefficient,
+    # repeated linear factors in the divisor and exact multiples of it:
+    # the integer remainder is |lc(b)|^s times the rational one
+    rng = random.Random(1019)
+
+    def linear_power(p):
+        a, b = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
+        for _ in range(rng.randint(1, 3)):
+            p = [a * x + b * y for x, y in zip(p + [0], [0] + p)]
+        return p
+
+    for trial in range(400):
+        b = [rng.choice([-1, 1])]
+        for _ in range(rng.randint(0, 2)):
+            b = linear_power(b)
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        if trial % 4 == 0:
+            a = [sum(a[j] * b[k - j] for j in range(len(a)) if 0 <= k - j < len(b))
+                 for k in range(len(a) + len(b) - 1)]
+        steps = max(0, len(a) - len(b) + 1)
+        got = ehrhart._poly_rem(a, b)
+        assert got == [abs(b[-1]) ** steps * c for c in poly_rem(a, b)], (a, b)
+        assert all(type(c) is int for c in got)
+        if trial % 4 == 0:
+            assert got == []
 
 
 def test_reference_rows_properties():

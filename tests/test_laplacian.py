@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ import lapoly.laplacian as laplacian
 import lapoly.linalg as la
 from lapoly.complexes import boundary_of_simplex, from_facets
 from lapoly.laplacian import (
+    LaplacianOrderingError,
     interior_polytope_vertices,
     laplacian_boundary_simplex,
     laplacian_matrix,
@@ -13,7 +15,9 @@ from lapoly.laplacian import (
     reduce_full_dim,
     reduced_vertices,
 )
-from oracles import full_simplex, homology_dimension, rank
+from oracles import dense_laplacian, full_simplex, homology_dimension, rank
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def four_cycle(ordering=(1, 2, 3, 4)):
@@ -50,6 +54,87 @@ def test_graph_laplacian_at_index_zero():
     lap = laplacian_matrix(c, 0)
     assert lap == [
         [2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+
+
+def test_sparse_assembly_matches_dense_oracle_on_simplex_boundaries():
+    for dim_plus_1 in range(1, 9):
+        c = boundary_of_simplex(dim_plus_1)
+        for k in range(c.dim + 1):
+            assert laplacian_matrix(c, k) == dense_laplacian(c, k), (dim_plus_1, k)
+
+
+def test_sparse_assembly_matches_dense_oracle_on_complex_build_corpus(monkeypatch):
+    # the benchmark's seeded complexes, every Laplacian index of each
+    monkeypatch.syspath_prepend(str(BENCH))
+    from worker import draw_complexes
+
+    for seed in range(1, 11):
+        for drawn in draw_complexes(seed, 0):
+            c = from_facets(drawn["facets"], drawn["order"])
+            for k in range(c.dim + 1):
+                assert laplacian_matrix(c, k) == dense_laplacian(c, k), (seed, drawn)
+
+
+def corrupt_assembly(monkeypatch, a, b):
+    """Make the assembly add 1 at entry (a, b) after its first outer
+    product."""
+    real = laplacian._add_star
+    done = []
+
+    def corrupted(lap, star):
+        real(lap, star)
+        if not done:
+            lap[a][b] += 1
+            done.append(True)
+
+    monkeypatch.setattr(laplacian, "_add_star", corrupted)
+
+
+@pytest.mark.parametrize("pair", [((0, 1), (2, 3)), ((0, 1), (0, 2)), ((1, 2), (1, 2))],
+                         ids=["off-candidate", "candidate", "diagonal"])
+def test_corrupted_assembled_entry_is_caught(pair, monkeypatch):
+    c = boundary_of_simplex(3)
+    faces = list(c.faces(1))
+    a, b = (faces.index(f) for f in pair)
+    corrupt_assembly(monkeypatch, a, b)
+    with pytest.raises(LaplacianOrderingError, match="Laplacian entry"):
+        laplacian_matrix(c, 1)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_corrupted_rule_sign_is_caught(k, monkeypatch):
+    real = laplacian._combinatorial_entry
+
+    def negated(i, upper, degree, f, g):
+        value = real(i, upper, degree, f, g)
+        return value if f == g else -value
+
+    monkeypatch.setattr(laplacian, "_combinatorial_entry", negated)
+    with pytest.raises(LaplacianOrderingError, match="Laplacian entry"):
+        laplacian_matrix(four_cycle(), k)
+
+
+@pytest.mark.parametrize("c, k", [(boundary_of_simplex(8), 3), (boundary_of_simplex(5), 1),
+                                  (four_cycle(), 0), (four_cycle(), 1)],
+                         ids=["bd8-k3", "bd5-k1", "cycle-k0", "cycle-k1"])
+def test_rule_runs_on_diagonal_and_candidates_only(c, k, monkeypatch):
+    real = laplacian._combinatorial_entry
+    pairs = []
+
+    def counted(i, upper, degree, f, g):
+        pairs.append((f, g))
+        return real(i, upper, degree, f, g)
+
+    monkeypatch.setattr(laplacian, "_combinatorial_entry", counted)
+    laplacian_matrix(c, k)
+    faces = c.faces(k)
+    if k == 0:
+        candidates = [((u,), (v,)) for e in c.faces(1) for u, v in (e, e[::-1])]
+    else:
+        candidates = [(f, g) for f in faces for g in faces
+                      if f != g and len(set(f) & set(g)) == k]
+    assert sorted(pairs) == sorted([(f, f) for f in faces] + candidates)
+    assert len(pairs) < len(faces) ** 2
 
 
 def test_laplacian_diagonal_rule():

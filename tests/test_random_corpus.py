@@ -14,9 +14,9 @@ import pytest
 
 from lapoly import lp
 from lapoly.cli import EXIT_OK, main
-from lapoly.complexes import boundary_matrix, from_facets
+from lapoly.complexes import from_facets
 from lapoly.laplacian import laplacian_matrix, laplacian_polytope
-from oracles import f_vector, homology_dimension, rank
+from oracles import boundary_matrix, dense_laplacian, f_vector, homology_dimension, rank
 
 
 def random_pure_complex(rng, n_vertices, facet_dim, n_facets):
@@ -60,12 +60,14 @@ def test_chain_complex_identity(c):
 @pytest.mark.parametrize("c", CORPUS, ids=lambda c: f"d{c.dim}f{len(c.faces(c.dim))}")
 def test_laplacian_rule_and_rank(c):
     # laplacian_matrix self-verifies every entry against the combinatorial
-    # rule; here we additionally pin symmetry and the Hodge identity
+    # rule; here we additionally pin it to the product of the dense boundary
+    # matrices, and pin symmetry and the Hodge identity
     # rank L_k = f_k - beta_k at every index: k = 0 (d_0 has no rows), the
     # interior ones and k = dim (d_{dim+1} has no columns)
     for k in range(c.dim + 1):
         lap = laplacian_matrix(c, k)
         assert len(lap) == len(c.faces(k))
+        assert lap == dense_laplacian(c, k)
         assert lap == [list(col) for col in zip(*lap)]
         assert rank(lap) == len(c.faces(k)) - homology_dimension(c, k)
 
