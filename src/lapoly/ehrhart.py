@@ -39,7 +39,7 @@ from math import ceil, comb, floor, prod
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import primitive_vector, snf_with_transform, solve_int
+from .linalg import snf_with_transform, solve_int, vec_gcd
 
 
 def hstar_length(d):
@@ -415,8 +415,9 @@ def is_palindromic(h, dim):
 def is_real_rooted(h):
     """All roots real?  One Sturm sequence, which is also Euclid's loop.
 
-    Zero top-degree coefficients (the trailing entries of `h`) are
-    stripped first; the zero polynomial is rejected.
+    `h` lists integer coefficients, lowest degree first.  Zero top-degree
+    coefficients (its trailing entries) are stripped first; the zero
+    polynomial is rejected.
 
     Let p have degree n >= 1, p_0 = p, p_1 = p' and p_(k+1) =
     -rem(p_(k-1), p_k) until the remainder is zero.  This is Euclid's
@@ -438,11 +439,11 @@ def is_real_rooted(h):
     Algebraic Geometry*, Thm 2.50).  p has deg(p / g) = n - deg g
     distinct complex roots, and it is real-rooted iff all are real.
 
-    Each member is scaled to a primitive integer vector, a positive
-    multiple: that keeps every sign, and the remainders of positive
-    multiples are positive multiples of the remainders.  `_poly_rem`
-    returns a positive multiple of the remainder too, so the loop runs in
-    integers.
+    Each member is divided by its content (the gcd of its integer
+    coefficients), a positive rational multiple: that keeps every sign,
+    and the remainders of positive multiples are positive multiples of the
+    remainders.  `_poly_rem` returns a positive multiple of the remainder
+    too, so the loop runs in integers.
     """
     p = list(h)
     while p and p[-1] == 0:
@@ -451,12 +452,17 @@ def is_real_rooted(h):
         raise ValueError("zero polynomial")
     if len(p) == 1:
         return True
-    chain = [primitive_vector(p), primitive_vector([i * c for i, c in enumerate(p)][1:])]
+
+    def primitive(q):
+        g = vec_gcd(q)
+        return [c // g for c in q]
+
+    chain = [primitive(p), primitive([i * c for i, c in enumerate(p)][1:])]
     while True:
         r = _poly_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(primitive_vector([-c for c in r]))
+        chain.append(primitive([-c for c in r]))
 
     def variations(signs):
         return sum(a != b for a, b in zip(signs, signs[1:]))

@@ -11,7 +11,6 @@ integers or `fractions.Fraction`s.  No floating point, ever.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -117,22 +116,6 @@ def vec_gcd(v):
     for x in v:
         g = gcd(g, abs(int(x)))
     return g
-
-
-def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector (gcd 1).
-
-    The direction is preserved; an all-zero vector is returned unchanged.
-    """
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return [0] * len(fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = vec_gcd(ints)
-    return [x // g for x in ints]
 
 
 def hnf(rows):

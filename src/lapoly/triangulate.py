@@ -15,9 +15,9 @@ triangulation: it carries each cell's inverse matrix by exact rank-one
 steps, whose pivots give every cell's determinant for
 `verify_triangulation`, and it keeps the steps, so a height vector's fold
 values take one covector pass over them, one dot product per fold (an
-integer on unimodular cells).  The cone level uses a walk of its own
-(`_fold_values`).  The even-d refinement takes its fold values from the
-cone cells and fixed data of the template (`_refined_fold_values`), with no
+integer on unimodular cells).  The even-d cone keeps the walk that scaled
+its heights, and the refinement takes its fold values from that walk's
+folds and fixed data of the template (`_refined_fold_values`), with no
 walk over the refined cells.
 """
 
@@ -47,8 +47,9 @@ class Triangulation:
     `heights` are proposed lifting heights, or None.  They may be given as
     a zero-argument callable, which runs on the first read of `heights`;
     its list is stored.  The ridge walk of the cells (`_walk_of`) is built
-    by the first checker that needs it and kept; `cells` and `vertex_pool`
-    are replaced, never edited in place, and assigning either drops it.
+    by the first checker or construction that needs it and kept; `cells`
+    and `vertex_pool` are replaced, never edited in place, and assigning
+    either drops it.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
@@ -325,16 +326,6 @@ def _ridge_pass(cells):
     return ridges, folds, excess
 
 
-def _fold_data(cells):
-    """The folds (ca, da, cb, db): cell ca minus its vertex at position da
-    is the ridge, and so is cell cb minus position db, the fold's opposite
-    vertex.  Raises ValueError where three cells share a ridge."""
-    _, folds, excess = _ridge_pass(cells)
-    if excess:
-        raise ValueError("three cells share a ridge; not a triangulation")
-    return folds
-
-
 class _RidgeWalk:
     """One walk across the shared ridges of `cells` over `pool`: the
     per-cell facts that `verify_triangulation` and `is_regular` read.  It
@@ -529,16 +520,6 @@ def _walk_of(t):
     return t._walk
 
 
-def _fold_values(pool, cells, heights):
-    """Returns (folds, values): the folds (ca, da, cb, db) of one
-    `_RidgeWalk` over the cells and, per height vector h in `heights`,
-    its fold values aligned with them (`_RidgeWalk.fold_values`).  Raises
-    ValueError where three cells share a ridge or a cell is degenerate."""
-    walk = _RidgeWalk(pool, cells)
-    walk.require_triangulation()
-    return walk.folds(), [walk.fold_values(h) for h in heights]
-
-
 def is_regular(t, heights=None):
     """Regularity test with an exact certificate.
 
@@ -623,16 +604,18 @@ def _exact_quotient(x, det):
     return x // det if x % det == 0 else Fraction(x, det)
 
 
-def _refined_fold_values(pool, orders, ids, primary, secondary):
+def _refined_fold_values(cone, ids, primary, secondary):
     """Yield (p, s), the fold values of `primary` and `secondary` at every
     fold of the 2nd edgewise refinement of a unimodular cone triangulation,
     from the cone cells and constant data of the template 2 * Delta_d.
 
-    `orders[a]` lists the pool ids of cone cell A sorted by point, and
-    `ids[a][m]` is the refined id of the template point with multiset m
-    over those positions (`_edgewise_template(2, d + 1)`); `primary` and
-    `secondary` are indexed by refined id.  Every refined cell lies in one
-    2A, so a refined fold is of one of two kinds:
+    The cone's ids are numbered in point order, so `cone.cells[a]` lists
+    the vertices of cone cell A sorted by point, and `ids[a][m]` is the
+    refined id of the template point with multiset m over those positions
+    (`_edgewise_template(2, d + 1)`); `primary` and `secondary` are
+    indexed by refined id.  The cone folds are those of the cone's own
+    ridge walk (`_walk_of`).  Every refined cell lies in one 2A, so a
+    refined fold is of one of two kinds:
 
     - interior: both cells in one 2A, a fold of the template.  The point
       with count vector mu (mu_i = multiplicity of position i) is
@@ -657,7 +640,8 @@ def _refined_fold_values(pool, orders, ids, primary, secondary):
     the other cell are the same positive multiple of both, and the same
     values on unimodular cells.
     """
-    n = len(orders[0])
+    pool, cone_cells = cone.vertex_pool, cone.cells
+    n = len(cone_cells[0])
     multisets, chains = _edgewise_template(2, n)
     cells = [tuple(sorted(c)) for c in chains]
     counts = [[ms.count(i) for i in range(n)] for ms in multisets]
@@ -720,12 +704,13 @@ def _refined_fold_values(pool, orders, ids, primary, secondary):
             yield sum(map(mul, cs, get(pa))), sum(map(mul, cs, get(sa)))
 
     by_cell = {}
-    for fold in _fold_data(orders):
+    for fold in _walk_of(cone).folds():
         by_cell.setdefault(fold[0], []).append(fold)
     cache = {}
     for a, folds in by_cell.items():
-        rows = [*zip(*(pool[i] for i in orders[a])), [1] * n]
-        det, sols = solve_int(rows, [[*pool[orders[b][jb]], 1] for _, _, b, jb in folds])
+        rows = [*zip(*(pool[i] for i in cone_cells[a])), [1] * n]
+        apexes = [[*pool[cone_cells[b][jb]], 1] for _, _, b, jb in folds]
+        det, sols = solve_int(rows, apexes)
         if not det:
             raise ValueError("degenerate cell in fold computation")
         pa, sa = lifted[a]
@@ -740,30 +725,44 @@ def _refined_fold_values(pool, orders, ids, primary, secondary):
                        sb[w] + sum(map(mul, cs, get(sa))))
 
 
-def _refined_heights(pool, orders, ids, primary, secondary):
+def _refined_heights(cone, ids, primary, secondary):
     """The scaled heights of the edgewise refinement (`_scaled_heights`
     over `_refined_fold_values`)."""
     return _scaled_heights(
-        primary, secondary, _refined_fold_values(pool, orders, ids, primary, secondary)
+        primary, secondary, _refined_fold_values(cone, ids, primary, secondary)
     )
 
 
 def _interior_cone(d):
     """The boundary triangulation of the interior polytope (even d) coned
-    over its interior point, with heights.
+    over its interior point, with heights, as a triangulation of the
+    interior polytope.
 
-    The heights are a large multiple of the boundary indicator (strict
+    The pool, apex included, is numbered in lexicographic point order, so
+    every cell, sorted by id, lists its vertices in point order.  The
+    heights are a large multiple of the boundary indicator (strict
     convexity across facets) plus the alcove heights (strictness inside
-    facets).  Returns (pool, cone cells, heights).
+    facets), scaled over the fold values of the cone's ridge walk
+    (`_walk_of`), which stays on the triangulation.
     """
-    points_list, lam_heights, boundary_cells = _interior_boundary_triangulation(d)
-    apex_idx = len(points_list)
-    pool = points_list + [tuple(1 for _ in range(d))]
-    cone_cells = [cell + (apex_idx,) for cell in boundary_cells]
-    primary = [1] * apex_idx + [0]
-    secondary = lam_heights + [0]
-    _, values = _fold_values(pool, cone_cells, [primary, secondary])
-    return pool, cone_cells, _scaled_heights(primary, secondary, zip(*values))
+    points, alcove, boundary_cells = _interior_boundary_triangulation(d)
+    apex = len(points)
+    points.append((1,) * d)
+    alcove.append(0)
+    order = sorted(range(len(points)), key=points.__getitem__)
+    renumber = [0] * len(order)
+    for k, i in enumerate(order):
+        renumber[i] = k
+    # the triangulation sorts each cell by id
+    cells = [(*map(renumber.__getitem__, c), renumber[apex]) for c in boundary_cells]
+    carrier = LatticePolytope(interior_polytope_vertices(d))
+    cone = Triangulation([points[i] for i in order], cells, carrier)
+    primary = [int(i != apex) for i in order]
+    secondary = [alcove[i] for i in order]
+    walk = _walk_of(cone)
+    values = zip(walk.fold_values(primary), walk.fold_values(secondary))
+    cone.heights = _scaled_heights(primary, secondary, values)
+    return cone
 
 
 def laplacian_triangulation(d, budget=None):
@@ -795,11 +794,11 @@ def laplacian_triangulation(d, budget=None):
     if d % 2 == 1:
         return _odd_laplacian_triangulation(d)
 
-    pool, cone_cells, cone_heights = _interior_cone(d)
+    cone = _interior_cone(d)
+    pool, cone_heights = cone.vertex_pool, cone.heights
 
     # dilate by 2: the second edgewise subdivision of every cone cell, its
-    # vertices ordered by the global lexicographic order of the cone's pool
-    rank = {i: pos for pos, i in enumerate(sorted(range(len(pool)), key=pool.__getitem__))}
+    # vertices in the cone's id order, which is point order
     pool2 = {}
     base_height = []
     local2 = []
@@ -808,21 +807,17 @@ def laplacian_triangulation(d, budget=None):
     # cell that holds it, so each one is placed once
     index = {}
     cells2 = []
-    orders = []
     cone_ids = []
-    for cell in cone_cells:
-        # sorting by point sorts by rank too, so ranks ascend along a multiset
-        ordered = tuple(sorted(cell, key=pool.__getitem__))
+    for cell in cone.cells:
         ids = []
-        orders.append(ordered)
         cone_ids.append(ids)
         for ms in multisets:
-            key = tuple(map(ordered.__getitem__, ms))
+            key = tuple(map(cell.__getitem__, ms))
             if key not in index:
                 # 2 * cell has the vertices 2 * pool[i]: its points are plain sums
                 pt = _edgewise_point(pool, key, 1)
                 omega = sum(map(cone_heights.__getitem__, key))
-                lam2 = alcove_height(map(rank.__getitem__, key), len(pool))
+                lam2 = alcove_height(key, len(pool))
                 k = index[key] = pool2.setdefault(pt, len(pool2))
                 if k == len(local2):
                     base_height.append(omega)
@@ -834,12 +829,14 @@ def laplacian_triangulation(d, budget=None):
 
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in pool2]
-    heights = partial(_refined_heights, pool, orders, cone_ids, base_height, local2)
+    heights = partial(_refined_heights, cone, cone_ids, base_height, local2)
     return Triangulation(shifted, cells2, target, heights=heights)
 
 
 def interior_polytope_triangulation(d, budget=None):
-    """Cone triangulation of the interior polytope (even d), with heights."""
+    """Cone triangulation of the interior polytope (even d), with heights
+    (`_interior_cone`).  It keeps the ridge walk that scaled its heights,
+    so `verify_triangulation` and `is_regular` walk it no further."""
     if d < 2 or d % 2:
         raise ValueError("defined for even d >= 2")
     n_cells = ((d + 2) // 2) ** d
@@ -848,9 +845,7 @@ def interior_polytope_triangulation(d, budget=None):
         raise BudgetError(
             f"triangulation needs {n_cells} cells, budget is {limit}"
         )
-    pool, cone_cells, heights = _interior_cone(d)
-    carrier = LatticePolytope(interior_polytope_vertices(d))
-    return Triangulation(pool, cone_cells, carrier, heights=heights)
+    return _interior_cone(d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ input the package itself never needs: the tests compare the two.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex
 from lapoly.ehrhart import _poly_mul
+from lapoly.linalg import vec_gcd
 
 
 def rref(rows):
@@ -118,6 +120,22 @@ def poly_rem(a, b):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def primitive_vector(v):
+    """Scale a rational vector to a primitive integer vector (gcd 1).
+
+    The direction is preserved; an all-zero vector is returned unchanged.
+    """
+    fracs = [Fraction(x) for x in v]
+    if all(x == 0 for x in fracs):
+        return [0] * len(fracs)
+    denom = 1
+    for x in fracs:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in fracs]
+    g = vec_gcd(ints)
+    return [x // g for x in ints]
 
 
 def boundary_matrix(c, i):

@@ -12,12 +12,11 @@ from lapoly.linalg import (
     _pivot_minor,
     det_int,
     hnf,
-    primitive_vector,
     snf_with_transform,
     solve_int,
 )
 from lapoly.polytope import LatticePolytope
-from oracles import point_in_hull, rank, rref, ub_form
+from oracles import point_in_hull, primitive_vector, rank, rref, ub_form
 
 
 def det_cofactor(m):

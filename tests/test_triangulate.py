@@ -12,7 +12,7 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import _simplex_det, det_int, primitive_vector, solve_int
+from lapoly.linalg import _simplex_det, det_int, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
@@ -27,8 +27,8 @@ from lapoly.triangulate import (
     verify_shelling,
     verify_triangulation,
 )
-from lapoly.triangulate import _RidgeWalk, _fold_data, _fold_values, _walk_of
-from oracles import f_vector, nullspace, point_in_hull, ub_form
+from lapoly.triangulate import _RidgeWalk, _ridge_pass, _walk_of
+from oracles import f_vector, nullspace, point_in_hull, primitive_vector, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -71,6 +71,16 @@ def oracle_fold_data(cells):
             (ca, da), (cb, db) = incident
             folds.append((ca, da, cb, db))
     return folds
+
+
+def walk_fold_values(pool, cells, heights):
+    """(folds, values): the folds (ca, da, cb, db) of one `_RidgeWalk` over
+    the cells and, per height vector in `heights`, its fold values aligned
+    with them.  ValueError where three cells share a ridge or a cell is
+    degenerate."""
+    walk = _RidgeWalk(pool, cells)
+    walk.require_triangulation()
+    return walk.folds(), [walk.fold_values(h) for h in heights]
 
 
 def oracle_fold_values(t, heights):
@@ -707,7 +717,7 @@ def test_fold_coordinates_match_solve_oracle(name, triangulation_cache):
     folds = oracle_fold_data(cells)
     coords = oracle_fold_coordinates(pool, cells, folds)
     probes = probe_heights(name, t, heights)
-    walked, values = _fold_values(pool, cells, probes)
+    walked, values = walk_fold_values(pool, cells, probes)
     assert sorted(walked) == folds
     for h, got in zip(probes, values):
         # the ridge walk against one solve per cell, dotted with the heights
@@ -733,13 +743,16 @@ def test_fold_data_matches_ridge_index(name, triangulation_cache):
     if name == "ridge_in_three_cells":
         with pytest.raises(ValueError):
             oracle_fold_data(t.cells)
+        assert _ridge_pass(t.cells)[2]
         return
-    assert sorted(_fold_data(t.cells)) == oracle_fold_data(t.cells)
+    _, folds, excess = _ridge_pass(t.cells)
+    assert not excess and sorted(folds) == oracle_fold_data(t.cells)
 
 
 def test_ridge_in_three_cells_raises():
     t = FIXTURES["ridge_in_three_cells"]
-    for call in (lambda: _fold_data(t.cells), lambda: is_regular(t),
+    for call in (lambda: _RidgeWalk(t.vertex_pool, t.cells).require_triangulation(),
+                 lambda: is_regular(t),
                  lambda: is_regular(t, heights=[0, 0, 0, 1, 1])):
         with pytest.raises(ValueError, match="three cells share a ridge"):
             call()
@@ -784,7 +797,7 @@ def test_fold_walk_solves_once_per_component(name, roots, triangulation_cache,
         return solve_int(rows, rhs)
 
     monkeypatch.setattr("lapoly.triangulate.solve_int", counting_solve_int)
-    _fold_values(t.vertex_pool, t.cells, [])
+    walk_fold_values(t.vertex_pool, t.cells, [])
     assert len(calls) == roots
 
 
@@ -792,7 +805,7 @@ def test_fold_coordinates_reject_degenerate_cell():
     # the flat cell is the walk's first cell, then a cell the walk reaches
     for t in (FIXTURES["degenerate_cell"], degenerate_reached_fixture()):
         with pytest.raises(ValueError, match="degenerate cell"):
-            _fold_values(t.vertex_pool, t.cells, [])
+            walk_fold_values(t.vertex_pool, t.cells, [])
         with pytest.raises(ValueError, match="degenerate cell"):
             is_regular(t)
         with pytest.raises(ValueError, match="degenerate cell"):
@@ -924,29 +937,46 @@ def count_walk_work(monkeypatch):
 
 
 @pytest.mark.parametrize("name,roots", [("laplacian_2", 1), ("laplacian_3", 1),
-                                        ("two_components", 2)])
+                                        ("two_components", 2), ("interior_4", 1)])
 @pytest.mark.parametrize("verify_first", [True, False])
 def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
+    # the cone keeps the walk that scaled its heights, so its checkers
+    # walk no further
+    built = name.startswith("interior")
     if name == "two_components":
         t = two_component_fixture()
+    elif built:
+        t = interior_polytope_triangulation(int(name[-1]))
     else:
         t = laplacian_triangulation(int(name[-1]))
         assert t._walk is None
         t.heights  # the refinement's own passes run here, before counting
-    assert t._walk is None
+    assert (t._walk is not None) == built
     calls = count_walk_work(monkeypatch)
+    work = ({"solve_int": 0, "_ridge_pass": 0} if built
+            else {"solve_int": roots, "_ridge_pass": 1})
     order = ["verify", "regular"] if verify_first else ["regular", "verify"]
     checks = {"verify": lambda: verify_triangulation(t)["ok"],
               "regular": lambda: is_regular(t)[0]}
     results = {check: checks[check]() for check in order}
     # the two squares do not cover their convex hull, but are regular
     assert results == {"verify": roots == 1, "regular": True}
-    assert calls == {"solve_int": roots, "_ridge_pass": 1}
+    assert calls == work
     assert t.checks["verify"]["walk_roots"] == t.checks["regular"]["walk_roots"] == roots
     rng = random.Random(name)
     for _ in range(3):
         is_regular(t, [rng.randint(-9, 9) for _ in t.vertex_pool])
-    assert calls == {"solve_int": roots, "_ridge_pass": 1}
+    assert calls == work
+
+
+def test_even_refinement_walks_its_cone_once(monkeypatch):
+    # one ridge pass over the cone cells, which serves the cone's heights
+    # and the refinement's wall folds, and one over the template 2 * Delta_4
+    calls = count_walk_work(monkeypatch)
+    t = laplacian_triangulation(4)
+    t.heights
+    assert calls["_ridge_pass"] == 2
+    assert t._walk is None
 
 
 def test_reassigning_cells_or_pool_drops_the_walk():
@@ -973,8 +1003,8 @@ GOLDEN = {
     ("laplacian", 3): "95f0f7ff687d804c",
     ("laplacian", 4): "6313a92d9b4f260b",
     ("laplacian", 5): "c9b55fb4314bcda7",
-    ("interior", 2): "28530e353a2fba57",
-    ("interior", 4): "76feeb7f6fcb4995",
+    ("interior", 2): "40b7249031b621f4",
+    ("interior", 4): "d9ddffc4e3e1a4e5",
 }
 
 
@@ -988,27 +1018,41 @@ def test_construction_golden_hash(kind, d, triangulation_cache):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN[kind, d]
 
 
+# sha256 of the cone's cells as sorted point tuples, sorted, and of its
+# sorted (point, height) pairs: no numbering of the pool changes it
+CONE_DIGESTS = {2: "944cc8e0ab238102", 4: "6f4c5ed999e6d62f", 6: "e8b98518e404e313"}
+
+
+@pytest.mark.parametrize("d", list(CONE_DIGESTS))
+def test_interior_cone_digest_is_numbering_free(d):
+    t = interior_polytope_triangulation(d)
+    pool = t.vertex_pool
+    text = repr((sorted(tuple(sorted(pool[i] for i in c)) for c in t.cells),
+                 sorted(zip(pool, t.heights))))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == CONE_DIGESTS[d]
+
+
 # -- lifting heights on first read --------------------------------------------
 
 
 def stored_heights(t):
     """The stored primary and secondary heights of an unread even-d
     refinement, indexed by refined id (the lists its lazy heights use)."""
-    return t._heights.args[3:]
+    return t._heights.args[2:]
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_refined_heights_match_the_refined_walk(d):
-    # oracle: the scale rule over one `_fold_values` walk of all (d+2)^d
+    # oracle: the scale rule over one `_RidgeWalk` of all (d+2)^d
     # refined cells, with the fold values of both stored height vectors
     t = laplacian_triangulation(d)
     primary, secondary = stored_heights(t)
-    folds, values = _fold_values(t.vertex_pool, t.cells, [primary, secondary])
+    folds, values = walk_fold_values(t.vertex_pool, t.cells, [primary, secondary])
     walked = triangulate._scaled_heights(primary, secondary, zip(*values))
     route = list(triangulate._refined_fold_values(*t._heights.args))
     # interior plus wall folds: each fold of the refinement once, with its
     # values (unimodular cells give the same values from either side)
-    assert len(route) == len(folds) == len(_fold_data(t.cells))
+    assert len(route) == len(folds) == len(_ridge_pass(t.cells)[1])
     assert sorted(route) == sorted(zip(*values))
     assert t.heights == walked
 
@@ -1016,7 +1060,8 @@ def test_refined_heights_match_the_refined_walk(d):
 def flat_fold_vertex(t):
     """(w, s): the opposite vertex of a fold that is flat under the stored
     primary heights, and the fold's secondary value."""
-    folds, (primary, secondary) = _fold_values(t.vertex_pool, t.cells, stored_heights(t))
+    folds, (primary, secondary) = walk_fold_values(t.vertex_pool, t.cells,
+                                                   stored_heights(t))
     k = primary.index(0)
     _, _, cb, db = folds[k]
     return t.cells[cb][db], secondary[k]
@@ -1048,11 +1093,11 @@ def count_refined_walks(monkeypatch, d, fail=False):
     real = triangulate._refined_heights
     calls = []
 
-    def counted(pool, orders, ids, primary, secondary):
-        calls.append(len(orders))
+    def counted(cone, ids, primary, secondary):
+        calls.append(len(cone.cells))
         if fail:
             raise AssertionError("flat fold with non-convex refinement")
-        return real(pool, orders, ids, primary, secondary)
+        return real(cone, ids, primary, secondary)
 
     monkeypatch.setattr(triangulate, "_refined_heights", counted)
     return calls
