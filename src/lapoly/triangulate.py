@@ -15,10 +15,12 @@ triangulation: it carries each cell's inverse matrix by exact rank-one
 steps, whose pivots give every cell's determinant for
 `verify_triangulation`, and it keeps the steps, so a height vector's fold
 values take one covector pass over them, one dot product per fold (an
-integer on unimodular cells).  The even-d cone keeps the walk that scaled
-its heights, and the refinement takes its fold values from that walk's
-folds and fixed data of the template (`_refined_fold_values`), with no
-walk over the refined cells.
+integer on unimodular cells).  The even-d cone and its refinement get
+their heights by one recipe (`_scaled_heights`): a base vector scaled by
+the least N that makes every fold of their own walk strictly convex, plus
+a secondary vector.  The cone scales when it is built and keeps its walk;
+the refinement scales on the first read of its heights, and its checkers
+reuse that walk.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ class Triangulation:
     """A set of maximal lattice simplices over a shared vertex pool.
 
     `heights` are proposed lifting heights, or None.  They may be given as
-    a zero-argument callable, which runs on the first read of `heights`;
-    its list is stored.  The ridge walk of the cells (`_walk_of`) is built
-    by the first checker or construction that needs it and kept; `cells`
-    and `vertex_pool` are replaced, never edited in place, and assigning
-    either drops it.
+    a callable of the triangulation, which runs on the first read of
+    `heights`; its list is stored.  The ridge walk of the cells
+    (`_walk_of`) is built by the first checker or construction that needs
+    it and kept; `cells` and `vertex_pool` are replaced, never edited in
+    place, and assigning either drops it.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
@@ -71,7 +73,7 @@ class Triangulation:
     @property
     def heights(self):
         if callable(self._heights):
-            self._heights = self._heights()
+            self._heights = self._heights(self)
         return self._heights
 
     @heights.setter
@@ -577,17 +579,18 @@ def is_regular(t, heights=None):
     return True, found
 
 
-def _scaled_heights(primary, secondary, fold_values):
+def _scaled_heights(t, primary, secondary):
     """N * primary + secondary for the smallest positive integer N that
-    makes every fold of the lift strictly convex.
+    makes every fold of t's lift strictly convex.
 
-    `fold_values` yields the pair (p, s) of exact fold values of `primary`
-    and `secondary` at every fold.  Every fold must be convex under
+    The fold values of both vectors are read on t's ridge walk
+    (`_walk_of`), which stays on t.  Every fold must be convex under
     `primary` alone, and strictly convex under `secondary` where `primary`
     is flat.
     """
+    walk = _walk_of(t)
     need = 1
-    for p, s in fold_values:
+    for p, s in zip(walk.fold_values(primary), walk.fold_values(secondary)):
         if p < 0:
             raise AssertionError("base fold is non-convex; construction bug")
         if p == 0:
@@ -599,140 +602,6 @@ def _scaled_heights(primary, secondary, fold_values):
     return [need * a + b for a, b in zip(primary, secondary)]
 
 
-def _exact_quotient(x, det):
-    """x / det, an int when it divides."""
-    return x // det if x % det == 0 else Fraction(x, det)
-
-
-def _refined_fold_values(cone, ids, primary, secondary):
-    """Yield (p, s), the fold values of `primary` and `secondary` at every
-    fold of the 2nd edgewise refinement of a unimodular cone triangulation,
-    from the cone cells and constant data of the template 2 * Delta_d.
-
-    The cone's ids are numbered in point order, so `cone.cells[a]` lists
-    the vertices of cone cell A sorted by point, and `ids[a][m]` is the
-    refined id of the template point with multiset m over those positions
-    (`_edgewise_template(2, d + 1)`); `primary` and `secondary` are
-    indexed by refined id.  The cone folds are those of the cone's own
-    ridge walk (`_walk_of`).  Every refined cell lies in one 2A, so a
-    refined fold is of one of two kinds:
-
-    - interior: both cells in one 2A, a fold of the template.  The point
-      with count vector mu (mu_i = multiplicity of position i) is
-      sum(mu_i * v_i), so the affine coordinates of the opposite vertex w
-      in the other cell are C^-1 mu, C the cell's count-vector matrix
-      (det +-2), the same for every A.
-    - wall: A and B share the cone ridge opposite position ja of A and jb
-      of B.  Both list the ridge's vertices sorted by point, so the template
-      restricted to the facet (positions renumbered) is one subdivision of
-      the ridge, and the refined ridges on it pair a template cell of 2A
-      with one of 2B by their local multisets, depending only on (ja, jb).
-      B's opposite vertex w has, over A, the count vector of its non-apex
-      positions mapped into A plus m * lambda_A(apex_B), m the multiplicity
-      of jb in w; its coordinates in A's template cell are again C^-1 mu.
-      One `solve_int` per cone cell gives lambda_A(apex_B) of its folds,
-      and the coordinates are cached by (ja, jb, lambda_A(apex_B)).
-
-    Each refined fold is yielded once: its primary value p and secondary
-    value s come from the stored heights through those coordinates, never
-    from the formulas that built the heights.  Each is read over one of
-    its two cells (the template fold's first cell, or A): the values over
-    the other cell are the same positive multiple of both, and the same
-    values on unimodular cells.
-    """
-    pool, cone_cells = cone.vertex_pool, cone.cells
-    n = len(cone_cells[0])
-    multisets, chains = _edgewise_template(2, n)
-    cells = [tuple(sorted(c)) for c in chains]
-    counts = [[ms.count(i) for i in range(n)] for ms in multisets]
-    unit = [[int(i == j) for i in range(n)] for j in range(n)]
-    # det(C) and the adjugate of C, by rows, for every template cell
-    adjugates = []
-    for cell in cells:
-        det, cols = solve_int([[counts[m][i] for m in cell] for i in range(n)], unit)
-        adjugates.append((det, list(zip(*cols))))
-
-    def fold_form(t, mu, w=None):
-        # (getter, coefficients): minus the nonzero affine coordinates of
-        # the point with count vector mu in template cell t, with 1 for w,
-        # so the dot product of the two is a fold value; a point outside
-        # the cell has at least two nonzero coordinates, so the getter
-        # returns a tuple
-        det, adj = adjugates[t]
-        terms = [] if w is None else [(w, 1)]
-        for m, row in zip(cells[t], adj):
-            x = sum(map(mul, row, mu))
-            if x:
-                terms.append((m, -_exact_quotient(x, det)))
-        ms, cs = zip(*terms)
-        return itemgetter(*ms), cs
-
-    ridges, template_folds, _ = _ridge_pass(cells)
-    interior = [
-        fold_form(ta, counts[cells[tb][db]], cells[tb][db])
-        for ta, _, tb, db in template_folds
-    ]
-    # facet[j]: the template cells with a ridge opposite position j, keyed
-    # by that ridge in the facet's own positions
-    facet = [{} for _ in range(n)]
-    for ridge, got in ridges.items():
-        if len(got) == 2:
-            j = next(i for i in range(n) if not any(i in multisets[m] for m in ridge))
-            local = frozenset(tuple(p - (p > j) for p in multisets[m]) for m in ridge)
-            facet[j][local] = got
-
-    def wall(ja, jb, apex):
-        # (opposite vertex in B, its coordinates over A) of each refined
-        # fold on the wall
-        out = []
-        for local, (ta, _) in facet[ja].items():
-            tb, db = facet[jb][local]
-            w = cells[tb][db]
-            mu = [0] * n
-            for p in multisets[w]:
-                if p == jb:
-                    mu = [x + y for x, y in zip(mu, apex)]
-                else:
-                    p -= p > jb
-                    mu[p + (p >= ja)] += 1
-            out.append((w, *fold_form(ta, mu)))
-        return out
-
-    lifted = [([primary[i] for i in c], [secondary[i] for i in c]) for c in ids]
-    for pa, sa in lifted:
-        for get, cs in interior:
-            yield sum(map(mul, cs, get(pa))), sum(map(mul, cs, get(sa)))
-
-    by_cell = {}
-    for fold in _walk_of(cone).folds():
-        by_cell.setdefault(fold[0], []).append(fold)
-    cache = {}
-    for a, folds in by_cell.items():
-        rows = [*zip(*(pool[i] for i in cone_cells[a])), [1] * n]
-        apexes = [[*pool[cone_cells[b][jb]], 1] for _, _, b, jb in folds]
-        det, sols = solve_int(rows, apexes)
-        if not det:
-            raise ValueError("degenerate cell in fold computation")
-        pa, sa = lifted[a]
-        for (_, ja, b, jb), sol in zip(folds, sols):
-            apex = tuple(_exact_quotient(x, det) for x in sol)
-            key = ja, jb, apex
-            if key not in cache:
-                cache[key] = wall(ja, jb, apex)
-            pb, sb = lifted[b]
-            for w, get, cs in cache[key]:
-                yield (pb[w] + sum(map(mul, cs, get(pa))),
-                       sb[w] + sum(map(mul, cs, get(sa))))
-
-
-def _refined_heights(cone, ids, primary, secondary):
-    """The scaled heights of the edgewise refinement (`_scaled_heights`
-    over `_refined_fold_values`)."""
-    return _scaled_heights(
-        primary, secondary, _refined_fold_values(cone, ids, primary, secondary)
-    )
-
-
 def _interior_cone(d):
     """The boundary triangulation of the interior polytope (even d) coned
     over its interior point, with heights, as a triangulation of the
@@ -742,8 +611,8 @@ def _interior_cone(d):
     every cell, sorted by id, lists its vertices in point order.  The
     heights are a large multiple of the boundary indicator (strict
     convexity across facets) plus the alcove heights (strictness inside
-    facets), scaled over the fold values of the cone's ridge walk
-    (`_walk_of`), which stays on the triangulation.
+    facets), scaled on the cone's ridge walk (`_scaled_heights`), which
+    stays on the triangulation.
     """
     points, alcove, boundary_cells = _interior_boundary_triangulation(d)
     apex = len(points)
@@ -759,9 +628,7 @@ def _interior_cone(d):
     cone = Triangulation([points[i] for i in order], cells, carrier)
     primary = [int(i != apex) for i in order]
     secondary = [alcove[i] for i in order]
-    walk = _walk_of(cone)
-    values = zip(walk.fold_values(primary), walk.fold_values(secondary))
-    cone.heights = _scaled_heights(primary, secondary, values)
+    cone.heights = _scaled_heights(cone, primary, secondary)
     return cone
 
 
@@ -778,9 +645,10 @@ def laplacian_triangulation(d, budget=None):
     subdivision; the refined copy is translated onto the polytope.
 
     The number of cells is (d+2)^d; the materialization budget is checked
-    up front.  The integer lifting heights of the even-d refinement are
-    computed on first read of `heights`, from the cone cells and the
-    template (`_refined_fold_values`) with no pass over the refined cells;
+    up front.  The even-d refinement's integer lifting heights are N times
+    the cone's heights summed over each point's multiset plus its alcove
+    heights, scaled on first read of `heights` (`_scaled_heights`) on the
+    refinement's own ridge walk, which its checkers then reuse;
     construction assertions about them fire then.
     """
     if d < 1:
@@ -807,10 +675,8 @@ def laplacian_triangulation(d, budget=None):
     # cell that holds it, so each one is placed once
     index = {}
     cells2 = []
-    cone_ids = []
     for cell in cone.cells:
         ids = []
-        cone_ids.append(ids)
         for ms in multisets:
             key = tuple(map(cell.__getitem__, ms))
             if key not in index:
@@ -829,7 +695,7 @@ def laplacian_triangulation(d, budget=None):
 
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in pool2]
-    heights = partial(_refined_heights, cone, cone_ids, base_height, local2)
+    heights = partial(_scaled_heights, primary=base_height, secondary=local2)
     return Triangulation(shifted, cells2, target, heights=heights)
 
 

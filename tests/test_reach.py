@@ -1,5 +1,5 @@
 """Reach guard: every function, class and method defined in `src/lapoly`
-is used.
+is used, and so is every name a module of it imports.
 
 A name counts as reached when it is read or taken as an attribute in
 `src/lapoly` outside its own definition and outside `__init__.py`; a
@@ -7,7 +7,9 @@ public (non-underscore) name may instead be used in the acceptance suite.
 Importing a name is not a use, so a stale import does not keep it alive.
 Dunder methods are exempt.  The scan is by name, so a dead name spelled
 like a live one would pass: a public `join` would be hidden by every
-`str.join` call.
+`str.join` call.  An imported name counts as used when the importing
+module reads it; `__init__.py` is exempt, since its imports are the
+package's exports.
 """
 
 import ast
@@ -43,12 +45,28 @@ def definitions(tree):
             yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
 
 
-def unreached_names():
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"))
+def modules():
+    """(file name, syntax tree) of every module but `__init__.py`."""
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     ]
+
+
+def imported_names(tree):
+    """The names that the imports in `tree` bind, `__future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def unreached_names():
+    trees = [tree for _, tree in modules()]
     used = sum((names_used(tree) for tree in trees), Counter())
     acceptance = names_used(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
     return sorted(
@@ -64,3 +82,11 @@ def unreached_names():
 def test_every_public_name_is_reached():
     # a deferred name that comes into use must leave DEFERRED as well
     assert set(unreached_names()) == DEFERRED
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in modules():
+        used = names_used(tree)
+        unused += [f"{name}: {i}" for i in imported_names(tree) if not used[i]]
+    assert unused == []

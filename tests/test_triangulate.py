@@ -940,20 +940,20 @@ def count_walk_work(monkeypatch):
                                         ("two_components", 2), ("interior_4", 1)])
 @pytest.mark.parametrize("verify_first", [True, False])
 def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
-    # the cone keeps the walk that scaled its heights, so its checkers
-    # walk no further
-    built = name.startswith("interior")
+    # the cone and the even refinement keep the walk that scaled their
+    # heights, so their checkers walk no further
+    walked = name in ("interior_4", "laplacian_2")
     if name == "two_components":
         t = two_component_fixture()
-    elif built:
+    elif name.startswith("interior"):
         t = interior_polytope_triangulation(int(name[-1]))
     else:
         t = laplacian_triangulation(int(name[-1]))
         assert t._walk is None
-        t.heights  # the refinement's own passes run here, before counting
-    assert (t._walk is not None) == built
+        t.heights  # the even refinement walks here, before counting
+    assert (t._walk is not None) == walked
     calls = count_walk_work(monkeypatch)
-    work = ({"solve_int": 0, "_ridge_pass": 0} if built
+    work = ({"solve_int": 0, "_ridge_pass": 0} if walked
             else {"solve_int": roots, "_ridge_pass": 1})
     order = ["verify", "regular"] if verify_first else ["regular", "verify"]
     checks = {"verify": lambda: verify_triangulation(t)["ok"],
@@ -970,13 +970,16 @@ def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
 
 
 def test_even_refinement_walks_its_cone_once(monkeypatch):
-    # one ridge pass over the cone cells, which serves the cone's heights
-    # and the refinement's wall folds, and one over the template 2 * Delta_4
+    # the build walks the cone cells once, to scale the cone's heights; the
+    # first heights read walks the refined cells once, and the template
+    # 2 * Delta_4 is never walked; each walk inverts only its root
     calls = count_walk_work(monkeypatch)
     t = laplacian_triangulation(4)
-    t.heights
-    assert calls["_ridge_pass"] == 2
+    assert calls == {"solve_int": 1, "_ridge_pass": 1}
     assert t._walk is None
+    t.heights
+    assert calls == {"solve_int": 2, "_ridge_pass": 2}
+    assert t._walk is not None
 
 
 def test_reassigning_cells_or_pool_drops_the_walk():
@@ -1038,23 +1041,25 @@ def test_interior_cone_digest_is_numbering_free(d):
 def stored_heights(t):
     """The stored primary and secondary heights of an unread even-d
     refinement, indexed by refined id (the lists its lazy heights use)."""
-    return t._heights.args[2:]
+    return t._heights.keywords["primary"], t._heights.keywords["secondary"]
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_refined_heights_match_the_refined_walk(d):
-    # oracle: the scale rule over one `_RidgeWalk` of all (d+2)^d
-    # refined cells, with the fold values of both stored height vectors
+def test_refined_heights_are_minimally_scaled(d):
+    # oracle, with no walk: recover N from h = N * primary + secondary,
+    # then one Fraction solve per fold shows that h folds strictly and
+    # that N - 1 would not
     t = laplacian_triangulation(d)
     primary, secondary = stored_heights(t)
-    folds, values = walk_fold_values(t.vertex_pool, t.cells, [primary, secondary])
-    walked = triangulate._scaled_heights(primary, secondary, zip(*values))
-    route = list(triangulate._refined_fold_values(*t._heights.args))
-    # interior plus wall folds: each fold of the refinement once, with its
-    # values (unimodular cells give the same values from either side)
-    assert len(route) == len(folds) == len(_ridge_pass(t.cells)[1])
-    assert sorted(route) == sorted(zip(*values))
-    assert t.heights == walked
+    h = t.heights
+    k = next(i for i, p in enumerate(primary) if p)
+    n, rem = divmod(h[k] - secondary[k], primary[k])
+    assert rem == 0 and n >= 1
+    assert h == [n * p + s for p, s in zip(primary, secondary)]
+    assert min(oracle_fold_values(t, h)) > 0
+    if n > 1:
+        lower = [(n - 1) * p + s for p, s in zip(primary, secondary)]
+        assert min(oracle_fold_values(t, lower)) <= 0
 
 
 def flat_fold_vertex(t):
@@ -1085,37 +1090,45 @@ def test_corrupt_primary_height_breaks_a_base_fold(d):
     stored_heights(t)[0][w] -= 1
     with pytest.raises(AssertionError, match="base fold is non-convex"):
         t.heights
+    with pytest.raises(AssertionError, match="base fold is non-convex"):
+        is_regular(t)
 
 
 def count_refined_walks(monkeypatch, d, fail=False):
-    """Patch `_refined_heights` to count (or fail) its calls, recording the
-    number of cone cells of `laplacian_triangulation(d)` it is given."""
-    real = triangulate._refined_heights
+    """Patch `_scaled_heights` to count its calls, recording the number of
+    cells of the triangulation it scales: ((d+2)/2)^d for the cone of
+    `laplacian_triangulation(d)`, (d+2)^d for its refinement.  With `fail`
+    the refinement's call raises."""
+    real = triangulate._scaled_heights
     calls = []
 
-    def counted(cone, ids, primary, secondary):
-        calls.append(len(cone.cells))
-        if fail:
+    def counted(t, primary, secondary):
+        calls.append(len(t.cells))
+        if fail and len(t.cells) == (d + 2) ** d:
             raise AssertionError("flat fold with non-convex refinement")
-        return real(cone, ids, primary, secondary)
+        return real(t, primary, secondary)
 
-    monkeypatch.setattr(triangulate, "_refined_heights", counted)
+    monkeypatch.setattr(triangulate, "_scaled_heights", counted)
     return calls
 
 
 def test_census_route_never_walks_for_heights(monkeypatch):
+    # only the cone is scaled and walked, never the 1296 refined cells
     calls = count_refined_walks(monkeypatch, 4)
+    work = count_walk_work(monkeypatch)
     assert hstar_by_method(4, "census") == (1, 131, 726, 419, 19)
-    assert calls == []
+    assert calls == [3 ** 4]
+    assert work["_ridge_pass"] == 1
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cache):
     calls = count_refined_walks(monkeypatch, d)
     t = laplacian_triangulation(d)
-    assert calls == []
+    cone = ((d + 2) // 2) ** d
+    assert calls == [cone]
     first = t.heights
-    assert t.heights is first and calls == [((d + 2) // 2) ** d]
+    assert t.heights is first and calls == [cone, (d + 2) ** d]
     assert first == triangulation_cache(d).heights
 
 
