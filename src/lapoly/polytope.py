@@ -9,8 +9,10 @@ equations, saturated lattice basis, reduced coordinates and, at corank
 1, its affine dependency are all read from it.  A polytope with at most
 dim + 2 vertices needs no search: its facets and volume come from one
 exact inverse per cell of its circuit triangulation, its combinatorial
-type from the signs of its one affine dependency.  Only more vertices
-take the vertex-subset scan and the fan triangulation.
+type from the signs of its one affine dependency.  Past that, one
+beneath-beyond placing pass answers vertices, facets and volume: it
+places only maximisers, which are vertices; a point beneath its boundary
+lies in the final hull; and a cone cell's |det| is |n . q - c|.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ class LatticePolytope:
         "_affine",
         "_facets",
         "_facet_vertex_sets",
+        "_placed",
     )
 
     def __init__(self, points):
@@ -127,6 +130,7 @@ class LatticePolytope:
         self._affine = None
         self._facets = None
         self._facet_vertex_sets = None
+        self._placed = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -186,8 +190,9 @@ class LatticePolytope:
     def _lex_extreme(self, functional):
         """Index of the lexicographically largest maximizer of a linear
         functional; always a vertex."""
-        pts = self.points
-        return max(range(len(pts)), key=lambda i: (sum(map(mul, functional, pts[i])), pts[i]))
+        values = [sum(map(mul, functional, p)) for p in self.points]
+        top = max(values)
+        return max((i for i, v in enumerate(values) if v == top), key=self.points.__getitem__)
 
     def vertex_indices(self):
         """Indices of generator points that are genuine vertices.
@@ -205,9 +210,15 @@ class LatticePolytope:
         D has dimension n - 1 - dim (the corank).  Corank 0: every point
         is a vertex.  Corank 1: D is spanned by one c, so p_i is a
         non-vertex iff i is the only negative index of c or of -c; a
-        point with c_i = 0 is a vertex.  Corank >= 2: a violated-facet
-        loop (`_vertex_indices_by_facets`) grows a set of known vertices
-        until its hull holds every point.
+        point with c_i = 0 is a vertex.  Corank >= 2: the lexicographic
+        maximisers of the +-e_k if they are all the points, else the points
+        that the placing pass (`_place`) places.  Proof: a lexicographic
+        maximiser of a linear functional is a vertex, as maximising it and
+        then each coordinate in turn narrows the maximising face to one
+        point, and the pass places only such maximisers.  It stops when no
+        point is beyond a boundary simplex of the hull of the placed
+        points; a point beneath or on all of them lies in that hull, so
+        the hull holds every point, and every vertex is placed.
         """
         if self._vertex_indices is None:
             n = len(self.points)
@@ -219,66 +230,98 @@ class LatticePolytope:
                 negative = [i for i, x in enumerate(c) if x < 0]
                 positive = [i for i, x in enumerate(c) if x > 0]
                 inside = {s[0] for s in (negative, positive) if len(s) == 1}
-                self._vertex_indices = tuple(
-                    i for i in range(n) if i not in inside
-                )
+                self._vertex_indices = tuple(i for i in range(n) if i not in inside)
             else:
-                self._vertex_indices = self._vertex_indices_by_facets()
+                seeds = {
+                    self._lex_extreme([sgn * (j == k) for j in range(self.ambient_dim)])
+                    for k in range(self.ambient_dim) for sgn in (1, -1)
+                }
+                self._vertex_indices = (
+                    tuple(range(n)) if len(seeds) == n else self._placing()[0])
         return self._vertex_indices
 
-    def _vertex_indices_by_facets(self):
-        """Vertex indices by a violated-facet loop (corank >= 2).
+    def _placing(self):
+        """`_place`, run once on the polytope if it spans its ambient space,
+        else on its copy from `full_dimensional`, whose later copies inherit it."""
+        if self._placed is None:
+            full = self if self.is_full_dimensional() else self.full_dimensional()[0]
+            self._placed = full._place()
+        return self._placed
 
-        S starts as the lexicographic maximisers of +-e_k, which are
-        vertices.  If S holds every point, it is the vertex set.  Otherwise
-        the loop runs on a full-dimensional P with the same vertex indices:
-        the polytope itself when it spans its ambient space, else its
-        index-aligned copy from `full_dimensional`.
-        Each round builds Q = conv(S) with every point of Q preset as a
-        vertex, and takes as functionals Q's affine-hull equations and
-        their negatives while dim Q < dim P, Q's facet inequalities after
-        that.  If some point of P exceeds some functional a.x <= b, the
-        lexicographic maximiser of a over all points joins S.
+    def _place(self):
+        """One beneath-beyond placing pass (Edelsbrunner, *Algorithms in
+        Combinatorial Geometry*, 1987) over full-dimensional points:
+        (vertex indices, {(normal, offset): tight vertex set}, sorted cells,
+        normalized volume), proved in `vertex_indices`, `facets` and
+        `normalized_volume`.  The hull of the placed points is kept as its
+        triangulated boundary, each simplex with its cofactor normal n . x
+        <= c and the points beyond it.  It starts as a simplex grown by
+        maximisers of affine-hull equations.  While a point is beyond, the
+        lexicographic maximiser q of a normal is coned over the visible
+        simplices (n . q > c), new cells, and over each horizon ridge (held
+        by one visible simplex), new boundary.  The cones fill conv(hull, q)
+        outside the hull: a placing triangulation, which is regular (De
+        Loera, Rambau and Santos, *Triangulations*, 4.3)."""
+        pts, d = self.points, self.ambient_dim
+        hull, cells = {}, []
 
-        Proof.  A lexicographic maximiser of a linear functional is a
-        vertex: maximising a and then each coordinate in turn narrows the
-        maximising face to a single point.  Every point of S attains at
-        most b, and the maximiser exceeds b, so each round adds a new
-        vertex and the loop ends after at most n - |S| rounds.  While
-        dim Q < dim P some point of P leaves aff(Q), so some equation is
-        violated in one of its two signs.  When no point exceeds any
-        facet of a full-dimensional Q, every point lies in conv(S): then
-        P = conv(S), every vertex of P is in S, and S is the vertex set.
-        """
-        verts = set()
-        for k in range(self.ambient_dim):
-            for sgn in (1, -1):
-                f = [0] * self.ambient_dim
-                f[k] = sgn
-                verts.add(self._lex_extreme(f))
-        if len(verts) == len(self.points):
-            return tuple(range(len(self.points)))
-        if self.dim() == self.ambient_dim:
-            reduced = self
-        else:
-            reduced, _, _ = self.full_dimensional()
-        while True:
-            hull = LatticePolytope([reduced.points[i] for i in sorted(verts)])
-            hull._vertex_indices = tuple(range(len(verts)))
-            dim, equations = hull.affine_hull()
-            if dim < reduced.ambient_dim:
-                functionals = [
-                    f for a, b in equations
-                    for f in ((a, b), (tuple(-x for x in a), -b))
-                ]
-            else:
-                functionals = [(h.normal, h.offset) for h in hull.facets()]
-            for normal, offset in functionals:
-                if any(sum(map(mul, normal, p)) > offset for p in reduced.points):
-                    verts.add(reduced._lex_extreme(normal))
-                    break
-            else:
-                return tuple(sorted(verts))
+        def equations(face):
+            # a . x = c on aff(face), a = det * (x - e_f) for each free column
+            # f, x solving the pivot columns against f: the cofactor normal
+            base = pts[face[0]]
+            m = [[a - b for a, b in zip(pts[i], base)] for i in face[1:]]
+            pivots, _ = _echelon(m, d)
+            free = [f for f in range(d) if f not in pivots]
+            det = _pivot_minor(m, pivots)
+            kernel = _back_substitute(m, pivots, d, free, det)
+            for a, f in zip(kernel, free):
+                a[f] = -det
+            return [(a, sum(map(mul, a, base))) for a in kernel]
+
+        def add(face, inside, outside):
+            # a point beyond the face is outside the previous hull, so
+            # `outside` holds every point beyond it
+            ((normal, offset),) = equations(face)
+            if sum(map(mul, normal, pts[inside])) > offset:
+                normal, offset = [-a for a in normal], -offset
+            hull[face] = normal, offset, [
+                i for i in outside if sum(map(mul, normal, pts[i])) > offset]
+
+        simplex = [self._lex_extreme([0] * d)]
+        while len(simplex) <= d:
+            simplex.append(next(
+                i for a, c in equations(simplex) for f, b in ((a, c), ([-x for x in a], -c))
+                for i in [self._lex_extreme(f)] if sum(map(mul, f, pts[i])) > b))
+        simplex.sort()
+        for k in simplex:
+            add(tuple(i for i in simplex if i != k), k, range(len(pts)))
+        cells.append(tuple(simplex))
+        normal, offset, _ = hull[tuple(simplex[1:])]
+        volume = offset - sum(map(mul, normal, pts[simplex[0]]))
+        while any(above for _, _, above in hull.values()):
+            # the maximiser over the points beyond a face is the one over all
+            normal, _, above = next(v for v in hull.values() if v[2])
+            q = max(above, key=lambda i: (sum(map(mul, normal, pts[i])), pts[i]))
+            outside = {i for _, _, above in hull.values() for i in above}
+            horizon = {}
+            for f in [f for f, (n, c, _) in hull.items() if sum(map(mul, n, pts[q])) > c]:
+                normal, offset, _ = hull.pop(f)
+                volume += sum(map(mul, normal, pts[q])) - offset
+                cells.append(tuple(sorted(f + (q,))))
+                for k in range(d):
+                    ridge = f[:k] + f[k + 1:]
+                    if horizon.pop(ridge, None) is None:
+                        horizon[ridge] = f[k]
+            for ridge, apex in horizon.items():
+                add(tuple(sorted(ridge + (q,))), apex, outside)
+        verts = tuple(sorted({i for cell in cells for i in cell}))
+        facets = {}
+        for normal, offset, _ in hull.values():
+            g = vec_gcd(normal)
+            facets[tuple(a // g for a in normal), offset // g] = None
+        for n, c in facets:
+            facets[n, c] = frozenset(i for i in verts if sum(map(mul, n, pts[i])) == c)
+        return verts, facets, cells, volume
 
     def vertices(self):
         return [self.points[i] for i in self.vertex_indices()]
@@ -296,8 +339,11 @@ class LatticePolytope:
     def facets(self):
         """Irredundant H-representation of a full-dimensional polytope,
         sorted by (normal, offset): read off the inverses of the cells of
-        `_circuit_cells` with at most dim + 2 vertices, found by
-        `_facets_by_scan` with more."""
+        `_circuit_cells` with at most dim + 2 vertices; with more, the
+        distinct primitive hyperplanes of the boundary simplices of the
+        placing pass (`_place`), each tight at the vertices on it: each
+        boundary simplex lies in a facet, and each facet is a union of
+        them."""
         if self._facets is None:
             self._compute_facets()
         return self._facets
@@ -319,7 +365,7 @@ class LatticePolytope:
             raise NotFullDimensionalError("no facets in dimension 0")
         circuit = self._circuit_cells()
         if circuit is None:
-            found = self._facets_by_scan()
+            found = self._placing()[1]
         else:
             sign, cells = circuit
             verts = frozenset(sign)
@@ -368,38 +414,6 @@ class LatticePolytope:
         side = min(([i for i in verts if sign[i] == s] for s in (1, -1)), key=len)
         return sign, [(k, tuple(i for i in verts if i != k)) for k in side]
 
-    def _facets_by_scan(self):
-        """{(normal, offset): tight vertex set} over the hyperplanes spanned
-        by vertex dim-subsets that support P, each of them a facet."""
-        d = self.ambient_dim
-        verts = self.vertex_indices()
-        found = {}
-        for subset in combinations(verts, d):
-            base = self.points[subset[0]]
-            m = [[self.points[i][k] - base[k] for k in range(d)] for i in subset[1:]]
-            pivots, _ = _echelon(m, d)
-            if len(pivots) != d - 1:
-                continue
-            # the kernel is a line, spanned by det * (x - e_f) for the free
-            # column f, where x solves the pivot columns against column f
-            (free,) = set(range(d)).difference(pivots)
-            det = _pivot_minor(m, pivots)
-            (normal,) = _back_substitute(m, pivots, d, [free], det)
-            normal[free] = -det
-            g = vec_gcd(normal)
-            normal = [a // g for a in normal]
-            offset = sum(a * x for a, x in zip(normal, base))
-            values = [sum(a * x for a, x in zip(normal, p)) for p in self.points]
-            if max(values) > offset:
-                if min(values) < offset:
-                    continue
-                normal, offset = [-a for a in normal], -offset
-                values = [-v for v in values]
-            key = (tuple(normal), offset)
-            if key not in found:
-                found[key] = frozenset(i for i in verts if values[i] == offset)
-        return found
-
     def facet_ridge_graph(self):
         """Facets joined when their common vertices span a ridge, a face
         of dimension d - 2; the empty face has dimension -1, so the two
@@ -429,9 +443,10 @@ class LatticePolytope:
         check rebuilds every point.  The copy's points follow the
         original's index for index under an injective affine map, which
         preserves vertices and affine dependencies, so a computed vertex
-        set and dependency carry over.  The copy's own difference rows are
-        its coords (the base point's row is zero), so its Smith form is
-        preset to (U, diag, I, I).
+        set and dependency carry over, as does the placing pass of a polytope
+        short of its ambient space, which ran on such a copy.  The copy's
+        base point is 0, so its difference rows are its coords and its
+        Smith form is (U, diag, I, I).
         """
         u, diag, v, _ = self._smith_form()
         r = len(diag)
@@ -447,6 +462,8 @@ class LatticePolytope:
         reduced._smith = (u, diag, identity, identity)
         reduced._vertex_indices = self._vertex_indices
         reduced._dependency_cache = self._dependency_cache
+        if r < self.ambient_dim:
+            reduced._placed = self._placed
         return reduced, basis, base
 
     # -- lattice points -------------------------------------------------------
@@ -566,40 +583,22 @@ class LatticePolytope:
 
     # -- volume ----------------------------------------------------------------
 
-    def fan_triangulation(self):
-        """Triangulation of a full-dimensional polytope as point-index
-        simplices, by coning a base vertex over the facets avoiding it
-        (recursively in each facet)."""
-        d = self.dim()
-        if d != self.ambient_dim:
-            raise NotFullDimensionalError("triangulate the reduced copy instead")
-        if d == 0:
-            return [(0,)]
-        verts = self.vertex_indices()
-        apex = verts[0]
-        cells = []
-        for hs, vset in zip(self.facets(), self.facet_vertex_sets()):
-            if apex in vset:
-                continue
-            fidx = sorted(vset)
-            fpoly = LatticePolytope([self.points[i] for i in fidx])
-            reduced, _, _ = fpoly.full_dimensional()
-            for cell in reduced.fan_triangulation():
-                cells.append(tuple(sorted(fidx[i] for i in cell)) + (apex,))
-        return cells
-
     def normalized_volume(self):
         """dim! times the Euclidean volume, summed over the circuit
-        triangulation (`_circuit_cells`) with at most dim + 2 vertices,
-        over a fan triangulation with more."""
+        triangulation (`_circuit_cells`) with at most dim + 2 vertices, and
+        with more over the placing triangulation of `_place`.  There a
+        cell cones q over a boundary simplex t_0, ..., t_(d-1) whose
+        cofactor normal has n . (x - t_0) = +-det[t_1 - t_0; ...; x - t_0],
+        so its |det| is n . q - c, and no determinant is taken."""
         d = self.dim()
         if d != self.ambient_dim:
             raise NotFullDimensionalError("reduce to full dimension first")
         if d == 0:
             return 1
         circuit = self._circuit_cells()
-        cells = [c for _, c in circuit[1]] if circuit else self.fan_triangulation()
-        return sum(abs(_simplex_det([self.points[i] for i in c])) for c in cells)
+        if circuit is None:
+            return self._placing()[3]
+        return sum(abs(_simplex_det([self.points[i] for i in c])) for _, c in circuit[1])
 
     def __repr__(self):
         return (

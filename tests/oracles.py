@@ -12,6 +12,7 @@ from lapoly import lp
 from lapoly.complexes import SimplicialComplex
 from lapoly.ehrhart import _poly_mul
 from lapoly.linalg import vec_gcd
+from lapoly.polytope import LatticePolytope
 
 
 def rref(rows):
@@ -84,6 +85,58 @@ def point_in_hull(point, generators):
     a_eq.append([Fraction(1)] * n)
     b_eq.append(Fraction(1))
     return lp.solve_lp([0] * n, *ub_form(a_eq, b_eq, n)).status == lp.OPTIMAL
+
+
+def scan_hull(points, spanning=None):
+    """({(normal, offset): tight vertex set}, vertex indices) of the
+    full-dimensional conv(points), by a subset scan.
+
+    A hyperplane spanned by d of the points (of the indices `spanning`,
+    all by default; they must include every vertex) with every point on
+    one side is a facet; its primitive normal spans the rref kernel of
+    the difference rows.  A point is a vertex iff the normals of the
+    facets through it have rank d: the smallest face that holds it is the
+    polytope cut with their hyperplanes, and the affine hull of that face
+    is their intersection, a single point iff the normals span.
+    """
+    d = len(points[0])
+    planes = {}
+    for subset in combinations(range(len(points)) if spanning is None else spanning, d):
+        base = points[subset[0]]
+        kernel = nullspace([[a - b for a, b in zip(points[i], base)] for i in subset[1:]]
+                           or [[0] * d])
+        if len(kernel) != 1:
+            continue
+        normal = primitive_vector(kernel[0])
+        values = [sum(a * x for a, x in zip(normal, p)) for p in points]
+        offset = values[subset[0]]
+        if max(values) > offset:
+            if min(values) < offset:
+                continue
+            normal, offset, values = [-a for a in normal], -offset, [-v for v in values]
+        planes[(tuple(normal), offset)] = {i for i, v in enumerate(values) if v == offset}
+    through = [[key[0] for key, on in planes.items() if i in on] for i in range(len(points))]
+    verts = [i for i, normals in enumerate(through) if len(normals) >= d and rank(normals) == d]
+    return {key: frozenset(on.intersection(verts)) for key, on in planes.items()}, verts
+
+
+def fan_cells(points):
+    """Cells of a fan triangulation of the full-dimensional conv(points),
+    as sorted index tuples: the least vertex coned over the fan
+    triangulations of the `scan_hull` facets that miss it, each reduced to
+    full dimension; a simplex is its own one cell.  It pulls the vertices
+    in index order, so it is regular."""
+    if len(points) == len(points[0]) + 1:
+        return [tuple(range(len(points)))]
+    facets, verts = scan_hull(points)
+    apex = verts[0]
+    cells = []
+    for on in facets.values():
+        if apex not in on:
+            idx = sorted(on)
+            reduced, _, _ = LatticePolytope([points[i] for i in idx]).full_dimensional()
+            cells += [tuple(sorted([apex] + [idx[i] for i in c])) for c in fan_cells(reduced.points)]
+    return cells
 
 
 def ehrhart_polynomial(counts):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 from operator import mul
 
@@ -18,7 +18,7 @@ from lapoly.polytope import (
     cyclic_polytope,
     gale_evenness_sets,
 )
-from oracles import combinatorial_type, nullspace, point_in_hull
+from oracles import combinatorial_type, fan_cells, nullspace, point_in_hull, scan_hull
 
 
 def unit_square():
@@ -237,6 +237,11 @@ def test_cyclic_polytopes():
     for d in (2, 4, 6, 8):
         c = cyclic_polytope(d, d + 2)
         assert len(c.facets()) == (d + 2) ** 2 // 4
+    # beyond d + 2 vertices the placing pass finds the facets, which
+    # cyclic_polytope checks against Gale evenness
+    for d in range(2, 7):
+        for n in range(d + 3, d + 6):
+            assert len(cyclic_polytope(d, n).facets()) == len(gale_evenness_sets(d, n))
     assert len(gale_evenness_sets(4, 6)) == 9
     with pytest.raises(ValueError):
         cyclic_polytope(3, 3)
@@ -417,12 +422,12 @@ def test_full_dimensional_reduction():
         assert tuple(rebuilt) == orig
 
 
-# -- closed forms for at most dim + 2 vertices ---------------------------------
+# -- closed forms and the placing pass against the scan and the fan -----------
 
 
-def scan_facets(poly):
+def scan_facets(points, spanning=None):
     """The subset scan's facets as sorted ((normal, offset), tight set)."""
-    found = poly._facets_by_scan()
+    found, _ = scan_hull(points, spanning)
     return [(key, found[key]) for key in sorted(found)]
 
 
@@ -430,8 +435,8 @@ def closed_facets(poly):
     return [((h.normal, h.offset), s) for h, s in zip(poly.facets(), poly.facet_vertex_sets())]
 
 
-def fan_volume(poly):
-    return sum(abs(_simplex_det([poly.points[i] for i in c])) for c in poly.fan_triangulation())
+def fan_volume(points):
+    return sum(abs(_simplex_det([points[i] for i in c])) for c in fan_cells(points))
 
 
 def random_full_dim(rng, d, n):
@@ -458,22 +463,30 @@ def random_pyramid(rng, d):
     return pts
 
 
-@pytest.mark.parametrize("corank", [0, 1])
+@pytest.mark.parametrize("corank", [0, 1, 2, 3])
 def test_closed_forms_match_scan_and_fan_volume(corank):
     rng = random.Random(2100 + corank)
     seen = set()
     for trial in range(200):
         d = rng.randint(1, 5)
-        if corank and d > 1 and trial % 3 == 0:
+        if corank == 1 and d > 1 and trial % 3 == 0:
             pts = random_pyramid(rng, d)
         else:
             pts = random_full_dim(rng, d, d + 1 + corank)
         poly = LatticePolytope(pts)
-        sign, cells = poly._circuit_cells()
-        assert closed_facets(poly) == scan_facets(poly)
-        assert poly.normalized_volume() == fan_volume(poly)
+        found, oracle_verts = scan_hull(pts)
+        assert closed_facets(poly) == [(key, found[key]) for key in sorted(found)]
+        assert poly.normalized_volume() == fan_volume([pts[i] for i in oracle_verts])
         verts = poly.vertex_indices()
+        assert list(verts) == oracle_verts
         seen.add(f"dim {d}")
+        if len(verts) > d + 2:
+            assert poly._circuit_cells() is None
+            seen.add("placing")
+            if max(map(len, poly.facet_vertex_sets())) > d:
+                seen.add("non-simplicial")
+            continue
+        sign, cells = poly._circuit_cells()
         if len(verts) == d + 1:
             assert cells == [(None, verts)] and not any(sign.values())
             e = det_int([[*poly.points[i], 1] for i in verts])
@@ -484,9 +497,53 @@ def test_closed_forms_match_scan_and_fan_volume(corank):
             seen.add("pyramid" if 0 in sign.values() else "circuit")
         if len(verts) < len(pts):
             seen.add("non-vertex")
-    want = {f"dim {d}" for d in range(1, 6)} | (
-        {"det < 0", "det > 0"} if corank == 0 else {"pyramid", "circuit", "non-vertex"})
+    want = {f"dim {d}" for d in range(1, 6)} | [
+        {"det < 0", "det > 0"}, {"pyramid", "circuit", "non-vertex"},
+        {"placing", "non-simplicial", "circuit", "non-vertex"},
+        {"placing", "non-simplicial", "circuit", "non-vertex"}][corank]
     assert want <= seen
+
+
+def interior_points(d):
+    """The lattice points of the interior polytope of the reduced
+    polytope, and the positions of its vertices by their formula."""
+    q = reduce_full_dim(d)[0].interior_polytope()
+    return list(q.points), [q.points.index(v) for v in interior_polytope_vertices(d)]
+
+
+def named_hull(name):
+    """(points, indices whose d-subsets the scan tries, or None for all)."""
+    if name.endswith("cube"):
+        return list(product((0, 1), repeat=int(name[0]))), None
+    if name == "cube-grid":
+        return list(product((0, 1, 2), repeat=3)), None
+    return interior_points(int(name[-1]))
+
+
+@pytest.mark.parametrize("name", ["3-cube", "4-cube", "cube-grid", "interior-4", "interior-6"])
+def test_degenerate_hulls_match_scan_and_fan_volume(name):
+    """The cubes have non-simplicial facets.  The grid is 2 times the
+    3-cube with all its lattice points: an edge midpoint lies on two
+    facets, a face centre on one and the body centre on none, and none is
+    a vertex.  The interior polytopes have many more lattice points than
+    vertices; the pass finds the dim + 2 vertices and the circuit form
+    their facets.  The d = 6 scan spans its hyperplanes by the vertex
+    formula's points, and the fan runs on those points alone."""
+    pts, spanning = named_hull(name)
+    poly = LatticePolytope(pts)
+    d = poly.dim()
+    assert closed_facets(poly) == scan_facets(pts, spanning)
+    verts = poly.vertex_indices()
+    assert poly.normalized_volume() == fan_volume([pts[i] for i in verts])
+    if name.endswith("cube"):
+        assert len(verts) == 2 ** d and {len(s) for s in poly.facet_vertex_sets()} == {2 ** (d - 1)}
+    elif name == "cube-grid":
+        on = [sum(h.value(p) == h.offset for h in poly.facets()) for p in pts]
+        assert sorted(on) == [0] + [1] * 6 + [2] * 12 + [3] * 8
+        assert [i for i in range(len(pts)) if on[i] == 3] == list(verts)
+    else:
+        assert len(verts) == d + 2 < len(pts) and poly._circuit_cells() is not None
+        assert sorted(verts) == sorted(spanning)
 
 
 def proportional(c, e):
@@ -523,23 +580,36 @@ def test_closed_forms_on_reduced_boundary_polytopes(d):
     p, _ = reduce_full_dim(d)
     # a simplex for odd d, d + 2 vertices in dimension d for even d
     assert len(p.vertex_indices()) == p.dim() + 2 - d % 2
-    assert closed_facets(p) == scan_facets(p)
-    assert p.normalized_volume() == fan_volume(p)
+    assert closed_facets(p) == scan_facets(p.points)
+    assert p.normalized_volume() == fan_volume(p.points)
 
 
-def test_scan_only_beyond_dim_plus_two_vertices(monkeypatch):
+def test_placing_only_beyond_dim_plus_two_vertices(monkeypatch):
     cube = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     triangle = LatticePolytope([(0, 0), (2, 0), (0, 1)])
-    polys = (unit_square(), triangle, cube)
-    for poly in polys:
-        poly.vertex_indices()  # the cube's violated-facet loop scans its hulls
     calls = []
-    scan = LatticePolytope._facets_by_scan
+    place = LatticePolytope._place
     monkeypatch.setattr(
-        LatticePolytope, "_facets_by_scan", lambda self: calls.append(self) or scan(self))
-    for poly in polys:
+        LatticePolytope, "_place", lambda self: calls.append(self) or place(self))
+    for poly in (unit_square(), triangle, cube):
+        poly.vertex_indices()
         poly.facets()
+        poly.facet_vertex_sets()
+        poly.normalized_volume()
     assert calls == [cube] and cube._circuit_cells() is None
+
+
+def test_oracles_run_no_placing_pass(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an oracle ran the placing pass")
+
+    monkeypatch.setattr(LatticePolytope, "_place", refuse)
+    # the unit 4-cube has volume 4!, the 3-cube of side 2 has 2^3 * 3!
+    for pts, volume in ((list(product((0, 1), repeat=4)), 24),
+                        (list(product((0, 1, 2), repeat=3)), 48)):
+        facets, verts = scan_hull(pts)
+        assert len(verts) == 2 ** len(pts[0]) and len(facets) == 2 * len(pts[0])
+        assert fan_volume(pts) == volume
 
 
 def test_affine_hull_equations_are_saturated():

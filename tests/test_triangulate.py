@@ -28,7 +28,7 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _RidgeWalk, _ridge_pass, _walk_of
-from oracles import f_vector, nullspace, point_in_hull, primitive_vector, ub_form
+from oracles import fan_cells, f_vector, nullspace, point_in_hull, primitive_vector, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -898,10 +898,15 @@ def test_verify_failure_lists_are_unchanged(name):
     assert verify_triangulation(WALK_CASES[name])["failures"] == FIXTURE_FAILURES[name]
 
 
-def test_verify_accepts_fan_triangulations_of_random_polytopes():
-    """`LatticePolytope.fan_triangulation` of seeded random lattice
-    polytopes in dimensions 2-4: none is unimodular, so the walk runs on
-    Fraction inverses, and simplices give one-cell triangulations."""
+@pytest.mark.parametrize("source", ["fan", "placing"])
+def test_verify_accepts_fan_triangulations_of_random_polytopes(source):
+    """The fan oracle's cells and the placing pass's cells
+    (`LatticePolytope._place`) of seeded random lattice polytopes in
+    dimensions 2-4: none is unimodular, so the walk runs on Fraction
+    inverses, and simplices give one-cell triangulations.  Both are
+    regular (pulling and placing), which `is_regular` proves by its LP.
+    With more than dim + 2 vertices the carrier's volume comes from the
+    placing pass as well, so it is checked against the fan oracle."""
     rng = random.Random(2026)
     one_cell = checked = 0
     while checked < 100:
@@ -911,11 +916,14 @@ def test_verify_accepts_fan_triangulations_of_random_polytopes():
         p = LatticePolytope(sorted(points))
         if p.dim() != dim:
             continue
-        t = Triangulation(p.points, p.fan_triangulation(), p)
+        fan = fan_cells(p.points)
+        t = Triangulation(p.points, fan if source == "fan" else p._placing()[2], p)
         report = verify_triangulation(t)
         assert report["ok"], report["failures"]
-        assert report["volume_sum"] == p.normalized_volume()
+        volume = sum(abs(_simplex_det([p.points[i] for i in c])) for c in fan)
+        assert report["volume_sum"] == report["carrier_nvol"] == volume
         assert not report["unimodular"]
+        assert is_regular(t)[0]
         one_cell += t.cell_count == 1
         checked += 1
     assert one_cell
