@@ -14,8 +14,14 @@ the cells and the pool by whichever runs first and kept on the
 triangulation: it carries each cell's inverse matrix by exact rank-one
 steps, whose pivots give every cell's determinant for
 `verify_triangulation`, and it keeps the steps, so a height vector's fold
-values take one covector pass over them, one dot product per fold (an
-integer on unimodular cells).  The even-d cone and its refinement get
+values take one covector pass over them (an integer on unimodular cells):
+a step gives its own fold's value, and only the folds off the walk's tree
+take a dot product.  `h_vector_of` reads the same steps: on a triangulation
+that `verify_triangulation` has proved, it carries the barycentric
+coordinates of one interior point from cell to cell and counts the
+negative ones in each cell (half-open decomposition, proof in its
+docstring), with no face sets.  The face census stays as the standalone
+census route, which builds no walk.  The even-d cone and its refinement get
 their heights by one recipe (`_scaled_heights`): a base vector scaled by
 the least N that makes every fold of their own walk strictly convex, plus
 a secondary vector.  The cone scales when it is built and keeps its walk;
@@ -29,12 +35,11 @@ from array import array
 from collections import deque
 from functools import partial
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from operator import getitem, itemgetter, mul
+from itertools import combinations, combinations_with_replacement, compress
+from operator import itemgetter, lt, mul
 
 from . import lp
 from .budgets import BudgetError, cell_budget
-from .complexes import h_from_f
 from .laplacian import interior_polytope_vertices, reduce_full_dim
 from .linalg import solve_int
 from .polytope import LatticePolytope
@@ -51,7 +56,9 @@ class Triangulation:
     `heights`; its list is stored.  The ridge walk of the cells
     (`_walk_of`) is built by the first checker or construction that needs
     it and kept; `cells` and `vertex_pool` are replaced, never edited in
-    place, and assigning either drops it.
+    place, and assigning either drops it.  Assigning either, or `carrier`,
+    also empties `checks`, whose records would otherwise vouch for the new
+    triangulation.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
@@ -66,8 +73,10 @@ class Triangulation:
         self.checks = {}
 
     def __setattr__(self, name, value):
-        if name in ("vertex_pool", "cells"):
-            object.__setattr__(self, "_walk", None)
+        if name in ("vertex_pool", "cells", "carrier"):
+            object.__setattr__(self, "checks", {})
+            if name != "carrier":
+                object.__setattr__(self, "_walk", None)
         object.__setattr__(self, name, value)
 
     @property
@@ -350,11 +359,15 @@ class _RidgeWalk:
     (proof in `verify_triangulation`).  `dets` holds det E of every cell:
     0 for a degenerate cell, which is not expanded, and for a cell of the
     wrong size, which is never entered.  The steps are kept in walk order
-    as the arrays `step_b`, `step_a`, `step_w` and the rows piv, one after
-    another in `pivots`, so a height vector's covectors follow the tree
-    (`fold_values`).  `pivots` and `dets` are the narrowest integer arrays
-    that hold them (`_compact`), lists only where none can.  Inverses are
-    dropped once their cell is expanded, and no ridge index is kept.
+    as the arrays `step_b`, `step_a`, `step_w`, the fold index `step_k`,
+    and the rows piv and the vectors lam, one after another in `pivots`
+    and `lams`, so a height vector's covectors (`fold_values`) and a
+    point's barycentric coordinates (`_half_open_h`) follow the tree.  The
+    steps out of one cell are consecutive, since the walk is breadth-first.
+    `chords` lists the folds that no step crosses.  `pivots`, `lams` and
+    `dets` are the narrowest integer arrays that hold them (`_compact`),
+    lists only where none can.  Inverses are dropped once their cell is
+    expanded, and no ridge index is kept.
     """
 
     def __init__(self, pool, cells):
@@ -397,9 +410,11 @@ class _RidgeWalk:
         unit = [[int(i == j) for i in range(n)] for j in range(n)]
         dets = self.dets = [0] * len(cells)
         roots = self.roots = []
-        step_b, step_a, step_w = self.step_b, self.step_a, self.step_w = (
-            array("I"), array("I"), array("I"))
+        step_b, step_a, step_w, step_k = (
+            self.step_b, self.step_a, self.step_w, self.step_k) = (
+            array("I"), array("I"), array("I"), array("I"))
         pivots = []
+        lams = []
         seen = bytearray(len(cells))
         frontier = {}
         for root, cell in enumerate(cells):
@@ -455,11 +470,18 @@ class _RidgeWalk:
                     step_b.append(b)
                     step_a.append(a)
                     step_w.append(w)
+                    step_k.append(k)
                     pivots.extend(piv)
+                    lams.extend(lam)
                     frontier[b] = nxt
                     queue.append(b)
         self.pivots = _compact(pivots)
+        self.lams = _compact(lams)
         self.dets = _compact(dets)
+        chord = bytearray(b"\1") * len(ca)
+        for k in step_k:
+            chord[k] = 0
+        self.chords = array("I", compress(range(len(ca)), chord))
 
     def folds(self):
         """The folds as tuples (ca, da, cb, db), in pairing order."""
@@ -480,26 +502,43 @@ class _RidgeWalk:
         forms its covector from its inverse.  Along a step a -> b, piv (the
         row of M_b for w) is the affine function that is 1 at w and 0 on
         the shared ridge, where c_a already interpolates h, so
-        c_b = c_a + phi * piv with phi = h[w] - c_a . [w; 1].  A height
-        vector thus costs O(d) per cell and per fold.
+        c_b = c_a + phi * piv with phi = h[w] - c_a . [w; 1].
+
+        A step's own fold needs no second evaluation.  When the step runs
+        ca -> cb, its value is phi by definition.  When it runs cb -> ca, w
+        is cells[ca][da], and the fold's opposite vertex u is a's vertex at
+        `here`, where c_a interpolates h; since M_a[here] . [u; 1] = 1,
+        piv . [u; 1] = 1/t with t = lam[here], so the value
+        h[u] - c_b . [u; 1] is -phi/t.  Only the folds off the tree
+        (`chords`) take a dot product.  A height vector thus costs O(d) per
+        cell and per fold.
         """
         self.require_triangulation()
-        pool, cells = self.pool, self.cells
+        pool, cells, n = self.pool, self.cells, self.size
+        ca, db, lams = self.ca, self.db, self.lams
         cov = [None] * len(cells)
         for root, m in self.roots:
             cov[root] = [
                 sum(h[i] * x for i, x in zip(cells[root], col)) for col in zip(*m)
             ]
-        rows = zip(*[iter(self.pivots)] * self.size)
-        for b, a, w, piv in zip(self.step_b, self.step_a, self.step_w, rows):
+        values = [None] * len(ca)
+        rows = zip(*[iter(self.pivots)] * n)
+        steps = zip(self.step_b, self.step_a, self.step_w, self.step_k, rows)
+        for i, (b, a, w, k, piv) in enumerate(steps):
             c = cov[a]
             phi = h[w] - sum(map(mul, c, pool[w])) - c[-1]
             cov[b] = [x + phi * y for x, y in zip(c, piv)] if phi else c
-        opposite = map(getitem, map(cells.__getitem__, self.cb), self.db)
-        return [
-            h[w] - sum(map(mul, c, pool[w])) - c[-1]
-            for c, w in zip(map(cov.__getitem__, self.ca), opposite)
-        ]
+            if ca[k] == a:
+                values[k] = phi
+            else:
+                t = lams[i * n + db[k]]
+                values[k] = -phi * t if t in (1, -1) else -phi / Fraction(t)
+        cb = self.cb
+        for k in self.chords:
+            c = cov[ca[k]]
+            w = cells[cb[k]][db[k]]
+            values[k] = h[w] - sum(map(mul, c, pool[w])) - c[-1]
+        return values
 
 
 def _compact(values):
@@ -899,8 +938,112 @@ def face_census(t):
 
 
 def h_vector_of(t):
-    """h-vector of the triangulation complex (length dim+2)."""
-    return h_from_f(face_census(t))
+    """h-vector of the triangulation as a simplicial complex (length
+    dim + 2), by half-open decomposition on its ridge walk.
+
+    It runs only on a triangulation that `verify_triangulation` accepts:
+    it reads the record in `t.checks["verify"]`, verifies when there is
+    none, and raises ValueError when the check fails.  It then counts, for
+    one point q inside the first root cell of the walk, how many
+    barycentric coordinates of q are negative in each cell
+    (`_half_open_h`).
+
+    Theorem (Betke and McMullen 1985; Koeppe and Verdoolaege, Electron. J.
+    Combin. 15 (2008) R16).  Let T triangulate a convex polytope P, and
+    let q in int P have no barycentric coordinate 0 in any cell.  For a
+    cell c let R_c be the set of its vertices v with lambda_v(q) < 0, the
+    vertices opposite the facets of c that separate q from c.  Then every
+    face of T, the empty face included, lies in exactly one interval
+    [R_c, c] = {F : R_c <= F <= c}, so h_i = #{c : |R_c| = i}.
+    Unimodularity is not needed.
+
+    Proof.  The empty face lies in [R_c, c] iff R_c is empty, i.e. iff q
+    lies in int c, which holds for exactly one cell.  Let F be a nonempty
+    face and x a point of its relative interior, and put
+    x_e = x + e (q - x).  For a cell c containing F, the coordinates
+    of x_e are lambda(x) + e (lambda(q) - lambda(x)); those of x are
+    positive on F and 0 off it, so x_e lies in int c for all small e > 0
+    iff lambda_v(q) > 0 for every v in c - F, i.e. iff R_c <= F.  At most
+    one cell has this property, since the interiors of cells are disjoint.
+    At least one has it: x_e lies in P for e in [0, 1], as P is convex, so
+    finitely many cells cover the segment, and one of them, c, contains
+    x_e for all e in some (0, e_0); then x lies in c, F is a face of c
+    because T is a simplicial complex and x lies in the relative interior
+    of F, and lambda_v(q) = lambda_v(x_e) / e >= 0 for v in c - F, so
+    > 0 since no coordinate is 0.  Hence the faces split into the
+    intervals.  The interval [R, c] with |R| = r and |c| = d + 1 holds
+    C(d+1-r, j) faces with r + j vertices, and
+    sum_j C(d+1-r, j) (t-1)^(d+1-r-j) = t^(d+1-r), so its share of
+    sum_F (t-1)^(d+1-|F|) = sum_i h_i t^(d+1-i) is t^(d+1-r): every
+    cell adds 1 to h_|R_c|.
+
+    q has the coordinates w_i / sum(w) in the root cell, with
+    w_i = B^(d+1) + B^i and B = 2^10: the centroid moved by a small fixed
+    offset.  A hyperplane a.x = b holds q iff sum_i w_i c_i = 0 with
+    c_i = a.v_i - b at the root's vertices v_i.  When every |c_i| <= 511,
+    the term B^(d+1) sum c_i exceeds the rest unless sum c_i = 0, and then
+    sum B^i c_i = 0 forces every c_i = 0, which no hyperplane does to a
+    full-dimensional simplex.  Any other zero coordinate is found on the
+    walk, and it raises ValueError.
+    """
+    proof = t.checks.get("verify")
+    if proof is None:
+        verify_triangulation(t)
+        proof = t.checks["verify"]
+    if not proof["ok"]:
+        raise ValueError("h_vector_of needs a triangulation that "
+                         "verify_triangulation accepts")
+    n = t.dim + 1
+    return _half_open_h(_walk_of(t), [(1 << 10 * n) + (1 << 10 * i) for i in range(n)])
+
+
+def _half_open_h(walk, weights):
+    """h_i = #{cells in which i barycentric coordinates of q are negative},
+    for the point q with the positive coordinates weights / sum(weights)
+    in the walk's first root cell (proof in `h_vector_of`).
+
+    The walk carries y = D * lambda(q), D = sum(weights), along its steps
+    in O(d) each: a step from a to b with lam = M_a [w; 1] and t =
+    lam[here] gives y_b[there] = s = y_a[here] / t, and y_a[i] - lam_i * s
+    for every other position i of a, in b's order, as the rows of M_b
+    (`_RidgeWalk`).  A root takes y from its inverse.  Integers stay
+    integers on unimodular steps.  Raises ValueError when a coordinate is
+    0: q lies on the hyperplane of a ridge, and the count is not proved.
+    """
+    pool, cells, n = walk.pool, walk.cells, walk.size
+    ca, da, db = walk.ca, walk.da, walk.db
+    root = [pool[i] for i in cells[walk.roots[0][0]]]
+    q = [sum(map(mul, weights, col)) for col in zip(*root)] + [sum(weights)]
+    h = [0] * (n + 1)
+    zero = [0] * n
+    # y of a cell that some step leaves, until its steps are taken
+    expands = bytearray(len(cells))
+    for a in walk.step_a:
+        expands[a] = 1
+    frontier = {}
+
+    def count(c, y):
+        if 0 in y:
+            raise ValueError("q lies on the hyperplane of a ridge")
+        h[sum(map(lt, y, zero))] += 1
+        if expands[c]:
+            frontier[c] = y
+
+    for root, m in walk.roots:
+        count(root, [sum(map(mul, row, q)) for row in m])
+    current = None
+    rows = zip(*[iter(walk.lams)] * n)
+    for b, a, k, lam in zip(walk.step_b, walk.step_a, walk.step_k, rows):
+        if a != current:
+            current, y = a, frontier.pop(a)
+        here, there = (da[k], db[k]) if ca[k] == a else (db[k], da[k])
+        t = lam[here]
+        s = y[here] * t if t in (1, -1) else Fraction(y[here]) / t
+        z = [x - l * s for x, l in zip(y, lam)]
+        del z[here]
+        z.insert(there, s)
+        count(b, z)
+    return tuple(h)
 
 
 def verify_shelling(p, order):

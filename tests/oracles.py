@@ -139,6 +139,29 @@ def fan_cells(points):
     return cells
 
 
+def covector_fold_values(walk, h):
+    """Fold values of the height vector h on a `_RidgeWalk`, one covector
+    dot product per fold: every cell's covector c_a follows the walk's
+    steps (c_b = c_a + phi * piv), and the value at (ca, da, cb, db) is
+    h[w] - c_ca . [w; 1] for w = cells[cb][db].  It reads neither the
+    steps' fold indices nor their lam vectors."""
+    walk.require_triangulation()
+    pool, cells = walk.pool, walk.cells
+    cov = [None] * len(cells)
+    for root, m in walk.roots:
+        cov[root] = [sum(h[i] * x for i, x in zip(cells[root], col)) for col in zip(*m)]
+    rows = zip(*[iter(walk.pivots)] * walk.size)
+    for b, a, w, piv in zip(walk.step_b, walk.step_a, walk.step_w, rows):
+        c = cov[a]
+        phi = h[w] - sum(x * y for x, y in zip(c, pool[w])) - c[-1]
+        cov[b] = [x + phi * y for x, y in zip(c, piv)]
+    values = []
+    for a, b, k in zip(walk.ca, walk.cb, walk.db):
+        c, w = cov[a], cells[b][k]
+        values.append(h[w] - sum(x * y for x, y in zip(c, pool[w])) - c[-1])
+    return values
+
+
 def ehrhart_polynomial(counts):
     """Interpolating polynomial through (n, E(n)), rational coefficients."""
     n = len(counts)

@@ -15,6 +15,7 @@ from lapoly.cli import (
     load_reference_table,
     main,
 )
+from lapoly.complexes import f_from_h
 
 
 def run_cli(*args):
@@ -285,7 +286,7 @@ def test_verify_table_status_reflects_every_check(monkeypatch, capsys):
 def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     import lapoly.cli as cli
 
-    monkeypatch.setattr(cli, "h_vector_of", lambda tri: (1, 2, 0, 7))
+    monkeypatch.setattr(cli, "face_census", lambda tri: f_from_h((1, 2, 0, 7)))
     assert main(["hstar", "--d", "1", "--method", "census"]) == EXIT_MISMATCH
     assert "nonzero tail" in capsys.readouterr().err
     assert main(["verify-table", "--max-d", "1"]) == EXIT_MISMATCH

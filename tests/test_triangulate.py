@@ -27,8 +27,8 @@ from lapoly.triangulate import (
     verify_shelling,
     verify_triangulation,
 )
-from lapoly.triangulate import _RidgeWalk, _ridge_pass, _walk_of
-from oracles import fan_cells, f_vector, nullspace, point_in_hull, primitive_vector, ub_form
+from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
+from oracles import covector_fold_values, fan_cells, f_vector, nullspace, point_in_hull, primitive_vector, ub_form
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -1193,6 +1193,134 @@ def test_face_census_matches_reference_rows(triangulation_cache):
         t = triangulation_cache(d)
         row = table[d] + (0,) * (t.dim + 2 - len(table[d]))
         assert face_census(t) == f_from_h(row)
+
+
+# -- h-vector by half-open decomposition --------------------------------------
+
+
+def placing_triangulations(count, seed):
+    """The placing triangulations (`LatticePolytope._place`) of `count`
+    seeded random lattice polytopes in dimensions 2-4, each in its sorted
+    cell order and shuffled, so that the walk also steps from cb to ca
+    across non-unimodular folds."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < 2 * count:
+        dim = 2 + len(found) // 2 % 3
+        points = {tuple(rng.randint(-2, 2) for _ in range(dim))
+                  for _ in range(dim + 3 + rng.randint(0, 4))}
+        p = LatticePolytope(sorted(points))
+        if p.dim() != dim:
+            continue
+        cells = list(p._placing()[2])
+        found.append(Triangulation(p.points, cells, p))
+        rng.shuffle(cells)
+        found.append(Triangulation(p.points, cells, p))
+    return found
+
+
+def reverse_steps(walk):
+    """(all, non-unimodular) counts of the walk's steps from cb to ca."""
+    n = walk.size
+    back = [i for i, (a, k) in enumerate(zip(walk.step_a, walk.step_k)) if walk.cb[k] == a]
+    return len(back), sum(abs(walk.lams[i * n + walk.db[walk.step_k[i]]]) != 1 for i in back)
+
+
+def half_open_cases(triangulation_cache):
+    yield from (triangulation_cache(d) for d in range(1, 6))
+    yield from (interior_polytope_triangulation(d) for d in (2, 4))
+
+
+def test_half_open_h_vector_matches_face_census(triangulation_cache):
+    for t in half_open_cases(triangulation_cache):
+        assert h_vector_of(t) == h_from_f(face_census(t))
+    back = 0
+    for t in placing_triangulations(100, 2027):
+        assert h_vector_of(t) == h_from_f(face_census(t))
+        back += reverse_steps(_walk_of(t))[1]
+    assert back
+
+
+def test_fold_values_match_covector_oracle(triangulation_cache):
+    rng = random.Random(11)
+    cases = list(half_open_cases(triangulation_cache)) + placing_triangulations(100, 2027)
+    back = 0
+    for t in cases:
+        walk = _walk_of(t)
+        probes = [[rng.randint(-9, 9) for _ in t.vertex_pool]]
+        if t.cell_count < 2000:
+            probes.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in t.vertex_pool])
+        for h in probes:
+            assert walk.fold_values(h) == covector_fold_values(walk, h)
+        back += reverse_steps(walk)[0]
+    assert back
+
+
+def test_h_vector_reuses_the_verify_record_and_the_walk(monkeypatch):
+    t = laplacian_triangulation(3)
+    assert verify_triangulation(t)["ok"]
+    calls = count_walk_work(monkeypatch)
+
+    def refuse(t):
+        raise AssertionError("verified twice")
+
+    monkeypatch.setattr(triangulate, "verify_triangulation", refuse)
+    assert h_vector_of(t) == (1, 22, 78, 24, 0, 0)
+    assert calls == {"solve_int": 0, "_ridge_pass": 0}
+
+
+def test_h_vector_refuses_unverified_triangulations():
+    t = laplacian_triangulation(2)
+    dropped = Triangulation(t.vertex_pool, t.cells[1:], t.carrier)
+    pool = list(t.vertex_pool)
+    inner = next(i for i, p in enumerate(pool)
+                 if all(h.value(p) < h.offset for h in t.carrier.facets()))
+    pool[inner] = (pool[inner][0] + 1, *pool[inner][1:])
+    shifted = Triangulation(pool, t.cells, t.carrier)
+    for bad in (dropped, shifted):
+        with pytest.raises(ValueError, match="verify_triangulation accepts"):
+            h_vector_of(bad)
+        assert bad.checks["verify"]["ok"] is False
+
+
+def test_replacing_cells_pool_or_carrier_drops_the_proofs():
+    t = laplacian_triangulation(2)
+    cells, pool, carrier = t.cells, t.vertex_pool, t.carrier
+    assert h_vector_of(t) == (1, 10, 5, 0) and t.checks["verify"]["ok"]
+    assert is_regular(t)[0] and "regular" in t.checks
+    t.cells = cells[1:]
+    assert t.checks == {}
+    with pytest.raises(ValueError, match="verify_triangulation accepts"):
+        h_vector_of(t)
+    t.cells = cells
+    assert t.checks == {} and h_vector_of(t) == (1, 10, 5, 0)
+    t.vertex_pool = [(x + 1, y) for x, y in pool]
+    assert t.checks == {}
+    with pytest.raises(ValueError, match="verify_triangulation accepts"):
+        h_vector_of(t)
+    t.vertex_pool = pool
+    assert h_vector_of(t) == (1, 10, 5, 0)
+    # a new carrier keeps the walk, but not the proof against the old one
+    walk = t._walk
+    t.carrier = LatticePolytope([tuple(2 * x for x in p) for p in carrier.points])
+    assert t.checks == {} and t._walk is walk
+    with pytest.raises(ValueError, match="verify_triangulation accepts"):
+        h_vector_of(t)
+
+
+def test_half_open_count_refuses_a_point_on_a_ridge_hyperplane():
+    # the big triangle X, Y, O around P = (1, 1); the root X Y P is cell 0,
+    # and the line y = x through the ridge O P cuts it
+    t = fixture([(3, 0), (0, 3), (1, 1), (0, 0)], [(0, 1, 2), (0, 2, 3), (1, 2, 3)])
+    assert verify_triangulation(t)["ok"]
+    walk = _walk_of(t)
+    assert walk.roots[0][0] == 0
+    census = h_from_f(face_census(t))
+    assert h_vector_of(t) == _half_open_h(walk, [1, 2, 4]) == census == (1, 1, 1, 0)
+    # weights 1, 1, 1: q = (4/3, 4/3), on y = x
+    with pytest.raises(ValueError, match="hyperplane of a ridge"):
+        _half_open_h(walk, [1, 1, 1])
 
 
 def test_shelling_simplex_any_order():
