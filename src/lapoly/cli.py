@@ -1,9 +1,9 @@
 """Command-line interface: build polytopes, compute h*, verify the table.
 
 Exit codes: 0 ok, 1 mathematical mismatch, 2 input error, 3 budget error.
-Reports are JSON on stdout with deterministic result fields; budgets are
-flags (--budget-points, --budget-cells) with environment fallbacks
-LAPOLY_BUDGET_POINTS / LAPOLY_BUDGET_CELLS.
+Reports are one JSON line on stdout with deterministic result fields;
+budgets are flags (--budget-points, --budget-cells) with environment
+fallbacks LAPOLY_BUDGET_POINTS / LAPOLY_BUDGET_CELLS.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _report(command, inputs, results, timings, budgets):
 
 
 def _emit(report):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report) + "\n")
 
 
 def load_reference_table(path=None):
@@ -91,7 +91,9 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
     if method == "structural":
         return hstar_structural(d)
     if method == "census":
-        # the face census needs no ridge walk, which alone costs more
+        # the face census needs no ridge walk, which alone costs more, and
+        # never reads the heights, so neither the cone nor the refinement
+        # is walked
         tri = laplacian_triangulation(d, budget=cells_budget)
         h = h_from_f(face_census(tri))
         length = hstar_length(d)

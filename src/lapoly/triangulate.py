@@ -24,9 +24,9 @@ docstring), with no face sets.  The face census stays as the standalone
 census route, which builds no walk.  The even-d cone and its refinement get
 their heights by one recipe (`_scaled_heights`): a base vector scaled by
 the least N that makes every fold of their own walk strictly convex, plus
-a secondary vector.  The cone scales when it is built and keeps its walk;
-the refinement scales on the first read of its heights, and its checkers
-reuse that walk.
+a secondary vector.  Both scale on the first read of their heights, so a
+build walks no ridges: the refinement's first read scales the cone on the
+cone's walk, then itself on its own walk, which its checkers reuse.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from array import array
 from collections import deque
 from functools import partial
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import (
+    chain, combinations, combinations_with_replacement, compress, repeat,
+)
 from operator import itemgetter, lt, mul
 
 from . import lp
@@ -53,12 +55,13 @@ class Triangulation:
 
     `heights` are proposed lifting heights, or None.  They may be given as
     a callable of the triangulation, which runs on the first read of
-    `heights`; its list is stored.  The ridge walk of the cells
-    (`_walk_of`) is built by the first checker or construction that needs
-    it and kept; `cells` and `vertex_pool` are replaced, never edited in
-    place, and assigning either drops it.  Assigning either, or `carrier`,
-    also empties `checks`, whose records would otherwise vouch for the new
-    triangulation.
+    `heights`; its list is stored.  Assigning `heights` drops the
+    `checks["regular"]` record, which vouched for the old ones.  The ridge
+    walk of the cells (`_walk_of`) is built by the first checker or
+    heights read that needs it and kept; `cells` and `vertex_pool` are
+    replaced, never edited in place, and assigning either drops it.
+    Assigning either, or `carrier`, also empties `checks`, whose records
+    would otherwise vouch for the new triangulation.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
@@ -87,6 +90,7 @@ class Triangulation:
 
     @heights.setter
     def heights(self, value):
+        self.checks.pop("regular", None)
         self._heights = value
 
     @property
@@ -578,8 +582,12 @@ def is_regular(t, heights=None):
     again on the walk before they are returned (AssertionError if a fold
     is not positive).
 
+    A record in `t.checks["regular"]` is dropped before the check and
+    written again only on success.
+
     Returns (regular, heights_or_none).
     """
+    t.checks.pop("regular", None)
     use = heights if heights is not None else t.heights
     if use is not None:
         walk = _walk_of(t)
@@ -650,8 +658,9 @@ def _interior_cone(d):
     every cell, sorted by id, lists its vertices in point order.  The
     heights are a large multiple of the boundary indicator (strict
     convexity across facets) plus the alcove heights (strictness inside
-    facets), scaled on the cone's ridge walk (`_scaled_heights`), which
-    stays on the triangulation.
+    facets), scaled on the first read of `heights` (`_scaled_heights`) on
+    the cone's ridge walk, which then stays on the triangulation; the
+    build walks nothing.
     """
     points, alcove, boundary_cells = _interior_boundary_triangulation(d)
     apex = len(points)
@@ -664,11 +673,9 @@ def _interior_cone(d):
     # the triangulation sorts each cell by id
     cells = [(*map(renumber.__getitem__, c), renumber[apex]) for c in boundary_cells]
     carrier = LatticePolytope(interior_polytope_vertices(d))
-    cone = Triangulation([points[i] for i in order], cells, carrier)
-    primary = [int(i != apex) for i in order]
-    secondary = [alcove[i] for i in order]
-    cone.heights = _scaled_heights(cone, primary, secondary)
-    return cone
+    heights = partial(_scaled_heights, primary=[int(i != apex) for i in order],
+                      secondary=[alcove[i] for i in order])
+    return Triangulation([points[i] for i in order], cells, carrier, heights=heights)
 
 
 def laplacian_triangulation(d, budget=None):
@@ -684,11 +691,11 @@ def laplacian_triangulation(d, budget=None):
     subdivision; the refined copy is translated onto the polytope.
 
     The number of cells is (d+2)^d; the materialization budget is checked
-    up front.  The even-d refinement's integer lifting heights are N times
-    the cone's heights summed over each point's multiset plus its alcove
-    heights, scaled on first read of `heights` (`_scaled_heights`) on the
-    refinement's own ridge walk, which its checkers then reuse;
-    construction assertions about them fire then.
+    up front.  The even-d build walks no ridges: each refined point keeps
+    the multiset of cone ids that first placed it, and the refinement
+    keeps the cone until the first read of `heights`
+    (`_refined_heights`).  Construction assertions about the heights fire
+    then.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -702,16 +709,18 @@ def laplacian_triangulation(d, budget=None):
         return _odd_laplacian_triangulation(d)
 
     cone = _interior_cone(d)
-    pool, cone_heights = cone.vertex_pool, cone.heights
+    pool = cone.vertex_pool
 
     # dilate by 2: the second edgewise subdivision of every cone cell, its
     # vertices in the cone's id order, which is point order
     pool2 = {}
-    base_height = []
-    local2 = []
+    # the multiset of cone ids that first placed each refined point, and
+    # (multiset, id) for every other multiset that lands on a placed point
+    sources = []
+    aliases = []
     multisets, chains = _edgewise_template(2, d + 1)
-    # a multiset of cone pool ids gets the same point and heights in every
-    # cell that holds it, so each one is placed once
+    # a multiset of cone pool ids gets the same point in every cell that
+    # holds it, so each one is placed once
     index = {}
     cells2 = []
     for cell in cone.cells:
@@ -721,27 +730,47 @@ def laplacian_triangulation(d, budget=None):
             if key not in index:
                 # 2 * cell has the vertices 2 * pool[i]: its points are plain sums
                 pt = _edgewise_point(pool, key, 1)
-                omega = sum(map(cone_heights.__getitem__, key))
-                lam2 = alcove_height(key, len(pool))
                 k = index[key] = pool2.setdefault(pt, len(pool2))
-                if k == len(local2):
-                    base_height.append(omega)
-                    local2.append(lam2)
-                elif base_height[k] != omega or local2[k] != lam2:
-                    raise AssertionError("refinement heights disagree across cells")
+                if k == len(sources):
+                    sources.append(key)
+                else:
+                    aliases.append((key, k))
             ids.append(index[key])
         cells2.extend(tuple(sorted(ids[k] for k in chain)) for chain in chains)
 
     target, _ = reduce_full_dim(d)
     shifted = [tuple(x - 1 for x in p) for p in pool2]
-    heights = partial(_scaled_heights, primary=base_height, secondary=local2)
+    heights = partial(_refined_heights, cone=cone, sources=sources, aliases=aliases)
     return Triangulation(shifted, cells2, target, heights=heights)
+
+
+def _refined_heights(t, cone, sources, aliases):
+    """The even-d refinement's integer lifting heights, on the first read.
+
+    The refinement is regular (De Loera, Rambau and Santos,
+    *Triangulations*, regular refinements): its primary heights sum the
+    cone's heights over the multiset of cone ids that placed each point,
+    its secondary heights are the alcove heights of that multiset, and
+    `_scaled_heights` scales them on the refinement's own walk.  Reading
+    the cone's heights walks the cone once.  A multiset that landed on an
+    already placed point must give it the same heights (AssertionError
+    otherwise).
+    """
+    omega = cone.heights
+    m = len(omega)
+    primary = [omega[a] + omega[b] for a, b in sources]
+    secondary = [alcove_height(key, m) for key in sources]
+    for (a, b), k in aliases:
+        if omega[a] + omega[b] != primary[k] or alcove_height((a, b), m) != secondary[k]:
+            raise AssertionError("refinement heights disagree across cells")
+    return _scaled_heights(t, primary, secondary)
 
 
 def interior_polytope_triangulation(d, budget=None):
     """Cone triangulation of the interior polytope (even d), with heights
-    (`_interior_cone`).  It keeps the ridge walk that scaled its heights,
-    so `verify_triangulation` and `is_regular` walk it no further."""
+    (`_interior_cone`).  Its build walks nothing; the first read of its
+    heights, or its first check, builds the ridge walk that the heights,
+    `verify_triangulation` and `is_regular` then share."""
     if d < 2 or d % 2:
         raise ValueError("defined for even d >= 2")
     n_cells = ((d + 2) // 2) ** d
@@ -921,18 +950,16 @@ def face_census(t):
     """f-vector of the triangulation as a simplicial complex.
 
     Faces are counted one size at a time: the s-subsets of all cells go
-    into one set, its length is f_(s-1), and the set is dropped before the
-    next size.  The empty face is counted once.  Peak memory is therefore
-    that of the largest level, not of all levels together.  The default
-    cell budget admits d <= 6, where the largest level of
-    `laplacian_triangulation(6)` holds 1.43M faces, so no triangulation it
-    admits needs more than a few hundred MB.
+    into one set, built in one C-level pass, its length is f_(s-1), and the
+    set is dropped before the next size.  The empty face is counted once.
+    Peak memory is therefore that of the largest level, not of all levels
+    together.  The default cell budget admits d <= 6, where the largest
+    level of `laplacian_triangulation(6)` holds 1.43M faces, so no
+    triangulation it admits needs more than a few hundred MB.
     """
     counts = [1]
     for size in range(1, t.dim + 2):
-        faces = set()
-        for cell in t.cells:
-            faces.update(combinations(cell, size))
+        faces = set(chain.from_iterable(map(combinations, t.cells, repeat(size))))
         counts.append(len(faces))
     return tuple(counts)
 

@@ -255,6 +255,13 @@ def test_main_entry_point(capsys):
     assert json.loads(capsys.readouterr().out)["inputs"]["method"] == "structural"
 
 
+def test_report_is_one_json_line(capsys):
+    assert main(["hstar", "--d", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["results"]["hstar"] == [1, 22, 78, 24, 0]
+
+
 def test_public_exports_resolve():
     import lapoly
 

@@ -16,6 +16,7 @@ from lapoly.linalg import _simplex_det, det_int, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
+    alcove_height,
     edgewise_of_dilated,
     face_census,
     h_vector_of,
@@ -948,13 +949,15 @@ def count_walk_work(monkeypatch):
                                         ("two_components", 2), ("interior_4", 1)])
 @pytest.mark.parametrize("verify_first", [True, False])
 def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
-    # the cone and the even refinement keep the walk that scaled their
-    # heights, so their checkers walk no further
-    walked = name in ("interior_4", "laplacian_2")
+    # a build walks nothing; the even refinement keeps the walk that scaled
+    # its heights, so its checkers walk no further, and the first check of
+    # the cone walks it once, for its heights and both checkers
+    walked = name == "laplacian_2"
     if name == "two_components":
         t = two_component_fixture()
     elif name.startswith("interior"):
         t = interior_polytope_triangulation(int(name[-1]))
+        assert t._walk is None and callable(t._heights)
     else:
         t = laplacian_triangulation(int(name[-1]))
         assert t._walk is None
@@ -978,16 +981,19 @@ def test_one_walk_per_triangulation(name, roots, verify_first, monkeypatch):
 
 
 def test_even_refinement_walks_its_cone_once(monkeypatch):
-    # the build walks the cone cells once, to scale the cone's heights; the
-    # first heights read walks the refined cells once, and the template
-    # 2 * Delta_4 is never walked; each walk inverts only its root
+    # the build walks nothing; the first heights read walks the cone cells
+    # once, to scale the cone's heights, then the refined cells once, and
+    # the template 2 * Delta_4 is never walked; each walk inverts only its
+    # root, and the refinement lets the cone go
     calls = count_walk_work(monkeypatch)
     t = laplacian_triangulation(4)
-    assert calls == {"solve_int": 1, "_ridge_pass": 1}
-    assert t._walk is None
+    assert calls == {"solve_int": 0, "_ridge_pass": 0}
+    cone = t._heights.keywords["cone"]
+    assert t._walk is None and cone._walk is None
     t.heights
     assert calls == {"solve_int": 2, "_ridge_pass": 2}
-    assert t._walk is not None
+    assert t._walk is not None and cone._walk is not None
+    assert not callable(t._heights)
 
 
 def test_reassigning_cells_or_pool_drops_the_walk():
@@ -1047,9 +1053,27 @@ def test_interior_cone_digest_is_numbering_free(d):
 
 
 def stored_heights(t):
-    """The stored primary and secondary heights of an unread even-d
-    refinement, indexed by refined id (the lists its lazy heights use)."""
-    return t._heights.keywords["primary"], t._heights.keywords["secondary"]
+    """The primary and secondary heights that the first read of an unread
+    even-d refinement scales, indexed by refined id: the cone's heights
+    summed over the multiset of cone ids that placed each point, and the
+    alcove height of that multiset."""
+    keywords = t._heights.keywords
+    cone = keywords["cone"]
+    return ([sum(cone.heights[i] for i in key) for key in keywords["sources"]],
+            [alcove_height(key, len(cone.vertex_pool)) for key in keywords["sources"]])
+
+
+def corrupt_first_read(monkeypatch, edit):
+    """Make every heights read of an even-d refinement scale its primary
+    and secondary heights after `edit(primary, secondary)`; the cone's
+    heights, bound when it was built, stay sound."""
+    real = triangulate._scaled_heights
+
+    def corrupted(t, primary, secondary):
+        edit(primary, secondary)
+        return real(t, primary, secondary)
+
+    monkeypatch.setattr(triangulate, "_scaled_heights", corrupted)
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -1081,10 +1105,14 @@ def flat_fold_vertex(t):
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_corrupt_secondary_height_flattens_a_fold(d):
+def test_corrupt_secondary_height_flattens_a_fold(d, monkeypatch):
     t = laplacian_triangulation(d)
     w, s = flat_fold_vertex(t)
-    stored_heights(t)[1][w] -= s
+
+    def edit(primary, secondary):
+        secondary[w] -= s
+
+    corrupt_first_read(monkeypatch, edit)
     with pytest.raises(AssertionError, match="flat fold with non-convex refinement"):
         t.heights
     with pytest.raises(AssertionError, match="flat fold with non-convex refinement"):
@@ -1092,10 +1120,14 @@ def test_corrupt_secondary_height_flattens_a_fold(d):
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_corrupt_primary_height_breaks_a_base_fold(d):
+def test_corrupt_primary_height_breaks_a_base_fold(d, monkeypatch):
     t = laplacian_triangulation(d)
     w, _ = flat_fold_vertex(t)
-    stored_heights(t)[0][w] -= 1
+
+    def edit(primary, secondary):
+        primary[w] -= 1
+
+    corrupt_first_read(monkeypatch, edit)
     with pytest.raises(AssertionError, match="base fold is non-convex"):
         t.heights
     with pytest.raises(AssertionError, match="base fold is non-convex"):
@@ -1121,12 +1153,16 @@ def count_refined_walks(monkeypatch, d, fail=False):
 
 
 def test_census_route_never_walks_for_heights(monkeypatch):
-    # only the cone is scaled and walked, never the 1296 refined cells
+    # neither the cone nor the refined cells are scaled or walked, at odd
+    # or even d
     calls = count_refined_walks(monkeypatch, 4)
     work = count_walk_work(monkeypatch)
-    assert hstar_by_method(4, "census") == (1, 131, 726, 419, 19)
-    assert calls == [3 ** 4]
-    assert work["_ridge_pass"] == 1
+    table = load_reference_table()
+    for d in range(1, 5):
+        assert hstar_by_method(d, "census") == table[d]
+    assert table[2] == (1, 10, 5) and table[4] == (1, 131, 726, 419, 19)
+    assert calls == []
+    assert work == {"solve_int": 0, "_ridge_pass": 0}
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -1134,10 +1170,37 @@ def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cach
     calls = count_refined_walks(monkeypatch, d)
     t = laplacian_triangulation(d)
     cone = ((d + 2) // 2) ** d
-    assert calls == [cone]
+    assert calls == []
     first = t.heights
     assert t.heights is first and calls == [cone, (d + 2) ** d]
     assert first == triangulation_cache(d).heights
+
+
+def test_refinement_heights_must_agree_across_cells():
+    # a multiset that lands on an already placed point is checked on the
+    # first read: give point 0 a second multiset with other heights
+    t = laplacian_triangulation(2)
+    keywords = t._heights.keywords
+    assert keywords["aliases"] == []
+    keywords["aliases"].append((keywords["sources"][-1], 0))
+    with pytest.raises(AssertionError, match="refinement heights disagree across cells"):
+        t.heights
+    keywords["aliases"].clear()
+    assert t.heights == laplacian_triangulation(2).heights
+
+
+def test_reassigned_heights_drop_the_regularity_record():
+    t = laplacian_triangulation(2)
+    assert is_regular(t)[0] and t.checks["regular"]["witness"] == "heights"
+    t.heights = [0] * len(t.vertex_pool)
+    assert "regular" not in t.checks
+    assert is_regular(t, t.heights) == (False, None)
+    assert "regular" not in t.checks
+    # a failed check with explicit heights also drops an earlier record
+    t.heights = None
+    assert is_regular(t)[0] and t.checks["regular"]["witness"] == "lp"
+    assert is_regular(t, [0] * len(t.vertex_pool)) == (False, None)
+    assert "regular" not in t.checks
 
 
 def test_heights_set_to_none_takes_lp_path():
