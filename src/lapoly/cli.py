@@ -40,6 +40,15 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# every failure a subcommand reports: (exception classes, exit code, stderr
+# prefix); no class here is a subclass of another, so the order is free
+FAILURES = (
+    ((BudgetError,), EXIT_BUDGET, "budget exhausted"),
+    ((AssertionError, LaplacianOrderingError), EXIT_MISMATCH, "mismatch"),
+    ((ValueError, IndexError, OSError), EXIT_INPUT, "error"),
+)
+HANDLED = tuple(c for classes, _, _ in FAILURES for c in classes)
+
 # per-oracle caps used by verify-table so the full run stays in budget
 VERIFY_CENSUS_MAX_D = 4
 VERIFY_EHRHART_MAX_D = 4
@@ -63,6 +72,15 @@ def _report(command, inputs, results, timings, budgets):
 
 def _emit(report):
     sys.stdout.write(json.dumps(report) + "\n")
+
+
+def _fail(exc, where=""):
+    """Print `exc` on stderr after `where` and its class's prefix
+    (`FAILURES`); return its class's exit code."""
+    for classes, code, prefix in FAILURES:
+        if isinstance(exc, classes):
+            print(f"{where}{prefix}: {exc}", file=sys.stderr)
+            return code
 
 
 def load_reference_table(path=None):
@@ -154,15 +172,8 @@ def cmd_build(args):
             ],
             "facet_count": len(reduced.facets()) if dim > 0 else 0,
         }
-    except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (AssertionError, LaplacianOrderingError) as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    except HANDLED as exc:
+        return _fail(exc)
     inputs = {**source, "k": args.k}
     _emit(_report("build", inputs, results,
                   {"seconds": round(time.time() - t0, 3)},
@@ -177,15 +188,8 @@ def cmd_hstar(args):
             args.d, args.method,
             points_budget=args.budget_points, cells_budget=args.budget_cells,
         )
-    except BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (AssertionError, LaplacianOrderingError) as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    except HANDLED as exc:
+        return _fail(exc)
     uni, peak = is_unimodal(h)
     dim = hstar_length(args.d) - 1
     results = {
@@ -209,8 +213,7 @@ def cmd_verify_table(args):
     try:
         table = load_reference_table(args.table)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load table: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(ValueError(f"cannot load table: {exc}"))
     if args.max_d < 1:
         print("error: --max-d must be >= 1", file=sys.stderr)
         return EXIT_INPUT
@@ -219,12 +222,8 @@ def cmd_verify_table(args):
     for d in range(1, args.max_d + 1):
         try:
             entry = _verify_row(d, table.get(d), args)
-        except BudgetError as exc:
-            print(f"budget exhausted: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        except (AssertionError, LaplacianOrderingError) as exc:
-            print(f"d={d}: FAIL: mismatch: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
+        except HANDLED as exc:
+            return _fail(exc, f"d={d}: FAIL: ")
         row_ok = (
             entry["match"] is not False
             and "oracle_mismatch" not in entry
@@ -333,8 +332,7 @@ def main(argv=None):
         args.budget_points = point_budget(args.budget_points)
         args.budget_cells = cell_budget(args.budget_cells)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc)
     return args.func(args)
 
 

@@ -6,9 +6,13 @@ subdivisions for odd d; for even d a triangulation of the interior polytope
 (facet joins glued, coned over the unique interior point) refined by a
 second edgewise subdivision.  All three edgewise subdivisions come from one
 template (`_edgewise_template`), generated directly as chains of vertex
-multisets.  Every triangulation carries proposed lifting heights;
-`is_regular` certifies them independently by exact fold checks, falling
-back to an exact LP search when no usable heights are present.  Both
+multisets, and place their points through one kernel (`_subdivide`),
+which keys each point by its multiset of vertex positions: a key seen
+before keeps its id.  One check (`_distinct`, proof in its docstring)
+shows that no two keys of a construction share a point.  Every
+triangulation carries proposed lifting heights; `is_regular` certifies
+them independently by exact fold checks, falling back to an exact LP
+search when no usable heights are present.  Both
 checkers read one walk across the shared ridges (`_RidgeWalk`), built from
 the cells and the pool by whichever runs first and kept on the
 triangulation: it carries each cell's inverse matrix by exact rank-one
@@ -156,13 +160,67 @@ def _edgewise_template(r, n):
 
 
 def _edgewise_point(verts, multiset, r):
-    """sum(verts[i] for i in multiset) / r, or None off the lattice."""
+    """sum(verts[i] for i in multiset) / r; ValueError off the lattice.
+
+    For the r-th subdivision of a simplex given as r times a unimodular
+    one, every point is a lattice point iff all differences
+    verts[i] - verts[0] are divisible by r, since a sum of r vertices is
+    r * verts[0] plus such differences.
+    """
     coords = tuple(map(sum, zip(*map(verts.__getitem__, multiset))))
     if r > 1:
         if any(x % r for x in coords):
-            return None
+            raise ValueError("simplex is not an r-fold dilation in its lattice")
         coords = tuple(x // r for x in coords)
     return coords
+
+
+def _subdivide(template, verts, positions, r, keys, points):
+    """Place the points of an edgewise subdivision of the simplex on
+    verts[positions]; return its cells as tuples of point ids.
+
+    `template` is `_edgewise_template(r', len(positions))`.  A template
+    multiset becomes its key, the multiset of the positions it picks, sorted
+    since `positions` increase.  A key already in `keys` keeps its id; a new
+    one gets the next id and appends its point sum(verts[key]) / r to
+    `points` (`_edgewise_point`, ValueError off the lattice).  r is r' for
+    a simplex given by its dilated vertices, or 1 for r' times the simplex
+    given by its own.  Callers share `keys` and `points` across simplices,
+    read heights from the keys, and check the points with `_distinct`.
+    """
+    multisets, cells = template
+    ids = []
+    for ms in multisets:
+        key = tuple(map(positions.__getitem__, ms))
+        k = keys.get(key)
+        if k is None:
+            k = keys[key] = len(points)
+            points.append(_edgewise_point(verts, key, r))
+        ids.append(k)
+    return [tuple(map(ids.__getitem__, cell)) for cell in cells]
+
+
+def _distinct(points):
+    """`points`, after checking that they are pairwise distinct
+    (AssertionError otherwise).
+
+    Every construction keys its edgewise points by multisets of the
+    vertices of one simplicial complex: the faces of a simplex (odd d, each
+    label class keyed by its own positions, so two classes' keys have
+    disjoint supports), the boundary of the simplicial interior polytope,
+    or the cone triangulation (`_subdivide`).  Distinct keys must give
+    distinct points.  Proof.  A
+    key's point is a convex combination, with positive weights, of the
+    vertices in the key's support, which span a face; so the point lies in
+    the relative interior of that face.  Distinct faces of a triangulation,
+    or of a simplicial polytope, have disjoint relative interiors, so keys
+    of distinct supports give distinct points.  On one face the vertices
+    are affinely independent, so the weights, and with them the key, are
+    determined by the point.  A collision is therefore a construction bug.
+    """
+    if len(set(points)) != len(points):
+        raise AssertionError("two edgewise multisets share a point; construction bug")
+    return points
 
 
 def alcove_height(positions, m):
@@ -193,37 +251,6 @@ def alcove_height(positions, m):
         total += q
         weighted += (2 * j + 1) * q
     return m * weighted - total * total
-
-
-def edgewise_of_dilated(points, r):
-    """Edgewise subdivision of a simplex given as r times a unimodular one.
-
-    `points` are the vertices (in a fixed order that determines the
-    triangulation) of r*Gamma for some unimodular simplex Gamma; the
-    subdivision triangulates it into r^dim unimodular cells.  Each point
-    gets the `alcove_height` of its multiset over the positions of
-    `points`, which makes restriction to faces consistent.  A point off
-    the lattice raises ValueError; every point is a lattice point iff all
-    differences points[i] - points[0] are divisible by r, since a sum of r
-    vertices is r * points[0] plus such differences.
-    """
-    n = len(points)
-    ambient = len(points[0]) if points else 0
-    multisets, template_cells = _edgewise_template(r, n)
-    pool = {}
-    heights = []
-    ids = []
-    for ms in multisets:
-        pt = _edgewise_point(points, ms, r)
-        if pt is None:
-            raise ValueError("simplex is not an r-fold dilation in its lattice")
-        if pt not in pool:
-            pool[pt] = len(pool)
-            heights.append(alcove_height(ms, n))
-        ids.append(pool[pt])
-    cells = [tuple(ids[k] for k in cell) for cell in template_cells]
-    carrier = LatticePolytope(list(dict.fromkeys(points))) if ambient else LatticePolytope([()])
-    return Triangulation(list(pool), cells, carrier, heights=heights)
 
 
 # ---------------------------------------------------------------------------
@@ -264,56 +291,43 @@ def interior_facets(d):
 def _odd_laplacian_triangulation(d):
     """Triangulation of the reduced polytope for odd d, a simplex: the join
     of its faces on the odd-labelled and on the even-labelled vertices.
-    Each face is (d+2) times a unimodular simplex (`edgewise_of_dilated`
-    checks both lattice conditions), so each gets its (d+2)-th edgewise
-    subdivision.  Pools and heights concatenate; cells are the unions of
-    one cell from each factor."""
+    Each face is (d+2) times a unimodular simplex (`_edgewise_point` checks
+    both lattice conditions), so each gets its (d+2)-th edgewise
+    subdivision into one pool, with the alcove heights of its keys over its
+    own vertices; cells are the unions of one cell from each factor."""
     r = d + 2
     target, _ = reduce_full_dim(d)
-    fac1 = edgewise_of_dilated(target.points[0::2], r)
-    fac2 = edgewise_of_dilated(target.points[1::2], r)
-    off = len(fac1.vertex_pool)
-    cells = [c1 + tuple(off + i for i in c2) for c1 in fac1.cells for c2 in fac2.cells]
-    return Triangulation(
-        fac1.vertex_pool + fac2.vertex_pool, cells, target,
-        heights=fac1.heights + fac2.heights,
-    )
+    points, heights, parts = [], [], []
+    for verts in (target.points[0::2], target.points[1::2]):
+        n = len(verts)
+        keys = {}
+        parts.append(_subdivide(_edgewise_template(r, n), verts, range(n), r, keys, points))
+        heights += [alcove_height(key, n) for key in keys]
+    cells = [c1 + c2 for c1 in parts[0] for c2 in parts[1]]
+    return Triangulation(_distinct(points), cells, target, heights=heights)
 
 
 def _interior_boundary_triangulation(d):
     """Triangulation of the boundary of the interior polytope (even d).
 
     Each facet is triangulated as the join of edgewise subdivisions of its
-    two dilated-simplex factors; ordering factor vertices by their global
-    label makes the facet triangulations agree on intersections.  Returns
-    (pool points, per-point alcove heights, cells).
+    two dilated-simplex factors, d/2 labels each, into one pool.  Keys are
+    multisets of global labels, so a point that two facets share is placed
+    once and the facet triangulations agree on intersections.  Returns
+    (pool points, their keys, cells).
     """
     r = (d + 2) // 2
     cs = interior_polytope_vertices(d)
-    pool = {}
-    heights = []
-    cells = []
+    template = _edgewise_template(r, d // 2)
+    keys, points, cells = {}, [], []
     for facet in interior_facets(d):
-        parts = []
-        for labels in facet:
-            multisets, template_cells = _edgewise_template(r, len(labels))
-            ids = []
-            for ms in multisets:
-                # positions in the full label list keep facets consistent
-                glob = [labels[a] - 1 for a in ms]
-                pt = _edgewise_point(cs, glob, r)
-                if pt is None:
-                    raise AssertionError("factor simplex not an r-fold dilation")
-                height = alcove_height(glob, d + 2)
-                k = pool.setdefault(pt, len(pool))
-                if k == len(heights):
-                    heights.append(height)
-                elif heights[k] != height:
-                    raise AssertionError("alcove height is inconsistent across facets")
-                ids.append(k)
-            parts.append([tuple(ids[k] for k in cell) for cell in template_cells])
-        cells.extend(tuple(sorted(ca + cb)) for ca in parts[0] for cb in parts[1])
-    return list(pool), heights, cells
+        try:
+            odd, even = (_subdivide(template, cs, [l - 1 for l in labels], r, keys, points)
+                         for labels in facet)
+        except ValueError as exc:
+            raise AssertionError(f"factor {exc}") from None
+        cells.extend(tuple(sorted(ca + cb)) for ca in odd for cb in even)
+    return _distinct(points), keys, cells
 
 
 def _ridge_pass(cells):
@@ -657,12 +671,14 @@ def _interior_cone(d):
     The pool, apex included, is numbered in lexicographic point order, so
     every cell, sorted by id, lists its vertices in point order.  The
     heights are a large multiple of the boundary indicator (strict
-    convexity across facets) plus the alcove heights (strictness inside
-    facets), scaled on the first read of `heights` (`_scaled_heights`) on
-    the cone's ridge walk, which then stays on the triangulation; the
-    build walks nothing.
+    convexity across facets) plus the alcove heights of the boundary
+    points' label multisets (strictness inside facets; each point has one,
+    by `_distinct`), scaled on the first read of `heights`
+    (`_scaled_heights`) on the cone's ridge walk, which then stays on the
+    triangulation; the build walks nothing.
     """
-    points, alcove, boundary_cells = _interior_boundary_triangulation(d)
+    points, keys, boundary_cells = _interior_boundary_triangulation(d)
+    alcove = [alcove_height(key, d + 2) for key in keys]
     apex = len(points)
     points.append((1,) * d)
     alcove.append(0)
@@ -683,19 +699,20 @@ def laplacian_triangulation(d, budget=None):
 
     Odd d: the polytope is a simplex; its faces on the odd- and on the
     even-labelled points of `reduce_full_dim(d)` are dilated simplices,
-    each subdivided directly by `edgewise_of_dilated`, and the result is
-    their join.
+    each subdivided directly, and the result is their join.
     Even d: every facet of the interior polytope is triangulated as a join
     of edgewise subdivisions (consistent on intersections), coned over the
     interior point, and the result refined by a second edgewise
-    subdivision; the refined copy is translated onto the polytope.
+    subdivision; the refined copy is translated onto the polytope.  Every
+    edgewise point is placed by `_subdivide`, keyed by its vertex
+    multiset, and each construction checks its points distinct
+    (`_distinct`).
 
     The number of cells is (d+2)^d; the materialization budget is checked
     up front.  The even-d build walks no ridges: each refined point keeps
-    the multiset of cone ids that first placed it, and the refinement
-    keeps the cone until the first read of `heights`
-    (`_refined_heights`).  Construction assertions about the heights fire
-    then.
+    its key, the pair of cone ids that placed it, and the refinement keeps
+    the cone until the first read of `heights` (`_refined_heights`).
+    Construction assertions about the heights fire then.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -709,60 +726,35 @@ def laplacian_triangulation(d, budget=None):
         return _odd_laplacian_triangulation(d)
 
     cone = _interior_cone(d)
-    pool = cone.vertex_pool
-
     # dilate by 2: the second edgewise subdivision of every cone cell, its
-    # vertices in the cone's id order, which is point order
-    pool2 = {}
-    # the multiset of cone ids that first placed each refined point, and
-    # (multiset, id) for every other multiset that lands on a placed point
-    sources = []
-    aliases = []
-    multisets, chains = _edgewise_template(2, d + 1)
-    # a multiset of cone pool ids gets the same point in every cell that
-    # holds it, so each one is placed once
-    index = {}
-    cells2 = []
+    # vertices in the cone's id order, which is point order; 2 * cell has
+    # the vertices 2 * pool[i], so its points are plain sums (r = 1)
+    template = _edgewise_template(2, d + 1)
+    keys, points, cells = {}, [], []
     for cell in cone.cells:
-        ids = []
-        for ms in multisets:
-            key = tuple(map(cell.__getitem__, ms))
-            if key not in index:
-                # 2 * cell has the vertices 2 * pool[i]: its points are plain sums
-                pt = _edgewise_point(pool, key, 1)
-                k = index[key] = pool2.setdefault(pt, len(pool2))
-                if k == len(sources):
-                    sources.append(key)
-                else:
-                    aliases.append((key, k))
-            ids.append(index[key])
-        cells2.extend(tuple(sorted(ids[k] for k in chain)) for chain in chains)
-
+        cells.extend(tuple(sorted(c))
+                     for c in _subdivide(template, cone.vertex_pool, cell, 1, keys, points))
     target, _ = reduce_full_dim(d)
-    shifted = [tuple(x - 1 for x in p) for p in pool2]
-    heights = partial(_refined_heights, cone=cone, sources=sources, aliases=aliases)
-    return Triangulation(shifted, cells2, target, heights=heights)
+    shifted = [tuple(x - 1 for x in p) for p in _distinct(points)]
+    heights = partial(_refined_heights, cone=cone, sources=list(keys))
+    return Triangulation(shifted, cells, target, heights=heights)
 
 
-def _refined_heights(t, cone, sources, aliases):
+def _refined_heights(t, cone, sources):
     """The even-d refinement's integer lifting heights, on the first read.
 
     The refinement is regular (De Loera, Rambau and Santos,
     *Triangulations*, regular refinements): its primary heights sum the
-    cone's heights over the multiset of cone ids that placed each point,
-    its secondary heights are the alcove heights of that multiset, and
-    `_scaled_heights` scales them on the refinement's own walk.  Reading
-    the cone's heights walks the cone once.  A multiset that landed on an
-    already placed point must give it the same heights (AssertionError
-    otherwise).
+    cone's heights over each point's key, the pair of cone ids that placed
+    it, its secondary heights are the alcove heights of that key, and
+    `_scaled_heights` scales them on the refinement's own walk.  Each point
+    has one key (`_distinct`), so the heights are well defined.  Reading
+    the cone's heights walks the cone once.
     """
     omega = cone.heights
     m = len(omega)
     primary = [omega[a] + omega[b] for a, b in sources]
     secondary = [alcove_height(key, m) for key in sources]
-    for (a, b), k in aliases:
-        if omega[a] + omega[b] != primary[k] or alcove_height((a, b), m) != secondary[k]:
-            raise AssertionError("refinement heights disagree across cells")
     return _scaled_heights(t, primary, secondary)
 
 

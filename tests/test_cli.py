@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lapoly.budgets import BudgetError
 from lapoly.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -16,6 +17,7 @@ from lapoly.cli import (
     main,
 )
 from lapoly.complexes import f_from_h
+from lapoly.laplacian import LaplacianOrderingError
 
 
 def run_cli(*args):
@@ -352,6 +354,33 @@ def test_laplacian_ordering_error_maps_to_mismatch_exit(argv, monkeypatch, capsy
     assert main(argv) == EXIT_MISMATCH
     captured = capsys.readouterr()
     assert "mismatch: Laplacian entry" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("error,code", [
+    (BudgetError, EXIT_BUDGET),
+    (AssertionError, EXIT_MISMATCH),
+    (LaplacianOrderingError, EXIT_MISMATCH),
+    (ValueError, EXIT_INPUT),
+    (IndexError, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
+], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("argv,target", [
+    (["build", "--boundary-simplex", "2", "--k", "1"], "laplacian_polytope"),
+    (["hstar", "--d", "2"], "hstar_by_method"),
+    (["verify-table", "--max-d", "1"], "hstar_by_method"),
+], ids=["build", "hstar", "verify-table"])
+def test_every_failure_class_maps_to_its_exit_code(argv, target, error, code,
+                                                   monkeypatch, capsys):
+    import lapoly.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "injected" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
 
 

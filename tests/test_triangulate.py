@@ -17,7 +17,6 @@ from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
     alcove_height,
-    edgewise_of_dilated,
     face_census,
     h_vector_of,
     interior_facets,
@@ -37,6 +36,18 @@ def standard_simplex(m):
     pts = [tuple(0 for _ in range(m))]
     pts += [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
     return pts
+
+
+def edgewise_of_dilated(points, r):
+    """The r-th edgewise subdivision of a simplex given as r times a
+    unimodular one, placed by the construction kernel, with the alcove
+    heights of its keys; ValueError off the lattice."""
+    n = len(points)
+    keys, pool = {}, []
+    cells = triangulate._subdivide(triangulate._edgewise_template(r, n), points,
+                                   range(n), r, keys, pool)
+    return Triangulation(pool, cells, LatticePolytope(points),
+                         heights=[alcove_height(key, n) for key in keys])
 
 
 def edgewise_of_standard(m, r):
@@ -256,11 +267,28 @@ def test_interior_factor_off_lattice_is_a_construction_bug(monkeypatch):
             build(4)
 
 
-def test_inconsistent_alcove_heights_are_a_construction_bug(monkeypatch):
-    count = iter(range(10**6))
-    monkeypatch.setattr(triangulate, "alcove_height", lambda positions, m: next(count))
-    with pytest.raises(AssertionError, match="inconsistent across facets"):
-        laplacian_triangulation(2)
+@pytest.mark.parametrize("build,d", [
+    (laplacian_triangulation, 3),
+    (interior_polytope_triangulation, 4),
+    (laplacian_triangulation, 4),
+], ids=["odd", "interior-cone", "refinement"])
+def test_colliding_edgewise_points_are_a_construction_bug(build, d, monkeypatch):
+    # the second point a construction places lands on its first one
+    if build is laplacian_triangulation and d % 2 == 0:
+        # collide in the refinement only: its cone is built unpatched
+        cone = triangulate._interior_cone(d)
+        monkeypatch.setattr(triangulate, "_interior_cone", lambda d: cone)
+    real = triangulate._edgewise_point
+    placed = []
+
+    def colliding(verts, key, r):
+        placed.append(real(verts, key, r))
+        return placed[0] if len(placed) == 2 else placed[-1]
+
+    monkeypatch.setattr(triangulate, "_edgewise_point", colliding)
+    with pytest.raises(AssertionError, match="two edgewise multisets share a point"):
+        build(d)
+    assert len(placed) > 2
 
 
 # -- facet join partitions -----------------------------------------------------
@@ -1174,19 +1202,6 @@ def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cach
     first = t.heights
     assert t.heights is first and calls == [cone, (d + 2) ** d]
     assert first == triangulation_cache(d).heights
-
-
-def test_refinement_heights_must_agree_across_cells():
-    # a multiset that lands on an already placed point is checked on the
-    # first read: give point 0 a second multiset with other heights
-    t = laplacian_triangulation(2)
-    keywords = t._heights.keywords
-    assert keywords["aliases"] == []
-    keywords["aliases"].append((keywords["sources"][-1], 0))
-    with pytest.raises(AssertionError, match="refinement heights disagree across cells"):
-        t.heights
-    keywords["aliases"].clear()
-    assert t.heights == laplacian_triangulation(2).heights
 
 
 def test_reassigned_heights_drop_the_regularity_record():
