@@ -39,7 +39,7 @@ from math import ceil, comb, floor, prod
 
 from .budgets import BudgetError, point_budget
 from .complexes import f_from_h, h_from_f
-from .linalg import snf_with_transform, solve_int, vec_gcd
+from .linalg import int_tuple, snf_with_transform, solve_int, vec_gcd
 
 
 def hstar_length(d):
@@ -117,7 +117,7 @@ def _simplex_snf(simplex_points):
     """(W, U, diag, V) for a full-dimensional lattice simplex: W has the
     homogenized vertices [v_j; 1] as columns and W = U*S*V is its Smith
     normal form with invariants `diag` (s_0 | s_1 | ... | s_d)."""
-    pts = [tuple(int(x) for x in p) for p in simplex_points]
+    pts = [int_tuple(p) for p in simplex_points]
     d = len(pts[0])
     if len(pts) != d + 1:
         raise ValueError("need a full-dimensional simplex")

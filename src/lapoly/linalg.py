@@ -87,13 +87,6 @@ def det_int(rows):
     return sign * _pivot_minor(m, pivots) if len(pivots) == n else 0
 
 
-def _simplex_det(points):
-    """Signed determinant of the edge matrix [p_i - p_0] of a simplex given
-    by its d+1 vertices in Z^d: +-(normalized volume), 0 when degenerate."""
-    base = points[0]
-    return det_int([[a - b for a, b in zip(p, base)] for p in points[1:]])
-
-
 def solve_int(rows, rhs):
     """Fraction-free solve of A x = b for several integer right-hand sides.
 
@@ -109,6 +102,17 @@ def solve_int(rows, rhs):
         return 0, None
     det = sign * _pivot_minor(m, pivots)
     return det, _back_substitute(m, pivots, n, range(n, n + len(rhs)), det)
+
+
+def int_tuple(values):
+    """The values as a tuple of ints; ValueError unless each is integral."""
+    values = tuple(values)
+    try:
+        if (out := tuple(map(int, values))) == values:
+            return out
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"not an integer vector: {values!r}")
 
 
 def vec_gcd(v):

@@ -47,7 +47,7 @@ from operator import itemgetter, lt, mul
 from . import lp
 from .budgets import BudgetError, cell_budget
 from .laplacian import interior_polytope_vertices, reduce_full_dim
-from .linalg import solve_int
+from .linalg import int_tuple, solve_int
 from .polytope import LatticePolytope
 
 # largest triangulation on which `is_regular` searches heights by exact LP
@@ -71,7 +71,7 @@ class Triangulation:
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
-        self.vertex_pool = [tuple(int(x) for x in p) for p in vertex_pool]
+        self.vertex_pool = [int_tuple(p) for p in vertex_pool]
         # keep a cell that is already a sorted tuple: a copy of every cell
         # would hold two full cell lists at once
         self.cells = [c if (s := tuple(sorted(c))) == c else s for c in cells]
@@ -596,7 +596,8 @@ def is_regular(t, heights=None):
     again on the walk before they are returned (AssertionError if a fold
     is not positive).
 
-    A record in `t.checks["regular"]` is dropped before the check and
+    Heights must be one int or Fraction per pool point (ValueError).  A
+    record in `t.checks["regular"]` is dropped before the check and
     written again only on success.
 
     Returns (regular, heights_or_none).
@@ -604,6 +605,8 @@ def is_regular(t, heights=None):
     t.checks.pop("regular", None)
     use = heights if heights is not None else t.heights
     if use is not None:
+        if len(use) != len(t.vertex_pool) or not all(isinstance(h, (int, Fraction)) for h in use):
+            raise ValueError("heights must be one int or Fraction per pool point")
         walk = _walk_of(t)
         if all(v > 0 for v in walk.fold_values(use)):
             t.checks["regular"] = {"witness": "heights", "folds": len(walk.ca),

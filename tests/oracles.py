@@ -11,7 +11,7 @@ from math import gcd
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex
 from lapoly.ehrhart import _poly_mul
-from lapoly.linalg import vec_gcd
+from lapoly.linalg import det_int, vec_gcd
 from lapoly.polytope import LatticePolytope
 
 
@@ -118,6 +118,11 @@ def scan_hull(points, spanning=None):
     through = [[key[0] for key, on in planes.items() if i in on] for i in range(len(points))]
     verts = [i for i, normals in enumerate(through) if len(normals) >= d and rank(normals) == d]
     return {key: frozenset(on.intersection(verts)) for key, on in planes.items()}, verts
+
+
+def simplex_det(points):
+    """Signed det [p_i - p_0] of a simplex of d + 1 points in Z^d."""
+    return det_int([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
 
 
 def fan_cells(points):

@@ -160,6 +160,13 @@ def test_fundamental_simplex_examples():
         assert tuple(hstar_simplex_fundamental(p.points)) == REFERENCE[d]
 
 
+def test_fundamental_simplex_rejects_non_integral_vertices():
+    # once truncated to the segment [0, 2], whose h* is (1, 1)
+    with pytest.raises(ValueError, match="not an integer vector"):
+        hstar_simplex_fundamental([(0,), (2.7,)])
+    assert tuple(hstar_simplex_fundamental([(0,), (Fraction(6, 2),)])) == (1, 2)
+
+
 def test_fundamental_budget_and_errors():
     p, _ = reduce_full_dim(3)
     with pytest.raises(BudgetError):

@@ -1,15 +1,16 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
 from operator import mul
 
 import pytest
 
-from lapoly import lp
+from lapoly import linalg, lp, polytope
 from lapoly.budgets import BudgetError
 from lapoly.complexes import boundary_of_simplex
 from lapoly.laplacian import interior_polytope_vertices, laplacian_polytope, reduce_full_dim
-from lapoly.linalg import _simplex_det, det_int
+from lapoly.linalg import det_int
 from lapoly.polytope import (
     Halfspace,
     LatticePolytope,
@@ -18,7 +19,8 @@ from lapoly.polytope import (
     cyclic_polytope,
     gale_evenness_sets,
 )
-from oracles import combinatorial_type, fan_cells, nullspace, point_in_hull, scan_hull
+from oracles import (
+    combinatorial_type, fan_cells, nullspace, point_in_hull, scan_hull, simplex_det)
 
 
 def unit_square():
@@ -56,11 +58,30 @@ def test_halfspace_normalization():
         Halfspace((2, -4), 6)
 
 
-def test_halfspace_accepts_exactly_gcd_one_or_zero_normals():
-    with pytest.raises(ValueError, match="primitive"):
-        Halfspace((2, 4), 1)
+def test_halfspace_accepts_exactly_gcd_one_normals():
+    # the zero normal has gcd 0, and bounds no halfspace
+    for normal in ((2, 4), (0, 0)):
+        with pytest.raises(ValueError, match="primitive and nonzero"):
+            Halfspace(normal, 1)
     assert Halfspace((1, -2), 0).normal == (1, -2)
-    assert Halfspace((0, 0), 0).normal == (0, 0)
+
+
+def test_halfspace_rejects_non_integral_input():
+    for normal, offset in (((1.5, 1), 0), ((1, 0), Fraction(1, 2)), (("1", 0), 0),
+                           ((None, 1), 0), ((1, 0), float("inf"))):
+        with pytest.raises(ValueError, match="not an integer vector"):
+            Halfspace(normal, offset)
+    h = Halfspace((Fraction(4, 4), 2.0), True)
+    assert (h.normal, h.offset) == ((1, 2), 1)
+    assert {type(x) for x in (*h.normal, h.offset)} == {int}
+
+
+def test_lattice_polytope_rejects_non_integral_points():
+    with pytest.raises(ValueError, match="not an integer vector"):
+        LatticePolytope([(0, 0), (1.5, 0), (0, 1)])
+    with pytest.raises(ValueError, match="not an integer vector"):
+        LatticePolytope([(0, 0), (Fraction(3, 2), 0), (0, 1)])
+    assert LatticePolytope([(0, 0), (Fraction(4, 2), 0), (0, 1)]).normalized_volume() == 2
 
 
 def test_vertices():
@@ -436,7 +457,7 @@ def closed_facets(poly):
 
 
 def fan_volume(points):
-    return sum(abs(_simplex_det([points[i] for i in c])) for c in fan_cells(points))
+    return sum(abs(simplex_det([points[i] for i in c])) for c in fan_cells(points))
 
 
 def random_full_dim(rng, d, n):
@@ -481,19 +502,20 @@ def test_closed_forms_match_scan_and_fan_volume(corank):
         assert list(verts) == oracle_verts
         seen.add(f"dim {d}")
         if len(verts) > d + 2:
-            assert poly._circuit_cells() is None
+            assert poly._signs() is None
             seen.add("placing")
             if max(map(len, poly.facet_vertex_sets())) > d:
                 seen.add("non-simplicial")
             continue
-        sign, cells = poly._circuit_cells()
+        sign = poly._signs()
+        assert tuple(sign) == verts
         if len(verts) == d + 1:
-            assert cells == [(None, verts)] and not any(sign.values())
+            assert not any(sign.values())
             e = det_int([[*poly.points[i], 1] for i in verts])
             seen.add("det < 0" if e < 0 else "det > 0")
         else:
-            assert len(cells) == min(
-                sum(x > 0 for x in sign.values()), sum(x < 0 for x in sign.values()))
+            # a lone c_i of one sign would put p_i in the hull of the others
+            assert min(sum(x > 0 for x in sign.values()), sum(x < 0 for x in sign.values())) >= 2
             seen.add("pyramid" if 0 in sign.values() else "circuit")
         if len(verts) < len(pts):
             seen.add("non-vertex")
@@ -542,7 +564,7 @@ def test_degenerate_hulls_match_scan_and_fan_volume(name):
         assert sorted(on) == [0] + [1] * 6 + [2] * 12 + [3] * 8
         assert [i for i in range(len(pts)) if on[i] == 3] == list(verts)
     else:
-        assert len(verts) == d + 2 < len(pts) and poly._circuit_cells() is not None
+        assert len(verts) == d + 2 < len(pts) and poly._signs() is not None
         assert sorted(verts) == sorted(spanning)
 
 
@@ -596,7 +618,38 @@ def test_placing_only_beyond_dim_plus_two_vertices(monkeypatch):
         poly.facets()
         poly.facet_vertex_sets()
         poly.normalized_volume()
-    assert calls == [cube] and cube._circuit_cells() is None
+    assert calls == [cube] and cube._signs() is None
+
+
+@pytest.mark.parametrize("name", ["reduced-4", "interior-4"])
+def test_one_inverse_per_circuit_cell(name, monkeypatch):
+    """Facets, tight sets and volume of a polytope with dim + 2 vertices
+    come from one `solve_int` per cell of its circuit triangulation, taken
+    once however often they are read, and no determinant.  The vertices
+    are found before counting; the interior polytope's need the placing
+    pass, whose first simplex is inverted too."""
+    poly = reduce_full_dim(4)[0] if name == "reduced-4" else LatticePolytope(interior_points(4)[0])
+    d, verts = poly.dim(), poly.vertex_indices()
+    assert len(verts) == d + 2 <= len(poly.points)
+    solves, dets = [], []
+    solve, det = polytope.solve_int, linalg.det_int
+    monkeypatch.setattr(polytope, "solve_int",
+                        lambda rows, rhs: solves.append(rows) or solve(rows, rhs))
+    # any determinant taken through `lapoly.linalg`
+    monkeypatch.setattr(linalg, "det_int", lambda rows: dets.append(rows) or det(rows))
+    for _ in range(2):
+        facets, sets, volume = poly.facets(), poly.facet_vertex_sets(), poly.normalized_volume()
+    assert combinatorially_equivalent(poly, poly)[0] and not dets
+    # Sum h* = (d + 2)^d, and the interior polytope is half as wide
+    assert volume == ((d + 2) // (1 if name == "reduced-4" else 2)) ** d
+    assert len(facets) == len(sets) > d
+    sign = poly._signs()
+    side = min(([i for i in sign if sign[i] == s] for s in (1, -1)), key=len)
+    cells = sorted(sorted(poly.points[i] for i in verts if i != k) for k in side)
+    # a cell's inverse has its d + 1 homogenized points as rows; the
+    # dependency solve of the vertex sub-polytope has d + 2 rows
+    inverted = [sorted(tuple(r[:-1]) for r in rows) for rows in solves if len(rows) == d + 1]
+    assert sorted(inverted) == cells
 
 
 def test_oracles_run_no_placing_pass(monkeypatch):

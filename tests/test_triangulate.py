@@ -12,7 +12,7 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import f_from_h, from_facets, h_from_f
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import _simplex_det, det_int, solve_int
+from lapoly.linalg import det_int, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
@@ -28,7 +28,8 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
-from oracles import covector_fold_values, fan_cells, f_vector, nullspace, point_in_hull, primitive_vector, ub_form
+from oracles import (covector_fold_values, fan_cells, f_vector, nullspace, point_in_hull,
+                     primitive_vector, simplex_det, ub_form)
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -866,7 +867,7 @@ def test_walk_determinants_match_bareiss(name, triangulation_cache):
     walk = _RidgeWalk(t.vertex_pool, t.cells)
     # det [v_i; 1] = (-1)^ambient * det [v_i - v_0], one Bareiss elimination per cell
     sign = (-1) ** len(t.vertex_pool[0])
-    assert list(walk.dets) == [sign * _simplex_det(cell_points(t, c)) for c in t.cells]
+    assert list(walk.dets) == [sign * simplex_det(cell_points(t, c)) for c in t.cells]
     # a cell is a root or is reached once; a degenerate cell is never
     # expanded, so no step records it
     roots = [r for r, _ in walk.roots]
@@ -949,7 +950,7 @@ def test_verify_accepts_fan_triangulations_of_random_polytopes(source):
         t = Triangulation(p.points, fan if source == "fan" else p._placing()[2], p)
         report = verify_triangulation(t)
         assert report["ok"], report["failures"]
-        volume = sum(abs(_simplex_det([p.points[i] for i in c])) for c in fan)
+        volume = sum(abs(simplex_det([p.points[i] for i in c])) for c in fan)
         assert report["volume_sum"] == report["carrier_nvol"] == volume
         assert not report["unimodular"]
         assert is_regular(t)[0]
@@ -1216,6 +1217,29 @@ def test_reassigned_heights_drop_the_regularity_record():
     assert is_regular(t)[0] and t.checks["regular"]["witness"] == "lp"
     assert is_regular(t, [0] * len(t.vertex_pool)) == (False, None)
     assert "regular" not in t.checks
+
+
+def test_is_regular_accepts_only_exact_heights_of_the_pool_length():
+    t = laplacian_triangulation(2)
+    good = list(t.heights)
+    for bad in ([h + 1e-9 for h in good], good + [0], good[:-1], [0], [*good[:-1], "1"]):
+        assert is_regular(t)[0] and "regular" in t.checks
+        with pytest.raises(ValueError, match="one int or Fraction per pool point"):
+            is_regular(t, bad)
+        assert "regular" not in t.checks
+    # attached heights are held to the same rule
+    t.heights = [float(h) for h in good]
+    with pytest.raises(ValueError, match="one int or Fraction per pool point"):
+        is_regular(t)
+    assert is_regular(t, [Fraction(h) for h in good])[0]
+
+
+def test_triangulation_pool_rejects_non_integral_points():
+    carrier = LatticePolytope(SQUARE)
+    with pytest.raises(ValueError, match="not an integer vector"):
+        Triangulation([(0, 0), (1, 0), (0, 1), (1, 0.5)], [(0, 1, 2)], carrier)
+    t = Triangulation([(0, 0), (Fraction(2, 2), 0), (0, 1.0)], [(0, 1, 2)], carrier)
+    assert t.vertex_pool[1:] == [(1, 0), (0, 1)] and type(t.vertex_pool[2][1]) is int
 
 
 def test_heights_set_to_none_takes_lp_path():
