@@ -17,9 +17,10 @@ import time
 from importlib import resources
 
 from .budgets import BudgetError, cell_budget, parse_budget, point_budget
-from .complexes import boundary_of_simplex, h_from_f, read_complex_file
+from .complexes import boundary_of_simplex, read_complex_file
 from .ehrhart import (
     ehrhart_counts,
+    hstar_double,
     hstar_from_counts,
     hstar_length,
     hstar_simplex_fundamental,
@@ -33,7 +34,12 @@ from .laplacian import (
     laplacian_polytope,
     reduce_full_dim,
 )
-from .triangulate import face_census, laplacian_triangulation
+from .triangulate import (
+    h_vector_of,
+    interior_polytope_triangulation,
+    laplacian_triangulation,
+    verify_triangulation,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -49,9 +55,9 @@ FAILURES = (
 )
 HANDLED = tuple(c for classes, _, _ in FAILURES for c in classes)
 
-# per-oracle caps used by verify-table so the full run stays in budget
-VERIFY_CENSUS_MAX_D = 4
-VERIFY_EHRHART_MAX_D = 4
+# largest d on which verify-table runs the triangulation and Ehrhart
+# oracles, so the full run stays in budget
+VERIFY_ORACLE_MAX_D = 4
 
 
 def _digest(payload):
@@ -108,16 +114,26 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
         raise ValueError("d must be >= 1")
     if method == "structural":
         return hstar_structural(d)
-    if method == "census":
-        # the face census needs no ridge walk, which alone costs more, and
-        # never reads the heights, so neither the cone nor the refinement
-        # is walked
-        tri = laplacian_triangulation(d, budget=cells_budget)
-        h = h_from_f(face_census(tri))
-        length = hstar_length(d)
-        if any(h[length:]):
-            raise AssertionError("census h-vector has nonzero tail")
-        return h[:length]
+    if method == "triangulation":
+        # a unimodular triangulation T of a lattice polytope has h(T) = h*
+        # (Betke and McMullen 1985), with h_(dim+1) = 0 as T is a ball.
+        # Odd d triangulates P; even d triangulates the interior polytope
+        # Q by its cone, ((d+2)/2)^d cells, and P = 2Q - (1, ..., 1) is
+        # checked, so h*(P) = h*(2Q) = hstar_double(h*(Q)).
+        if d % 2:
+            tri = laplacian_triangulation(d, budget=cells_budget)
+        else:
+            tri = interior_polytope_triangulation(d, budget=cells_budget)
+            doubled = [tuple(2 * x - 1 for x in p) for p in tri.carrier.points]
+            if sorted(doubled) != sorted(reduce_full_dim(d)[0].points):
+                raise AssertionError("polytope is not 2Q - (1, ..., 1)")
+        proof = verify_triangulation(tri)
+        if not (proof["ok"] and proof["unimodular"]):
+            raise AssertionError("triangulation is not verified unimodular")
+        h = h_vector_of(tri)
+        if h[-1]:
+            raise AssertionError("triangulation h-vector has nonzero tail")
+        return h[:-1] if d % 2 else hstar_double(h[:-1], d)
     if method == "fundamental":
         if d % 2 == 0:
             raise ValueError(
@@ -254,11 +270,10 @@ def _verify_row(d, reference, args):
             ]
     else:
         entry["match"] = None
-    if d <= VERIFY_CENSUS_MAX_D:
-        entry["oracles"]["census"] = list(
-            hstar_by_method(d, "census", cells_budget=args.budget_cells)
+    if d <= VERIFY_ORACLE_MAX_D:
+        entry["oracles"]["triangulation"] = list(
+            hstar_by_method(d, "triangulation", cells_budget=args.budget_cells)
         )
-    if d <= VERIFY_EHRHART_MAX_D:
         entry["oracles"]["ehrhart"] = list(
             hstar_by_method(d, "ehrhart", points_budget=args.budget_points)
         )
@@ -312,7 +327,8 @@ def build_parser():
     p_hstar = sub.add_parser("hstar", help="h*-vector of the reduced polytope")
     p_hstar.add_argument("--d", type=int, required=True)
     p_hstar.add_argument("--method", default="structural",
-                         choices=["structural", "census", "fundamental", "ehrhart"])
+                         choices=["structural", "triangulation", "fundamental",
+                                  "ehrhart"])
     p_hstar.set_defaults(func=cmd_hstar)
 
     p_verify = sub.add_parser("verify-table",

@@ -5,7 +5,8 @@ An h*-vector is a tuple of ints, low degree first, of length
 kept).  Four independent routes give the same tuple:
 
 * interpolation from exact lattice-point counts of the first dilations;
-* the h-vector of a certified unimodular triangulation (census);
+* the h-vector of a verified unimodular triangulation, counted by
+  half-open decomposition (`hstar --method triangulation`);
 * the lattice points of the half-open fundamental parallelepiped of a
   full-dimensional simplex, counted by degree.  With W = U*S*V the Smith
   normal form of the homogenized vertex matrix and e its largest
@@ -22,8 +23,8 @@ kept).  Four independent routes give the same tuple:
   is the product of two of them (the triangulation is a join).  For even
   d, the faces of the interior polytope's boundary are counted by a
   binomial formula in their numbers of odd and even labels; this gives
-  the census of its coned triangulation, and the dilation transform then
-  gives h*.
+  the face counts of its coned triangulation, and the dilation transform
+  then gives h*.
 
 All arithmetic is exact.  Real-rootedness is one Sturm sequence of
 integer polynomials: it is also Euclid's loop for gcd(p, p'), so the
@@ -354,7 +355,7 @@ def _interior_hstar_structural(d):
         for a in enum
     }
 
-    # boundary census from interior contributions of each polytope face;
+    # boundary face counts from interior contributions of each polytope face;
     # a face has at most d/2 labels of each parity, so degree <= d
     boundary = [0] * (d + 1)
     for (a1, a2), mult in _boundary_signatures(d):
@@ -370,7 +371,7 @@ def _interior_hstar_structural(d):
 def hstar_structural(d):
     """h* of the reduced Laplacian polytope by the closed-form structural
     route: a product of edgewise h-polynomials for odd d; for even d the
-    interior polytope's h* (closed-form census of its cone triangulation)
+    interior polytope's h* (closed-form face count of its cone triangulation)
     pushed through the dilation transform."""
     if d < 1:
         raise ValueError("d must be >= 1")

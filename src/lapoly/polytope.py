@@ -406,16 +406,22 @@ class LatticePolytope:
     def facet_ridge_graph(self):
         """Facets joined when their common vertices span a ridge, a face
         of dimension d - 2; the empty face has dimension -1, so the two
-        endpoints of a segment are adjacent."""
+        endpoints of a segment are adjacent.
+
+        Theorem.  Facets F, G meet in a ridge iff no third facet contains
+        their common vertices.  Proof.  F & G is the hull of those
+        vertices.  A ridge lies in exactly two facets (the diamond
+        property); a face of dimension k <= d - 3, the empty one included,
+        lies in at least d - k >= 3, as its dual face in the polar has
+        dimension d - 1 - k.  A ridge has at least d - 1 vertices.
+        """
         sets = self.facet_vertex_sets()
         edges = []
         d = self.dim()
         for i, j in combinations(range(len(sets)), 2):
             common = sets[i] & sets[j]
-            if len(common) < d - 1:
-                continue
-            ridge = LatticePolytope([self.points[k] for k in common]).dim() if common else -1
-            if ridge == d - 2:
+            if len(common) >= d - 1 and not any(
+                    common <= s for k, s in enumerate(sets) if k != i and k != j):
                 edges.append((i, j))
         return FacetRidgeGraph(sets, edges)
 

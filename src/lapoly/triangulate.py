@@ -24,8 +24,7 @@ take a dot product.  `h_vector_of` reads the same steps: on a triangulation
 that `verify_triangulation` has proved, it carries the barycentric
 coordinates of one interior point from cell to cell and counts the
 negative ones in each cell (half-open decomposition, proof in its
-docstring), with no face sets.  The face census stays as the standalone
-census route, which builds no walk.  The even-d cone and its refinement get
+docstring), with no face sets.  The even-d cone and its refinement get
 their heights by one recipe (`_scaled_heights`): a base vector scaled by
 the least N that makes every fold of their own walk strictly convex, plus
 a secondary vector.  Both scale on the first read of their heights, so a
@@ -39,9 +38,7 @@ from array import array
 from collections import deque
 from functools import partial
 from fractions import Fraction
-from itertools import (
-    chain, combinations, combinations_with_replacement, compress, repeat,
-)
+from itertools import combinations, combinations_with_replacement, compress
 from operator import itemgetter, lt, mul
 
 from . import lp
@@ -697,6 +694,13 @@ def _interior_cone(d):
     return Triangulation([points[i] for i in order], cells, carrier, heights=heights)
 
 
+def _check_cells(n_cells, budget):
+    """BudgetError before a build of `n_cells` cells over the cell budget."""
+    limit = cell_budget(budget)
+    if n_cells > limit:
+        raise BudgetError(f"triangulation needs {n_cells} cells, budget is {limit}")
+
+
 def laplacian_triangulation(d, budget=None):
     """Regular unimodular triangulation of the reduced Laplacian polytope.
 
@@ -719,12 +723,7 @@ def laplacian_triangulation(d, budget=None):
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    n_cells = (d + 2) ** d
-    limit = cell_budget(budget)
-    if n_cells > limit:
-        raise BudgetError(
-            f"triangulation needs {n_cells} cells, budget is {limit}"
-        )
+    _check_cells((d + 2) ** d, budget)
     if d % 2 == 1:
         return _odd_laplacian_triangulation(d)
 
@@ -768,12 +767,7 @@ def interior_polytope_triangulation(d, budget=None):
     `verify_triangulation` and `is_regular` then share."""
     if d < 2 or d % 2:
         raise ValueError("defined for even d >= 2")
-    n_cells = ((d + 2) // 2) ** d
-    limit = cell_budget(budget)
-    if n_cells > limit:
-        raise BudgetError(
-            f"triangulation needs {n_cells} cells, budget is {limit}"
-        )
+    _check_cells(((d + 2) // 2) ** d, budget)
     return _interior_cone(d)
 
 
@@ -937,26 +931,8 @@ def verify_triangulation(t):
 
 
 # ---------------------------------------------------------------------------
-# face census, h-vectors, shellings
+# h-vectors, shellings
 # ---------------------------------------------------------------------------
-
-
-def face_census(t):
-    """f-vector of the triangulation as a simplicial complex.
-
-    Faces are counted one size at a time: the s-subsets of all cells go
-    into one set, built in one C-level pass, its length is f_(s-1), and the
-    set is dropped before the next size.  The empty face is counted once.
-    Peak memory is therefore that of the largest level, not of all levels
-    together.  The default cell budget admits d <= 6, where the largest
-    level of `laplacian_triangulation(6)` holds 1.43M faces, so no
-    triangulation it admits needs more than a few hundred MB.
-    """
-    counts = [1]
-    for size in range(1, t.dim + 2):
-        faces = set(chain.from_iterable(map(combinations, t.cells, repeat(size))))
-        counts.append(len(faces))
-    return tuple(counts)
 
 
 def h_vector_of(t):

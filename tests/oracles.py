@@ -5,7 +5,7 @@ input the package itself never needs: the tests compare the two.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from math import gcd
 
 from lapoly import lp
@@ -272,11 +272,46 @@ def f_vector(c):
     return (1,) + tuple(len(level) for level in c.faces_by_dim)
 
 
+def face_census(t):
+    """f-vector of the triangulation as a simplicial complex.
+
+    Faces are counted one size at a time: the s-subsets of all cells go
+    into one set, built in one C-level pass, its length is f_(s-1), and the
+    set is dropped before the next size.  The empty face is counted once.
+    Peak memory is therefore that of the largest level, not of all levels
+    together.  The default cell budget admits d <= 6, where the largest
+    level of `laplacian_triangulation(6)` holds 1.43M faces, so no
+    triangulation it admits needs more than a few hundred MB.
+    """
+    counts = [1]
+    for size in range(1, t.dim + 2):
+        faces = set(chain.from_iterable(map(combinations, t.cells, repeat(size))))
+        counts.append(len(faces))
+    return tuple(counts)
+
+
 def full_simplex(d):
     """The full d-simplex 2^[d+1] as a complex."""
     n = d + 1
     faces = [combinations(range(n), k + 1) for k in range(n)]
     return SimplicialComplex(range(1, n + 1), faces)
+
+
+def ridge_graph_edges(p):
+    """The facet pairs of `p` whose common vertices span a polytope of
+    dimension dim - 2, the empty set having dimension -1: the oracle for
+    `LatticePolytope.facet_ridge_graph`, one Smith form per candidate."""
+    sets = p.facet_vertex_sets()
+    edges = []
+    d = p.dim()
+    for i, j in combinations(range(len(sets)), 2):
+        common = sets[i] & sets[j]
+        if len(common) < d - 1:
+            continue
+        ridge = LatticePolytope([p.points[k] for k in common]).dim() if common else -1
+        if ridge == d - 2:
+            edges.append((i, j))
+    return edges
 
 
 def combinatorial_type(p):

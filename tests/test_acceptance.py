@@ -31,13 +31,13 @@ from lapoly.laplacian import (
 from lapoly.polytope import LatticePolytope, combinatorially_equivalent, cyclic_polytope
 from lapoly.triangulate import (
     Triangulation,
-    face_census,
     h_vector_of,
     is_regular,
     standard_shelling_order,
     verify_shelling,
     verify_triangulation,
 )
+from oracles import face_census
 
 
 def announce(number, ok, detail):

@@ -16,7 +16,6 @@ from lapoly.cli import (
     load_reference_table,
     main,
 )
-from lapoly.complexes import f_from_h
 from lapoly.laplacian import LaplacianOrderingError
 
 
@@ -106,7 +105,7 @@ def test_build_input_errors(tmp_path):
     [
         (2, "structural", [1, 10, 5]),
         (1, "ehrhart", [1, 2, 0]),
-        (3, "census", [1, 22, 78, 24, 0]),
+        (3, "triangulation", [1, 22, 78, 24, 0]),
         (3, "fundamental", [1, 22, 78, 24, 0]),
         (7, "structural",
          [1, 926, 157566, 1135846, 2188310, 1150800, 145600, 3920, 0]),
@@ -133,7 +132,7 @@ def test_hstar_flags():
 
 
 def test_hstar_budget_and_input_errors():
-    r = run_cli("--budget-cells", "100", "hstar", "--d", "4", "--method", "census")
+    r = run_cli("--budget-cells", "80", "hstar", "--d", "4", "--method", "triangulation")
     assert r.returncode == EXIT_BUDGET
     r = run_cli("hstar", "--d", "6", "--method", "fundamental")
     assert r.returncode == EXIT_INPUT
@@ -155,7 +154,7 @@ def test_fundamental_budget_counts_dp_states():
     assert "residue DP needs 5913 states" in r.stderr
 
 
-@pytest.mark.parametrize("method", ["structural", "census", "fundamental", "ehrhart"])
+@pytest.mark.parametrize("method", ["structural", "triangulation", "fundamental", "ehrhart"])
 @pytest.mark.parametrize("d", [0, -1])
 def test_hstar_rejects_d_below_one(d, method):
     assert main(["hstar", "--d", str(d), "--method", method]) == EXIT_INPUT
@@ -187,10 +186,10 @@ def test_budget_env_override(tmp_path):
     import os
 
     env = dict(os.environ)
-    env["LAPOLY_BUDGET_CELLS"] = "10"
+    env["LAPOLY_BUDGET_CELLS"] = "3"
     r = subprocess.run(
         [sys.executable, "-m", "lapoly.cli", "hstar", "--d", "2",
-         "--method", "census"],
+         "--method", "triangulation"],
         capture_output=True, text=True, env=env,
     )
     assert r.returncode == EXIT_BUDGET
@@ -208,7 +207,7 @@ def test_verify_table_pass_and_determinism():
     for d in range(1, 5):
         row = rows[str(d)]
         assert row["match"] is True
-        assert set(row["oracles"]) >= {"census", "ehrhart"}
+        assert set(row["oracles"]) >= {"triangulation", "ehrhart"}
         for vec in row["oracles"].values():
             assert vec == row["structural"]
 
@@ -295,8 +294,8 @@ def test_verify_table_status_reflects_every_check(monkeypatch, capsys):
 def test_assertion_maps_to_mismatch_exit(monkeypatch, capsys):
     import lapoly.cli as cli
 
-    monkeypatch.setattr(cli, "face_census", lambda tri: f_from_h((1, 2, 0, 7)))
-    assert main(["hstar", "--d", "1", "--method", "census"]) == EXIT_MISMATCH
+    monkeypatch.setattr(cli, "h_vector_of", lambda tri: (1, 2, 0, 7))
+    assert main(["hstar", "--d", "1", "--method", "triangulation"]) == EXIT_MISMATCH
     assert "nonzero tail" in capsys.readouterr().err
     assert main(["verify-table", "--max-d", "1"]) == EXIT_MISMATCH
     captured = capsys.readouterr()
@@ -384,20 +383,49 @@ def test_every_failure_class_maps_to_its_exit_code(argv, target, error, code,
     assert captured.out == ""
 
 
-def test_hstar_census_d6_under_memory_limit():
-    # the face census of the 262144-cell triangulation, counted one face
-    # size at a time, fits in 1 GB of address space
+def test_hstar_triangulation_d6_under_memory_limit():
+    # the 4096-cell cone of the interior polytope, verified and counted on
+    # its walk, fits in 128 MB of address space; the 262144-cell
+    # refinement would not
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))
 
     r = subprocess.run(
-        [sys.executable, "-m", "lapoly.cli", "hstar", "--d", "6", "--method", "census"],
+        [sys.executable, "-m", "lapoly.cli", "hstar", "--d", "6",
+         "--method", "triangulation"],
         capture_output=True,
         text=True,
         preexec_fn=limit_memory,
     )
     assert r.returncode == EXIT_OK, r.stderr
     assert json.loads(r.stdout)["results"]["hstar"] == list(load_reference_table()[6])
+
+
+def test_hstar_triangulation_refuses_d10_before_building(monkeypatch, capsys):
+    # the d = 10 cone needs 6^10 cells, over the default budget, and the
+    # budget is checked before any construction starts
+    import lapoly.triangulate as triangulate
+
+    def built(d):
+        raise AssertionError("built despite the budget")
+
+    monkeypatch.setattr(triangulate, "_interior_cone", built)
+    assert main(["hstar", "--d", "10", "--method", "triangulation"]) == EXIT_BUDGET
+    assert "needs 60466176 cells" in capsys.readouterr().err
+
+
+def test_hstar_triangulation_rejects_a_dropped_cone_cell(monkeypatch, capsys):
+    import lapoly.cli as cli
+    from lapoly.triangulate import Triangulation, interior_polytope_triangulation
+
+    def dropped(d, budget=None):
+        t = interior_polytope_triangulation(d, budget)
+        return Triangulation(t.vertex_pool, t.cells[1:], t.carrier)
+
+    monkeypatch.setattr(cli, "interior_polytope_triangulation", dropped)
+    assert main(["hstar", "--d", "4", "--method", "triangulation"]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mismatch: ") and captured.out == ""
 
 
 def test_hstar_beyond_the_reference_table():

@@ -20,7 +20,8 @@ from lapoly.polytope import (
     gale_evenness_sets,
 )
 from oracles import (
-    combinatorial_type, fan_cells, nullspace, point_in_hull, scan_hull, simplex_det)
+    combinatorial_type, fan_cells, nullspace, point_in_hull, ridge_graph_edges, scan_hull,
+    simplex_det)
 
 
 def unit_square():
@@ -248,6 +249,44 @@ def test_simplex_facet_ridge_graph_complete():
     # the endpoints of a segment meet in the empty face, its ridge
     g = LatticePolytope([(0,), (2,)]).facet_ridge_graph()
     assert len(g.nodes) == 2 and g.edges == [(0, 1)]
+
+
+def ridge_graph_cases():
+    """Cubes and a cube grid (non-simplicial facets, non-vertex points),
+    the reduced polytopes, cyclic polytopes, the interior polytopes, and
+    seeded 0/1 polytopes of dimension 5, where two facets can share
+    d - 1 vertices in a face below a ridge."""
+    rng = random.Random(5)
+    cube = list(product((0, 1), repeat=5))
+    yield from (LatticePolytope(rng.sample(cube, 12)) for _ in range(4))
+    yield from (LatticePolytope(list(product((0, 1), repeat=d))) for d in (2, 3, 4))
+    yield LatticePolytope(list(product((0, 1, 2), repeat=3)))
+    yield from (reduce_full_dim(d)[0] for d in range(1, 8))
+    yield from (cyclic_polytope(d, d + 3) for d in (2, 3, 4, 5))
+    yield from (LatticePolytope(interior_polytope_vertices(d)) for d in (2, 4, 6))
+
+
+def test_facet_ridge_graph_matches_smith_oracle(monkeypatch):
+    # the tight sets decide every ridge, so the graph takes no Smith form
+    # once the facets are known; the oracle takes one per candidate pair
+    calls = []
+    real = polytope.snf_with_transform
+    monkeypatch.setattr(polytope, "snf_with_transform",
+                        lambda *a: calls.append(1) or real(*a))
+    below = 0
+    for p in ridge_graph_cases():
+        sets = p.facet_vertex_sets()
+        before = len(calls)
+        edges = p.facet_ridge_graph().edges
+        assert len(calls) == before
+        assert edges == ridge_graph_edges(p)
+        below += sum(len(sets[i] & sets[j]) >= p.dim() - 1
+                     for i, j in combinations(range(len(sets)), 2)) - len(edges)
+    assert below > 0
+    cube = LatticePolytope(list(product((0, 1), repeat=4)))
+    cube.facets()
+    del calls[:]
+    assert len(ridge_graph_edges(cube)) == 24 and len(calls) == 24
 
 
 def test_cyclic_polytopes():

@@ -20,10 +20,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lapoly"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
-# kept unreached on purpose until the ROADMAP items that will use them
-DEFERRED = {"interior_polytope_triangulation"}
-
-
 def names_used(tree):
     """How often each identifier is read or taken as an attribute in
     `tree`."""
@@ -80,8 +76,7 @@ def unreached_names():
 
 
 def test_every_public_name_is_reached():
-    # a deferred name that comes into use must leave DEFERRED as well
-    assert set(unreached_names()) == DEFERRED
+    assert unreached_names() == []
 
 
 def test_every_imported_name_is_used():

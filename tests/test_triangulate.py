@@ -17,7 +17,6 @@ from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
     alcove_height,
-    face_census,
     h_vector_of,
     interior_facets,
     interior_polytope_triangulation,
@@ -28,8 +27,8 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
-from oracles import (covector_fold_values, fan_cells, f_vector, nullspace, point_in_hull,
-                     primitive_vector, simplex_det, ub_form)
+from oracles import (covector_fold_values, face_census, fan_cells, f_vector, nullspace,
+                     point_in_hull, primitive_vector, simplex_det, ub_form)
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -1181,17 +1180,17 @@ def count_refined_walks(monkeypatch, d, fail=False):
     return calls
 
 
-def test_census_route_never_walks_for_heights(monkeypatch):
-    # neither the cone nor the refined cells are scaled or walked, at odd
-    # or even d
+def test_triangulation_route_reads_no_heights(monkeypatch):
+    # the route equals the reference rows, verifying and counting on one
+    # walk per d, the cone's at even d, and scales no heights
     calls = count_refined_walks(monkeypatch, 4)
     work = count_walk_work(monkeypatch)
     table = load_reference_table()
-    for d in range(1, 5):
-        assert hstar_by_method(d, "census") == table[d]
+    for d in range(1, 7):
+        assert hstar_by_method(d, "triangulation") == table[d]
+        assert work["_ridge_pass"] == d
     assert table[2] == (1, 10, 5) and table[4] == (1, 131, 726, 419, 19)
     assert calls == []
-    assert work == {"solve_int": 0, "_ridge_pass": 0}
 
 
 @pytest.mark.parametrize("d", [2, 4])
