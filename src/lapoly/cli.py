@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
+import os
 import sys
 import time
-from importlib import resources
+
+# the built-in sha256, as `random` takes sha512: `hashlib` loads OpenSSL
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .budgets import BudgetError, cell_budget, parse_budget, point_budget
 from .complexes import boundary_of_simplex, read_complex_file
@@ -61,7 +69,7 @@ VERIFY_ORACLE_MAX_D = 4
 
 
 def _digest(payload):
-    return hashlib.sha256(
+    return sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
@@ -90,15 +98,12 @@ def _fail(exc, where=""):
 
 
 def load_reference_table(path=None):
-    """The reference h*-vectors, keyed by integer d."""
+    """The reference h*-vectors, keyed by integer d; by default the
+    packaged table, read as a plain file beside this module."""
     if path is None:
-        text = (
-            resources.files("lapoly").joinpath("reference_hstar.json").read_text()
-        )
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    data = json.loads(text)
+        path = os.path.join(os.path.dirname(__file__), "reference_hstar.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
     rows = data.get("rows") if isinstance(data, dict) else None
     if not isinstance(rows, dict) or not all(
         k.isdecimal() and isinstance(v, list) and all(type(x) is int for x in v)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import io
 import json
 import resource
@@ -240,6 +242,57 @@ def test_verify_table_malformed_table(tmp_path, table):
     assert r.returncode == EXIT_INPUT
     assert r.stderr.startswith("error: cannot load table")
     assert "Traceback" not in r.stderr
+
+
+def test_verify_table_missing_table_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify-table", "--max-d", "1", "--table", str(missing)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot load table")
+
+
+def test_malformed_table_raises_value_error(tmp_path):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps({"rows": {"1": [1, "2"]}}), encoding="utf-8")
+    with pytest.raises(ValueError, match='"rows" must map'):
+        load_reference_table(str(bad))
+
+
+def test_default_table_is_the_packaged_file():
+    from importlib import resources
+
+    text = resources.files("lapoly").joinpath("reference_hstar.json").read_text()
+    rows = json.loads(text)["rows"]
+    assert load_reference_table() == {int(d): tuple(v) for d, v in rows.items()}
+
+
+@pytest.mark.parametrize("payload", [
+    {"d": 3, "method": "structural"},
+    {"max_d": 8, "table": None},
+    {"boundary_simplex": 4, "k": 3},
+    {"complex_file": "complexes/kömplex.txt", "k": 1},
+    {},
+], ids=["hstar", "verify-table", "build", "non-ascii", "empty"])
+def test_digest_is_sha256_of_canonical_inputs(payload):
+    from lapoly.cli import _digest
+
+    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    assert _digest(payload) == hashlib.sha256(canonical).hexdigest()
+
+
+def test_cli_import_loads_neither_openssl_nor_resources():
+    """`import lapoly.cli` pulls in no `importlib.resources` and, where the
+    interpreter has a built-in sha256, no OpenSSL `_hashlib`.  -S keeps
+    site hooks out, as a `.pth` file may import either; PYTHONPATH (set by
+    conftest) still points at `src/`."""
+    r = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lapoly.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(r.stdout.split())
+    assert "lapoly.cli" in loaded and "importlib.resources" not in loaded
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert "_hashlib" not in loaded
 
 
 def test_main_entry_point(capsys):
