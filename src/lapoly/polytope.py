@@ -108,7 +108,6 @@ class LatticePolytope:
         "_affine",
         "_hull_cache",
         "_placed",
-        "_sign_cache",
     )
 
     def __init__(self, points):
@@ -128,7 +127,6 @@ class LatticePolytope:
         self._affine = None
         self._hull_cache = None
         self._placed = None
-        self._sign_cache = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -395,17 +393,15 @@ class LatticePolytope:
     def _signs(self):
         """With at most dim + 2 vertices, {vertex i: sign of c_i}, c the
         affine dependency of the vertices (all 0 for a simplex), built as a
-        polytope of their own only if some point is not one; None with
-        more.  Computed once, boxed in a tuple as None is an answer."""
-        if self._sign_cache is None:
-            verts = self.vertex_indices()
-            sign = None if len(verts) > self.dim() + 2 else dict.fromkeys(verts, 0)
-            if len(verts) == self.dim() + 2:
-                hull = self if len(verts) == len(self.points) else LatticePolytope(
-                    [self.points[i] for i in verts])
-                sign = {i: (x > 0) - (x < 0) for i, x in zip(verts, hull._dependency())}
-            self._sign_cache = (sign,)
-        return self._sign_cache[0]
+        polytope of their own only if some point is not one; None with more."""
+        verts = self.vertex_indices()
+        if len(verts) == self.dim() + 1:
+            return dict.fromkeys(verts, 0)
+        if len(verts) > self.dim() + 2:
+            return None
+        hull = self if len(verts) == len(self.points) else LatticePolytope(
+            [self.points[i] for i in verts])
+        return {i: (x > 0) - (x < 0) for i, x in zip(verts, hull._dependency())}
 
     def facet_ridge_graph(self):
         """Facets joined when their common vertices span a ridge, a face

@@ -691,24 +691,6 @@ def test_one_inverse_per_circuit_cell(name, monkeypatch):
     assert sorted(inverted) == cells
 
 
-def test_signs_computed_once(monkeypatch):
-    """The interior polytope's vertices are a proper subset of its points,
-    so its signs need the dependency solve of a vertex sub-polytope; that
-    solve is made once, by the hull record, and repeated
-    `combinatorially_equivalent` calls make no further `solve_int`."""
-    poly = LatticePolytope(interior_points(4)[0])
-    solves = []
-    solve = polytope.solve_int
-    monkeypatch.setattr(polytope, "solve_int",
-                        lambda rows, rhs: solves.append(rows) or solve(rows, rhs))
-    poly.facets()
-    poly.normalized_volume()
-    before = len(solves)
-    for _ in range(3):
-        assert combinatorially_equivalent(poly, poly)[0]
-    assert len(solves) == before and poly._signs() is poly._signs()
-
-
 def test_oracles_run_no_placing_pass(monkeypatch):
     def refuse(self):
         raise AssertionError("an oracle ran the placing pass")
