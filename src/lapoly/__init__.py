@@ -14,7 +14,7 @@ from .complexes import (
     from_facets,
 )
 from .ehrhart import (
-    hstar_double,
+    hstar_dilate,
     hstar_from_counts,
     hstar_simplex_fundamental,
     hstar_structural,
@@ -49,7 +49,7 @@ __all__ = [
     "SimplicialComplex",
     "boundary_of_simplex",
     "from_facets",
-    "hstar_double",
+    "hstar_dilate",
     "hstar_from_counts",
     "hstar_simplex_fundamental",
     "hstar_structural",

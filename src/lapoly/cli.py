@@ -28,7 +28,7 @@ from .budgets import BudgetError, cell_budget, parse_budget, point_budget
 from .complexes import boundary_of_simplex, read_complex_file
 from .ehrhart import (
     ehrhart_counts,
-    hstar_double,
+    hstar_dilate,
     hstar_from_counts,
     hstar_length,
     hstar_simplex_fundamental,
@@ -124,7 +124,7 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
         # (Betke and McMullen 1985), with h_(dim+1) = 0 as T is a ball.
         # Odd d triangulates P; even d triangulates the interior polytope
         # Q by its cone, ((d+2)/2)^d cells, and P = 2Q - (1, ..., 1) is
-        # checked, so h*(P) = h*(2Q) = hstar_double(h*(Q)).
+        # checked, so h*(P) = h*(2Q) = hstar_dilate(h*(Q), d, 2).
         if d % 2:
             tri = laplacian_triangulation(d, budget=cells_budget)
         else:
@@ -138,7 +138,7 @@ def hstar_by_method(d, method, points_budget=None, cells_budget=None):
         h = h_vector_of(tri)
         if h[-1]:
             raise AssertionError("triangulation h-vector has nonzero tail")
-        return h[:-1] if d % 2 else hstar_double(h[:-1], d)
+        return h[:-1] if d % 2 else hstar_dilate(h[:-1], d, 2)
     if method == "fundamental":
         if d % 2 == 0:
             raise ValueError(

@@ -92,40 +92,6 @@ def boundary_of_simplex(d_plus_1):
     return SimplicialComplex(range(1, n + 1), faces)
 
 
-def h_from_f(f):
-    """h-vector from an f-vector via the standard polynomial identity.
-
-    For f = (f_-1, ..., f_{d-1}) this expands
-    sum_k f_{k-1} (t-1)^(d-k) and reads off h_0..h_d.
-    """
-    d = len(f) - 1
-    # coefficients of sum_k f_{k-1} (t-1)^{d-k}, highest power first
-    poly = [0] * (d + 1)  # poly[j] multiplies t^(d-j)
-    for k in range(d + 1):
-        # (t-1)^(d-k) contributes binomials
-        m = d - k
-        c = 1
-        for j in range(m + 1):
-            # coefficient of t^(m-j) in (t-1)^m is C(m,j) * (-1)^j
-            poly[d - (m - j)] += f[k] * c * ((-1) ** j)
-            c = c * (m - j) // (j + 1)
-    return tuple(poly)
-
-
-def f_from_h(h):
-    """Inverse of `h_from_f`: substitute t -> t+1 and read off f."""
-    d = len(h) - 1
-    f = [0] * (d + 1)
-    for k in range(d + 1):
-        # h_k t^{d-k} with t -> t+1: sum_j C(d-k, j) t^j; t^{d-m} term: j = d-m
-        m = d - k
-        c = 1
-        for j in range(m + 1):
-            f[d - j] += h[k] * c
-            c = c * (m - j) // (j + 1)
-    return tuple(f)
-
-
 def read_complex_file(path):
     """Parse the complex file format used by the CLI.
 

@@ -17,14 +17,14 @@ kept).  Four independent routes give the same tuple:
   both counts and the smaller one runs: for the odd-d family the walk at
   d = 1 and 3, the DP from d = 5;
 * the structural route, in closed form and polynomial time at every d.
-  The h-polynomial of the r-th edgewise subdivision of a simplex is the
-  numerator of the r-th Veronese Hilbert series (Brenti-Welker, Adv. Appl.
-  Math. 2009; Athanasiadis, SIAM J. Discrete Math. 2014).  For odd d, h*
-  is the product of two of them (the triangulation is a join).  For even
-  d, the faces of the interior polytope's boundary are counted by a
-  binomial formula in their numbers of odd and even labels; this gives
-  the face counts of its coned triangulation, and the dilation transform
-  then gives h*.
+  One operator, `hstar_dilate`, gives h*(rP) from h*(P); on a unimodular
+  simplex it gives the h-polynomial of the r-th edgewise subdivision, the
+  r-th Veronese numerator (Brenti-Welker, Adv. Appl. Math. 2009;
+  Athanasiadis, SIAM J. Discrete Math. 2014).  For odd d, h* is the
+  product of two of them (the triangulation is a join).  For even d, h*
+  of the interior polytope Q is the square of the h-vector of a
+  subdivided simplex boundary (Dehn-Sommerville for balls), and h* is the
+  2-dilation of h*(Q).
 
 All arithmetic is exact.  Real-rootedness is one Sturm sequence of
 integer polynomials: it is also Euclid's loop for gcd(p, p'), so the
@@ -35,11 +35,10 @@ the same loop (`is_real_rooted`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import ceil, comb, floor, prod
 
 from .budgets import BudgetError, point_budget
-from .complexes import f_from_h, h_from_f
 from .linalg import int_tuple, snf_with_transform, solve_int, vec_gcd
 
 
@@ -248,18 +247,28 @@ def hstar_simplex_fundamental(simplex_points, budget=None):
     return tuple(h)
 
 
-def hstar_double(h, dim):
-    """h* of the second dilation from the h* of a dim-polytope.
+def hstar_dilate(h, dim, r):
+    """h* of the dilation rP from the h* of a dim-polytope P: every r-th
+    coefficient of h(t) * c(t), c = (1 + t + ... + t^(r-1))^(dim+1).
 
-    Out-of-range binomials are zero."""
-    return tuple(
-        sum(
-            comb(dim + 1, 2 * i - j) * h_j
-            for j, h_j in enumerate(h)
-            if 0 <= 2 * i - j <= dim + 1
-        )
-        for i in range(dim + 1)
-    )
+    Proof.  (1 - t) * (1 + t + ... + t^(r-1)) = 1 - t^r, so
+    sum_n |nP| t^n = h/(1-t)^(dim+1) = h*c/(1-t^r)^(dim+1), and the
+    t^(rn) terms of that are sum_n |rnP| t^(rn): in u = t^r they read
+    sum_n |n(rP)| u^n = (sum_i (h*c)_(ri) u^i) / (1-u)^(dim+1).
+
+    h*c is formed by dim + 1 window sums of width r.  The r-th edgewise
+    subdivision of an (n-1)-simplex is a unimodular triangulation of its
+    r-fold dilation, so its h-polynomial is hstar_dilate((1,), n - 1, r),
+    the numerator of the r-th Veronese Hilbert series (Brenti and Welker,
+    Adv. Appl. Math. 42, 2009).
+    """
+    if r < 1 or len(h) > dim + 1:
+        raise ValueError(f"need r >= 1 and at most {dim + 1} entries of h*")
+    p = list(h) + [0] * (dim + 1 - len(h))
+    for _ in range(dim + 1):
+        s = list(accumulate(p + [0] * (r - 1), initial=0))
+        p = [b - a for a, b in zip([0] * (r - 1) + s, s[1:])]
+    return tuple(p[::r])
 
 
 def dilation_coefficient(d, i, j):
@@ -284,108 +293,46 @@ def dilation_antisymmetry_holds(d, i, k):
 # ---------------------------------------------------------------------------
 
 
-def _esd_h_polynomial(r, nverts):
-    """h-polynomial of the r-th edgewise subdivision of a simplex with
-    `nverts` >= 1 vertices.
-
-    The subdivision is a unimodular triangulation of the dilated simplex
-    r*Delta, so its h-polynomial is h*(r*Delta), the numerator of the
-    Hilbert series of the r-th Veronese subring of a polynomial ring in
-    `nverts` variables (Brenti-Welker, Adv. Appl. Math. 42 (2009);
-    Athanasiadis, SIAM J. Discrete Math. 28 (2014)):
-    h(t) = (1-t)^n * sum_k C(kr+n-1, n-1) t^k, of degree < n.
-    """
-    series = [comb(k * r + nverts - 1, nverts - 1) for k in range(nverts)]
-    return tuple(
-        sum((-1) ** j * comb(nverts, j) * series[i - j] for j in range(i + 1))
-        for i in range(nverts)
-    )
-
-
-def _esd_face_enumerator(r, nverts):
-    """Face enumerator F(t) = sum over faces of t^|face| of the r-th
-    edgewise subdivision of a simplex with `nverts` vertices (empty face
-    included), read off its h-polynomial."""
-    if nverts == 0:
-        return (1,)
-    return f_from_h(_esd_h_polynomial(r, nverts) + (0,))
-
-
-def _boundary_signatures(d):
-    """((a1, a2), count) pairs: the number of faces of the interior
-    polytope's boundary with a1 odd and a2 even labels (even d), derived
-    in `_interior_hstar_structural`."""
-    m = d // 2 + 1
-    return [
-        ((a1, a2), comb(m, a1) * comb(m, a2))
-        for a1 in range(m)
-        for a2 in range(m)
-    ]
-
-
 def _interior_hstar_structural(d):
-    """h* of the interior polytope Q (even d) without materializing its
-    triangulation.
+    """h* of the interior polytope Q (even d) in closed form: s(t)^2, with
+    s the h-vector of the boundary of the m-th edgewise subdivision B of an
+    (m-1)-simplex, m = d/2 + 1.
 
-    The triangulation cones the interior lattice point over a boundary
-    complex whose part over a facet of Q is the join of edgewise
-    subdivisions of the facet's odd- and even-labelled vertex sets
-    (`triangulate.interior_facets`).  Each face of that complex lies in
-    the relative interior of exactly one face of Q.  If that face has a1
-    odd and a2 even labels, the complex's faces inside it are the joins of
-    interior faces of edgewise subdivisions of simplices with a1 and a2
-    vertices, counted by inclusion-exclusion.
-
-    The faces of Q are counted by their signature (a1, a2).  Q has
-    m = d/2 + 1 labels of each parity, and its facets omit exactly the
-    m^2 pairs of one odd and one even label, once each (Gale's evenness
-    condition; see `interior_facets`).  Q is simplicial, so a label set
-    is a face of its boundary exactly when it omits at least one odd and
-    one even label.  There are C(m, a1) * C(m, a2) such sets with a1 odd
-    and a2 even labels, for 0 <= a1, a2 < m.
+    Proof.  The triangulation of Q cones its interior lattice point over a
+    boundary complex whose part over a facet of Q is the join of the m-th
+    edgewise subdivisions of the facet's odd- and even-labelled vertex
+    sets.  Q has m labels of each parity, and every facet omits one odd
+    and one even label (`triangulate.interior_facets`), so that complex is
+    the join of the boundaries of B over the odd- and the even-labelled
+    simplex.  h is multiplicative under joins, and coning does not change
+    it.  B is an (m-1)-ball with h-vector v, v_m = 0, and for a ball
+    h_i(B) - h_(m-i)(B) = h_i(dB) - h_(i-1)(dB) (Dehn-Sommerville for
+    balls; Stanley, *Combinatorics and Commutative Algebra*, 1996), so the
+    running sums s of v_i - v_(m-i) are h(dB).
     """
-    r = (d + 2) // 2
-    # interior face enumerators per factor size
-    enum = {a: _esd_face_enumerator(r, a) for a in range(0, d // 2 + 1)}
-    interior = {
-        a: [
-            sum((-1) ** (a - i) * comb(a, i) * enum[i][k] for i in range(k, a + 1))
-            for k in range(a + 1)
-        ]
-        for a in enum
-    }
-
-    # boundary face counts from interior contributions of each polytope face;
-    # a face has at most d/2 labels of each parity, so degree <= d
-    boundary = [0] * (d + 1)
-    for (a1, a2), mult in _boundary_signatures(d):
-        for k, c in enumerate(_poly_mul(interior[a1], interior[a2])):
-            boundary[k] += mult * c
-    # cone with the interior point, then read off h
-    h = h_from_f(_poly_mul(boundary, (1, 1)))
-    if h[d + 1] != 0:
-        raise AssertionError("cone triangulation h-vector must end in 0")
-    return h[: d + 1]
+    m = d // 2 + 1
+    v = hstar_dilate((1,), m - 1, m) + (0,)
+    s = tuple(accumulate(v[i] - v[m - i] for i in range(m)))
+    return _poly_mul(s, s)
 
 
 def hstar_structural(d):
     """h* of the reduced Laplacian polytope by the closed-form structural
-    route: a product of edgewise h-polynomials for odd d; for even d the
-    interior polytope's h* (closed-form face count of its cone triangulation)
-    pushed through the dilation transform."""
+    route.  For odd d the polytope's triangulation is the join of the
+    (d+2)-th edgewise subdivisions of simplices with (d+3)/2 and (d+1)/2
+    vertices, so h* is the product of their h-polynomials.  For even d
+    the polytope is 2Q - (1, ..., 1), so h* is the 2-dilation of the
+    interior polytope's h*."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    length = hstar_length(d)
     if d % 2:
         h = _poly_mul(
-            _esd_h_polynomial(d + 2, (d + 3) // 2),
-            _esd_h_polynomial(d + 2, (d + 1) // 2),
+            hstar_dilate((1,), (d + 1) // 2, d + 2),
+            hstar_dilate((1,), (d - 1) // 2, d + 2),
         )
     else:
-        h = hstar_double(_interior_hstar_structural(d), d)
-    if any(h[length:]):
-        raise AssertionError("structural h* exceeds the expected degree")
-    return h[:length] + (0,) * (length - len(h))
+        h = hstar_dilate(_interior_hstar_structural(d), d, 2)
+    return h + (0,) * (hstar_length(d) - len(h))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +356,9 @@ def is_unimodal(h):
 
 
 def is_palindromic(h, dim):
+    """h_i == h_(dim-i) for i = 0..dim; a nonzero entry past dim fails."""
     h = list(h) + [0] * (dim + 1 - len(h))
-    return all(h[i] == h[dim - i] for i in range(dim + 1))
+    return not any(h[dim + 1:]) and all(h[i] == h[dim - i] for i in range(dim + 1))
 
 
 def is_real_rooted(h):

@@ -62,21 +62,26 @@ class Triangulation:
     heights read that needs it and kept; `cells` and `vertex_pool` are
     replaced, never edited in place, and assigning either drops it.
     Assigning either, or `carrier`, also empties `checks`, whose records
-    would otherwise vouch for the new triangulation.
+    would otherwise vouch for the new triangulation.  Both the constructor
+    and an assignment store pool points as int tuples and cells sorted.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
-        self.vertex_pool = [int_tuple(p) for p in vertex_pool]
-        # keep a cell that is already a sorted tuple: a copy of every cell
-        # would hold two full cell lists at once
-        self.cells = [c if (s := tuple(sorted(c))) == c else s for c in cells]
+        self.vertex_pool = vertex_pool
+        self.cells = cells
         self.carrier = carrier
         self._heights = heights
         self.checks = {}
 
     def __setattr__(self, name, value):
+        if name == "vertex_pool":
+            value = [int_tuple(p) for p in value]
+        elif name == "cells":
+            # keep a cell that is already a sorted tuple: a copy of every
+            # cell would hold two full cell lists at once
+            value = [c if (s := tuple(sorted(c))) == c else s for c in value]
         if name in ("vertex_pool", "cells", "carrier"):
             object.__setattr__(self, "checks", {})
             if name != "carrier":

@@ -6,7 +6,7 @@ input the package itself never needs: the tests compare the two.
 
 from fractions import Fraction
 from itertools import chain, combinations, permutations, repeat
-from math import gcd
+from math import comb, gcd
 
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex
@@ -288,6 +288,125 @@ def face_census(t):
         faces = set(chain.from_iterable(map(combinations, t.cells, repeat(size))))
         counts.append(len(faces))
     return tuple(counts)
+
+
+def h_from_f(f):
+    """h-vector from an f-vector via the standard polynomial identity.
+
+    For f = (f_-1, ..., f_{d-1}) this expands
+    sum_k f_{k-1} (t-1)^(d-k) and reads off h_0..h_d.
+    """
+    d = len(f) - 1
+    # coefficients of sum_k f_{k-1} (t-1)^{d-k}, highest power first
+    poly = [0] * (d + 1)  # poly[j] multiplies t^(d-j)
+    for k in range(d + 1):
+        # (t-1)^(d-k) contributes binomials
+        m = d - k
+        c = 1
+        for j in range(m + 1):
+            # coefficient of t^(m-j) in (t-1)^m is C(m,j) * (-1)^j
+            poly[d - (m - j)] += f[k] * c * ((-1) ** j)
+            c = c * (m - j) // (j + 1)
+    return tuple(poly)
+
+
+def f_from_h(h):
+    """Inverse of `h_from_f`: substitute t -> t+1 and read off f."""
+    d = len(h) - 1
+    f = [0] * (d + 1)
+    for k in range(d + 1):
+        # h_k t^{d-k} with t -> t+1: sum_j C(d-k, j) t^j; t^{d-m} term: j = d-m
+        m = d - k
+        c = 1
+        for j in range(m + 1):
+            f[d - j] += h[k] * c
+            c = c * (m - j) // (j + 1)
+    return tuple(f)
+
+
+def hstar_double(h, dim):
+    """h* of the second dilation of a dim-polytope from its h*, by the
+    binomial formula h*_i(2P) = sum_j C(dim+1, 2i-j) h*_j; out-of-range
+    binomials are zero."""
+    return tuple(
+        sum(
+            comb(dim + 1, 2 * i - j) * h_j
+            for j, h_j in enumerate(h)
+            if 0 <= 2 * i - j <= dim + 1
+        )
+        for i in range(dim + 1)
+    )
+
+
+# The structural route for even d by face counts: the reference for the
+# Dehn-Sommerville closed form `lapoly.ehrhart._interior_hstar_structural`.
+
+
+def esd_h_polynomial(r, nverts):
+    """h-polynomial of the r-th edgewise subdivision of a simplex with
+    `nverts` >= 1 vertices, from the Veronese Hilbert series:
+    h(t) = (1-t)^n * sum_k C(kr+n-1, n-1) t^k, of degree < n."""
+    series = [comb(k * r + nverts - 1, nverts - 1) for k in range(nverts)]
+    return tuple(
+        sum((-1) ** j * comb(nverts, j) * series[i - j] for j in range(i + 1))
+        for i in range(nverts)
+    )
+
+
+def esd_face_enumerator(r, nverts):
+    """Face enumerator F(t) = sum over faces of t^|face| of the r-th
+    edgewise subdivision of a simplex with `nverts` vertices (empty face
+    included), read off its h-polynomial."""
+    if nverts == 0:
+        return (1,)
+    return f_from_h(esd_h_polynomial(r, nverts) + (0,))
+
+
+def boundary_signatures(d):
+    """{(a1, a2): count}: the number of faces of the interior polytope's
+    boundary with a1 odd and a2 even labels (even d).
+
+    Q has m = d/2 + 1 labels of each parity, and its facets omit exactly
+    the m^2 pairs of one odd and one even label, once each (Gale's
+    evenness condition).  Q is simplicial, so a label set is a face of its
+    boundary exactly when it omits at least one odd and one even label:
+    C(m, a1) * C(m, a2) sets for 0 <= a1, a2 < m.
+    """
+    m = d // 2 + 1
+    return {(a1, a2): comb(m, a1) * comb(m, a2) for a1 in range(m) for a2 in range(m)}
+
+
+def interior_hstar_by_faces(d, face_enumerator=esd_face_enumerator,
+                            signatures=boundary_signatures):
+    """h* of the interior polytope Q (even d) from the face counts of its
+    cone triangulation.
+
+    Each face of the boundary complex lies in the relative interior of
+    exactly one face of Q.  If that face has a1 odd and a2 even labels,
+    the complex's faces inside it are the joins of interior faces of
+    edgewise subdivisions of simplices with a1 and a2 vertices, counted by
+    inclusion-exclusion from `face_enumerator(r, a)`; `signatures(d)`
+    counts the faces of Q by (a1, a2).  Coning with the interior point
+    and reading h off the f-vector gives h*(Q).
+    """
+    r = (d + 2) // 2
+    enum = {a: face_enumerator(r, a) for a in range(0, d // 2 + 1)}
+    interior = {
+        a: [
+            sum((-1) ** (a - i) * comb(a, i) * enum[i][k] for i in range(k, a + 1))
+            for k in range(a + 1)
+        ]
+        for a in enum
+    }
+    # a face has at most d/2 labels of each parity, so degree <= d
+    boundary = [0] * (d + 1)
+    for (a1, a2), mult in signatures(d).items():
+        for k, c in enumerate(_poly_mul(interior[a1], interior[a2])):
+            boundary[k] += mult * c
+    h = h_from_f(_poly_mul(boundary, (1, 1)))
+    if h[d + 1] != 0:
+        raise AssertionError("cone triangulation h-vector must end in 0")
+    return h[: d + 1]
 
 
 def full_simplex(d):

@@ -1,14 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lapoly.complexes import (
-    boundary_of_simplex,
-    f_from_h,
-    from_facets,
-    h_from_f,
-    read_complex_file,
-)
-from oracles import boundary_matrix, f_vector, full_simplex, homology_dimension
+from lapoly.complexes import boundary_of_simplex, from_facets, read_complex_file
+from oracles import (boundary_matrix, f_from_h, f_vector, full_simplex, h_from_f,
+                     homology_dimension)
 
 
 def four_cycle(ordering=(1, 2, 3, 4)):

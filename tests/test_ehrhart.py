@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 import lapoly.ehrhart as ehrhart
 from lapoly.budgets import BudgetError
 from lapoly.cli import load_reference_table
-from lapoly.complexes import h_from_f
 from lapoly.ehrhart import (
+    _poly_mul,
     dilation_antisymmetry_holds,
     dilation_coefficient,
     ehrhart_counts,
-    hstar_double,
+    hstar_dilate,
     hstar_from_counts,
     hstar_simplex_fundamental,
     hstar_structural,
@@ -29,7 +29,16 @@ from lapoly.triangulate import (
     interior_facets,
     verify_triangulation,
 )
-from oracles import ehrhart_polynomial, poly_rem
+from oracles import (
+    boundary_signatures,
+    ehrhart_polynomial,
+    esd_face_enumerator,
+    esd_h_polynomial,
+    h_from_f,
+    hstar_double,
+    interior_hstar_by_faces,
+    poly_rem,
+)
 
 REFERENCE = {
     1: (1, 2, 0),
@@ -211,7 +220,7 @@ def test_fundamental_kernels_agree_on_dilated_unimodular_simplices():
         dilated = [tuple(k * x for x in p) for p in simplex]
         diag, h = both_kernels(dilated)
         assert diag == [1] + [k] * dim
-        assert h == list(ehrhart._esd_h_polynomial(k, dim + 1))
+        assert h == list(hstar_dilate((1,), dim, k))
 
 
 def test_fundamental_kernels_agree_on_laplacian_images():
@@ -274,15 +283,48 @@ def test_fundamental_kernel_choice(d, kernel, count):
 
 
 def test_hstar_double():
-    assert tuple(hstar_double([1, 0], 1)) == (1, 1)
-    assert tuple(hstar_double([1, 2, 1], 2)) == (1, 10, 5)
+    assert hstar_dilate([1, 0], 1, 2) == (1, 1)
+    assert hstar_dilate([1, 2, 1], 2, 2) == (1, 10, 5)
     # interior polytope route for d = 4: doubling its h* gives the table row
     p, _ = reduce_full_dim(4)
     q = p.interior_polytope()
     qc = q.translate((-1, -1, -1, -1))
     hq = hstar_from_counts(ehrhart_counts(LatticePolytope(qc.vertices())), 4)
-    assert tuple(hstar_double(tuple(hq), 4)) == REFERENCE[4]
+    assert hstar_dilate(tuple(hq), 4, 2) == REFERENCE[4]
     assert is_palindromic(tuple(hq), 4)
+
+
+SMALL_POLYTOPES = [
+    [(0,), (3,)],
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (2, 0), (0, 1), (1, 1)],
+    [(0, 0), (1, 0), (0, 1), (1, 2)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+]
+
+
+@pytest.mark.parametrize("points", SMALL_POLYTOPES, ids=range(len(SMALL_POLYTOPES)))
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_hstar_dilate_matches_counts_of_the_dilation(points, r):
+    p = LatticePolytope(points)
+    dim = p.dim()
+    h = hstar_from_counts(ehrhart_counts(p), dim)
+    dilated = LatticePolytope([tuple(r * x for x in q) for q in points])
+    assert hstar_dilate(h, dim, r) == hstar_from_counts(ehrhart_counts(dilated), dim)
+
+
+def test_hstar_dilate_matches_binomial_doubling():
+    rng = random.Random(20261021)
+    for _ in range(300):
+        dim = rng.randint(0, 9)
+        h = [rng.randint(0, 50) for _ in range(rng.randint(1, dim + 1))]
+        assert hstar_dilate(h, dim, 2) == hstar_double(h, dim)
+        assert hstar_dilate(h, dim, 1) == tuple(h) + (0,) * (dim + 1 - len(h))
+    with pytest.raises(ValueError, match="at most 3 entries"):
+        hstar_dilate((1, 0, 0, 1), 2, 2)
+    with pytest.raises(ValueError, match="r >= 1"):
+        hstar_dilate((1, 1), 1, 0)
 
 
 def test_structural_rows():
@@ -352,41 +394,56 @@ def materialised_signature_counts(d):
 @pytest.mark.parametrize("n", range(0, 6))
 def test_esd_closed_form_matches_materialised(r, n):
     face_enum = materialised_face_enumerator(r, n)
-    assert ehrhart._esd_face_enumerator(r, n) == face_enum
+    assert esd_face_enumerator(r, n) == face_enum
     if n:
-        h = ehrhart._esd_h_polynomial(r, n)
-        assert tuple(h) + (0,) == h_from_f(tuple(face_enum))
+        h = hstar_dilate((1,), n - 1, r)
+        assert h == esd_h_polynomial(r, n)
+        assert h + (0,) == h_from_f(face_enum)
 
 
 @pytest.mark.parametrize("d", range(2, 13, 2))
 def test_boundary_signatures_match_facet_subsets(d):
-    m = d // 2 + 1
-    counts = dict(ehrhart._boundary_signatures(d))
-    assert counts == materialised_signature_counts(d)
-    assert counts == {
-        (a1, a2): comb(m, a1) * comb(m, a2)
-        for a1 in range(m)
-        for a2 in range(m)
-    }
+    assert boundary_signatures(d) == materialised_signature_counts(d)
 
 
 @pytest.mark.parametrize("d", (9, 10))
-def test_structural_matches_materialised_route(d, monkeypatch):
-    # rows 9 and 10 of the reference table are pinned by this agreement
-    closed = tuple(hstar_structural(d))
-    monkeypatch.setattr(
-        ehrhart, "_esd_h_polynomial",
-        lambda r, n: tuple(
-            h_from_f(tuple(materialised_face_enumerator(r, n)))),
-    )
-    monkeypatch.setattr(
-        ehrhart, "_esd_face_enumerator", materialised_face_enumerator)
-    monkeypatch.setattr(
-        ehrhart, "_boundary_signatures",
-        lambda d: materialised_signature_counts(d).items(),
-    )
-    assert tuple(hstar_structural(d)) == closed
-    assert load_reference_table()[d] == closed
+def test_structural_matches_materialised_route(d):
+    # rows 9 and 10 of the reference table are pinned by this agreement:
+    # the edgewise subdivisions are materialised, and the even-d step
+    # counts faces and doubles by the binomial formula, so this route
+    # shares only `_poly_mul` with `hstar_structural`
+    if d % 2:
+        h = _poly_mul(
+            h_from_f(materialised_face_enumerator(d + 2, (d + 3) // 2)),
+            h_from_f(materialised_face_enumerator(d + 2, (d + 1) // 2)),
+        )
+    else:
+        hq = interior_hstar_by_faces(
+            d, materialised_face_enumerator, materialised_signature_counts)
+        h = hstar_double(hq, d)
+    length = d + 2 if d % 2 else d + 1
+    assert not any(h[length:])
+    route = h[:length] + (0,) * (length - len(h))
+    assert hstar_structural(d) == route == load_reference_table()[d]
+
+
+def test_interior_closed_form_matches_face_count_route():
+    for d in range(2, 41, 2):
+        assert ehrhart._interior_hstar_structural(d) == interior_hstar_by_faces(d), d
+
+
+def test_subdivided_sphere_h_vector():
+    # s = h of the boundary of the m-th edgewise subdivision of an
+    # (m-1)-simplex, from Dehn-Sommerville for balls; s^2 = h*(Q) fixes s,
+    # as s_0 = 1 > 0.  The boundary is an (m-2)-sphere with m facets, each
+    # subdivided into m^(m-2) cells.
+    for d in range(2, 41, 2):
+        m = d // 2 + 1
+        v = hstar_dilate((1,), m - 1, m) + (0,)
+        s = [sum(v[j] - v[m - j] for j in range(i + 1)) for i in range(m)]
+        assert _poly_mul(s, s) == ehrhart._interior_hstar_structural(d)
+        assert is_palindromic(s, m - 1)
+        assert sum(s) == m ** (m - 1)
 
 
 def test_structural_volume_up_to_30():
@@ -478,6 +535,9 @@ def test_property_checks():
     assert is_real_rooted((1, 2, 1))
     assert is_unimodal((1, 10, 5)) == (True, 1)
     assert not is_palindromic((1, 10, 5), 2)
+    # an entry past degree dim is not read as padding
+    assert not is_palindromic((1, 2, 1, 5), 2)
+    assert is_palindromic((1, 2, 1, 0), 2)
     assert is_real_rooted((1, 2, 0))
     assert not is_real_rooted((1, 0, 1))
     assert not is_real_rooted((1, 1, 1))

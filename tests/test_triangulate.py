@@ -10,7 +10,7 @@ import lapoly.triangulate as triangulate
 from lapoly import lp
 from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
-from lapoly.complexes import f_from_h, from_facets, h_from_f
+from lapoly.complexes import from_facets
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
 from lapoly.linalg import det_int, solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
@@ -27,8 +27,9 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
-from oracles import (covector_fold_values, face_census, fan_cells, f_vector, nullspace,
-                     point_in_hull, primitive_vector, simplex_det, ub_form)
+from oracles import (covector_fold_values, f_from_h, face_census, fan_cells, f_vector,
+                     h_from_f, nullspace, point_in_hull, primitive_vector, simplex_det,
+                     ub_form)
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -1038,6 +1039,25 @@ def test_reassigning_cells_or_pool_drops_the_walk():
     assert verify_triangulation(t)["failures"][0] == ("degenerate", 0)
     with pytest.raises(ValueError, match="degenerate cell"):
         is_regular(t, heights=[0, 1, 2, 3])
+
+
+def test_assignment_stores_what_the_constructor_stores():
+    pool = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    built = fixture(pool, [(0, 1, 2), (2, 1, 3)])
+    assert built.cells == [(0, 1, 2), (1, 2, 3)]
+    assert verify_triangulation(built)["ok"]
+    # unsorted cells: the shared ridge (1, 2) must read as one ridge
+    t = fixture(pool, [(0, 1, 3), (0, 2, 3)])
+    t.cells = [(0, 1, 2), (2, 1, 3)]
+    assert t.cells == built.cells
+    assert verify_triangulation(t)["ok"]
+    # a non-integral pool point is refused, and the old pool is kept
+    with pytest.raises(ValueError, match="not an integer vector"):
+        t.vertex_pool = [(0, 0), (0.5, 0), (0, 1), (1, 1)]
+    assert t.vertex_pool == pool and t.checks["verify"]["ok"]
+    t.vertex_pool = [(0, 0), (Fraction(2, 2), 0), (0, 1.0), (1, 1)]
+    assert t.vertex_pool == pool and type(t.vertex_pool[2][1]) is int
+    assert verify_triangulation(t)["ok"]
 
 
 # sha256 of repr((vertex_pool, cells, heights)): the constructions must
