@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from itertools import zip_longest
 
 # the built-in sha256, as `random` takes sha512: `hashlib` loads OpenSSL
 try:
@@ -97,19 +98,33 @@ def _fail(exc, where=""):
             return code
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; ValueError if a key
+    repeats, where `json` would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_reference_table(path=None):
     """The reference h*-vectors, keyed by integer d; by default the
-    packaged table, read as a plain file beside this module."""
+    packaged table, read as a plain file beside this module.  Each d is
+    written once, in canonical decimal ("1", not "01"), so no two keys
+    name the same row."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "reference_hstar.json")
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, object_pairs_hook=_unique_keys)
     rows = data.get("rows") if isinstance(data, dict) else None
     if not isinstance(rows, dict) or not all(
-        k.isdecimal() and isinstance(v, list) and all(type(x) is int for x in v)
+        k.isdecimal() and k == str(int(k))
+        and isinstance(v, list) and all(type(x) is int for x in v)
         for k, v in rows.items()
     ):
-        raise ValueError('"rows" must map decimal d to lists of integers')
+        raise ValueError('"rows" must map canonical decimal d to lists of integers')
     return {int(k): tuple(v) for k, v in rows.items()}
 
 
@@ -261,7 +276,9 @@ def cmd_verify_table(args):
 
 
 def _verify_row(d, reference, args):
-    """One verify-table row: structural h*, the reference and the oracles."""
+    """One verify-table row: structural h*, the reference and the oracles.
+    The diff lists every position where they differ, None on the shorter
+    side of a reference of the wrong length."""
     structural = hstar_by_method(d, "structural")
     entry = {"structural": list(structural), "oracles": {}}
     if reference is not None:
@@ -270,7 +287,7 @@ def _verify_row(d, reference, args):
         if not entry["match"]:
             entry["diff"] = [
                 {"index": i, "computed": a, "reference": b}
-                for i, (a, b) in enumerate(zip(structural, reference))
+                for i, (a, b) in enumerate(zip_longest(structural, reference))
                 if a != b
             ]
     else:

@@ -34,9 +34,8 @@ the same loop (`is_real_rooted`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, product
-from math import ceil, comb, floor, prod
+from math import comb, prod
 
 from .budgets import BudgetError, point_budget
 from .linalg import int_tuple, snf_with_transform, solve_int, vec_gcd
@@ -269,23 +268,6 @@ def hstar_dilate(h, dim, r):
         s = list(accumulate(p + [0] * (r - 1), initial=0))
         p = [b - a for a, b in zip([0] * (r - 1) + s, s[1:])]
     return tuple(p[::r])
-
-
-def dilation_coefficient(d, i, j):
-    """r_j = C(d+1, 2i+2-j) - C(d+1, 2i-j), defined for any integer j."""
-
-    def c(n, k):
-        return comb(n, k) if 0 <= k <= n else 0
-
-    return c(d + 1, 2 * i + 2 - j) - c(d + 1, 2 * i - j)
-
-
-def dilation_antisymmetry_holds(d, i, k):
-    """-r_{ceil(2i+2-(d+3)/2)-k} == r_{floor(2i+2-(d+3)/2)+k}."""
-    center = Fraction(4 * i + 1 - d, 2)  # 2i + 2 - (d+3)/2
-    return -dilation_coefficient(d, i, ceil(center) - k) == dilation_coefficient(
-        d, i, floor(center) + k
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ combinatorial description (upper degree on the diagonal, +-1 via
 similar/dissimilar common lower simplices), evaluated apart from those
 sums and only where it can be nonzero, so an ordering bug anywhere
 upstream fails fast instead of corrupting geometry.
+
+The top Laplacian of a simplex boundary, and the reduced polytope and
+interior polytope built on it, come from closed forms proved in their
+docstrings; no complex is built for them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .complexes import boundary_of_simplex
-from .linalg import det_int
 from .polytope import LatticePolytope
 
 
@@ -120,25 +122,27 @@ def laplacian_matrix(c, i):
 
 
 def laplacian_boundary_simplex(d):
-    """Closed form for the top Laplacian of the boundary of a (d+1)-simplex.
+    """The top Laplacian L_d of the boundary of a (d+1)-simplex, in closed
+    form: zero for d = 0, otherwise d + 1 on the diagonal and (-1)^(i+j+1)
+    at (i, j) off it, rows and columns in the lexicographic order of the
+    d-faces, the order `laplacian_matrix` uses.
 
-    Zero for d = 0; otherwise d+1 on the diagonal and (-1)^(i+j-1) off it,
-    rows/columns ordered F_1, ..., F_(d+2), F_i = [d+2] minus {d+3-i}.
-    That is the lexicographic order of the d-faces, so the result is
-    cross-checked against `laplacian_matrix` as it stands.
+    Proof.  The boundary has no (d+1)-faces, so L_d = d_d^T d_d, which is
+    0 for d = 0 (d_0 = 0).  Each d-face has d + 1 faces of dimension
+    d - 1, each with sign +-1, so the diagonal is d + 1.  The d-faces are
+    the vertex set [d+2] less one vertex, and in lexicographic order face
+    a omits vertex u = d + 1 - a (0-based).  Two distinct faces a < b,
+    omitting u > w, share exactly one (d-1)-face, [d+2] less {u, w}.  It
+    omits w, at position w, from face a, and u, at position u - 1, from
+    face b, so their entry is (-1)^(w + u - 1) = (-1)^(a + b + 1).
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     n = d + 2
-    mat = [
+    return [
         [(d + 1 if i == j else (-1) ** (i + j + 1)) if d else 0 for j in range(n)]
         for i in range(n)
     ]
-    if laplacian_matrix(boundary_of_simplex(d + 1), d) != mat:
-        raise LaplacianOrderingError(
-            "closed form disagrees with the constructed Laplacian"
-        )
-    return mat
 
 
 def laplacian_polytope(c, k):
@@ -152,70 +156,59 @@ def laplacian_polytope(c, k):
 
 
 def reduced_vertices(d):
-    """Vertices of the full-dimensional copy of the top Laplacian polytope.
-
-    For odd d the first coordinate row is deleted (ambient dimension d+1),
-    for even d the first two are (ambient dimension d).  Entry formula:
-    d+1 at coordinate l-1 (odd) / l-2 (even), alternating signs elsewhere.
-    """
+    """Vertices of the full-dimensional copy of the top Laplacian polytope
+    of the simplex boundary: the columns of `laplacian_boundary_simplex(d)`
+    without their first row (odd d, ambient dimension d + 1) or their
+    first two rows (even d, ambient dimension d), which `reduce_full_dim`
+    proves constant."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _deleted_rows(laplacian_boundary_simplex(d), d)
-
-
-def _deleted_rows(lap, d):
-    """The columns of `lap` with the first row (odd d) or two (even d) deleted."""
-    return list(zip(*lap[1 if d % 2 == 1 else 2 :]))
+    return list(zip(*laplacian_boundary_simplex(d)[2 - d % 2 :]))
 
 
 def interior_polytope_vertices(d):
     """The d+2 lattice points (b + 1)/2 for even d; vertices of the
-    interior polytope of the reduced Laplacian polytope."""
+    interior polytope of the reduced Laplacian polytope.  Every coordinate
+    of a reduced vertex b is d + 1 or +-1, so odd."""
     if d < 2 or d % 2 != 0:
         raise ValueError("defined for even d >= 2")
-    verts = reduced_vertices(d)
-    if any(x % 2 == 0 for b in verts for x in b):
-        raise AssertionError("reduced vertex coordinates must be odd")
-    return [tuple((x + 1) // 2 for x in b) for b in verts]
+    return [tuple((x + 1) // 2 for x in b) for b in reduced_vertices(d)]
 
 
 def reduce_full_dim(d):
     """Full-dimensional copy of the top Laplacian polytope of the simplex
-    boundary, with its verified unimodular change of coordinates.
+    boundary, with its unimodular change of coordinates.
 
-    Returns (polytope, transform).  The transform is a unimodular
-    (d+2)x(d+2) matrix, as a list of rows; applied to every column of the
-    Laplacian it yields the constant (0) for odd d, (d/2+1, d/2+1) for
-    even d, in the first row or two, and the polytope's coordinates in the
-    rest.  It is None for d = 0, where the polytope is a single point.
+    Returns (polytope, transform).  The polytope's points are
+    `reduced_vertices(d)`.  The transform T is a (d+2)x(d+2) matrix, as a
+    list of rows, and T L, for L = `laplacian_boundary_simplex(d)`, has
+    the constant head (0) for odd d, (d/2+1, d/2+1) for even d, in its
+    first row or two, and the polytope's points as its columns below.  T
+    is None for d = 0, where the polytope is a single point.
+
+    T's head is the alternating row (1, -1, 1, ...) for odd d, and the
+    indicator rows of the even and of the odd 0-based positions for even
+    d.  Below the head T is the identity, so T L keeps the rows of L past
+    the head, and the polytope is L with its head rows deleted.
+
+    det T = 1: T is block triangular, with unit rows past the head, and
+    the head's leading minor is det (1) or det of the 2x2 identity.
+
+    The head rows are constant on every column j of L.  Odd d: the sum
+    over i of (-1)^i L[i][j] is (-1)^j (d + 1) from the diagonal plus d + 1
+    terms (-1)^i (-1)^(i+j+1) = -(-1)^j, so 0.  Even d, n = d + 2: the n/2
+    positions i of one parity sum to d + 1 - (n/2 - 1) = n/2 when j has
+    that parity (the diagonal and n/2 - 1 entries -1), and to n/2 entries
+    +1 when it has not.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     if d == 0:
         return LatticePolytope([()]), None
     n = d + 2
-    lap = laplacian_boundary_simplex(d)
-    odd = [k % 2 for k in range(1, n + 1)]  # ones at the odd 1-based positions
-    even = [1 - o for o in odd]
-    if d % 2 == 1:
-        head = [[o - e for o, e in zip(odd, even)]]
-        constant = (0,)
+    if d % 2:
+        head = [[(-1) ** j for j in range(n)]]
     else:
-        head = [odd, even]
-        constant = (n // 2, n // 2)
-    drop = len(head)
-    transform = head + [[int(j == i) for j in range(n)] for i in range(drop, n)]
-    if abs(det_int(transform)) != 1:
-        raise AssertionError("reduction transform must be unimodular")
-    reduced_points = []
-    for col in zip(*lap):
-        image = [sum(a * b for a, b in zip(row, col)) for row in transform]
-        if tuple(image[:drop]) != constant:
-            raise AssertionError(
-                "affine-hull equations violated: transform does not split "
-                "off constant coordinates"
-            )
-        reduced_points.append(tuple(image[drop:]))
-    if reduced_points != _deleted_rows(lap, d):
-        raise AssertionError("reduction disagrees with row deletion")
-    return LatticePolytope(reduced_points), transform
+        head = [[1 - j % 2 for j in range(n)], [j % 2 for j in range(n)]]
+    unit = [[int(j == i) for j in range(n)] for i in range(len(head), n)]
+    return LatticePolytope(reduced_vertices(d)), head + unit

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and the integers.
 
 A matrix is a plain list of rows, as everywhere in this package.
-Everything in this package runs on exact arithmetic.  Solves and
-determinants run on the integer Bareiss loop `_echelon` and one exact
-back-substitution.  Ranks, lattice kernels and saturated bases come from
-the Smith normal form with its transforms (`snf_with_transform`), which
-`polytope.LatticePolytope` computes once per point set.  Results are
-integers or `fractions.Fraction`s.  No floating point, ever.
+Everything in this package runs on exact arithmetic.  Solves run on the
+integer Bareiss loop `_echelon` and one exact back-substitution, and
+return the determinant with the solution.  Ranks, lattice kernels and
+saturated bases come from the Smith normal form with its transforms
+(`snf_with_transform`), which `polytope.LatticePolytope` computes once
+per point set.  Results are integers or `fractions.Fraction`s.  No
+floating point, ever.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ def _back_substitute(m, pivots, ncols, cols, det):
             x[p] = acc // row[p]
         sols.append(x)
     return sols
-
-
-def det_int(rows):
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    pivots, sign = _echelon(m, n)
-    return sign * _pivot_minor(m, pivots) if len(pivots) == n else 0
 
 
 def solve_int(rows, rhs):

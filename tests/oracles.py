@@ -6,12 +6,12 @@ input the package itself never needs: the tests compare the two.
 
 from fractions import Fraction
 from itertools import chain, combinations, permutations, repeat
-from math import comb, gcd
+from math import ceil, comb, floor, gcd
 
 from lapoly import lp
 from lapoly.complexes import SimplicialComplex
 from lapoly.ehrhart import _poly_mul
-from lapoly.linalg import det_int, vec_gcd
+from lapoly.linalg import _echelon, _pivot_minor, vec_gcd
 from lapoly.polytope import LatticePolytope
 
 
@@ -118,6 +118,14 @@ def scan_hull(points, spanning=None):
     through = [[key[0] for key, on in planes.items() if i in on] for i in range(len(points))]
     verts = [i for i, normals in enumerate(through) if len(normals) >= d and rank(normals) == d]
     return {key: frozenset(on.intersection(verts)) for key, on in planes.items()}, verts
+
+
+def det_int(rows):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    pivots, sign = _echelon(m, n)
+    return sign * _pivot_minor(m, pivots) if len(pivots) == n else 0
 
 
 def simplex_det(points):
@@ -335,6 +343,23 @@ def hstar_double(h, dim):
             if 0 <= 2 * i - j <= dim + 1
         )
         for i in range(dim + 1)
+    )
+
+
+def dilation_coefficient(d, i, j):
+    """r_j = C(d+1, 2i+2-j) - C(d+1, 2i-j), defined for any integer j."""
+
+    def c(n, k):
+        return comb(n, k) if 0 <= k <= n else 0
+
+    return c(d + 1, 2 * i + 2 - j) - c(d + 1, 2 * i - j)
+
+
+def dilation_antisymmetry_holds(d, i, k):
+    """-r_{ceil(2i+2-(d+3)/2)-k} == r_{floor(2i+2-(d+3)/2)+k}."""
+    center = Fraction(4 * i + 1 - d, 2)  # 2i + 2 - (d+3)/2
+    return -dilation_coefficient(d, i, ceil(center) - k) == dilation_coefficient(
+        d, i, floor(center) + k
     )
 
 

@@ -234,7 +234,7 @@ def test_criterion_8_hstar_properties():
         half_idx = (d + 1) // 2
         ok = ok and all(c[i] <= c[i + 1] for i in range(half_idx))
     # antisymmetry of the dilation coefficients
-    from lapoly.ehrhart import dilation_antisymmetry_holds
+    from oracles import dilation_antisymmetry_holds
 
     for d in range(0, 13):
         for i in range(0, d + 1):

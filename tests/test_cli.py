@@ -230,21 +230,38 @@ def test_verify_table_tampered_reference(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("table", [
-    {"rows": {"1": 5}},
-    {"rows": [1]},
-    [1],
-    {"rows": {"1": [1, "2"]}},
+@pytest.mark.parametrize("table, message", [
+    ({"rows": {"1": 5}}, '"rows" must map'),
+    ({"rows": [1]}, '"rows" must map'),
+    ([1], '"rows" must map'),
+    ({"rows": {"1": [1, "2"]}}, '"rows" must map'),
+    # two keys for d = 1: the wrong row must not pass by being read last
+    ({"rows": {"1": [9, 9, 9], "01": [1, 2, 0]}}, '"rows" must map'),
+    ('{"rows": {"1": [9, 9, 9], "1": [1, 2, 0]}}', "repeated key '1'"),
 ], ids=["row-not-a-list", "rows-not-an-object", "table-not-an-object",
-        "entry-not-an-int"])
-def test_verify_table_malformed_table(tmp_path, table):
+        "entry-not-an-int", "non-canonical-key", "repeated-key"])
+def test_verify_table_malformed_table(tmp_path, table, message):
     bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(table), encoding="utf-8")
-    r = run_cli("verify-table", "--max-d", "1", "--table", str(bad))
+    bad.write_text(table if isinstance(table, str) else json.dumps(table), encoding="utf-8")
+    r = run_cli("verify-table", "--max-d", "2", "--table", str(bad))
     assert r.returncode == EXIT_INPUT
     assert r.stderr.startswith("error: cannot load table")
-    assert '"rows" must map' in r.stderr
+    assert message in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("row, diff", [
+    ([1, 10], [{"index": 2, "computed": 5, "reference": None}]),
+    ([1, 10, 5, 7], [{"index": 3, "computed": None, "reference": 7}]),
+], ids=["short", "long"])
+def test_verify_table_diff_lists_unmatched_positions(tmp_path, capsys, row, diff):
+    rows = {str(d): list(h) for d, h in load_reference_table().items()}
+    rows["2"] = row
+    bad = tmp_path / "wrong-length.json"
+    bad.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    assert main(["verify-table", "--max-d", "2", "--table", str(bad)]) == EXIT_MISMATCH
+    entry = json.loads(capsys.readouterr().out)["results"]["rows"]["2"]
+    assert entry["match"] is False and entry["diff"] == diff
 
 
 def test_verify_table_missing_table_is_input_error(tmp_path, capsys):
@@ -389,11 +406,11 @@ def test_build_makes_one_smith_form_at_corank_0_and_1(monkeypatch, tmp_path, cap
         assert calls == [points]
 
 
+# only `build` assembles a Laplacian: `hstar` and `verify-table` take the
+# simplex boundary's from its closed form
 @pytest.mark.parametrize("argv", [
     ["build", "--boundary-simplex", "2", "--k", "1"],
-    ["hstar", "--d", "1", "--method", "ehrhart"],
-    ["verify-table", "--max-d", "1"],
-], ids=["build", "hstar", "verify-table"])
+], ids=["build"])
 def test_laplacian_ordering_error_maps_to_mismatch_exit(argv, monkeypatch, capsys):
     import lapoly.laplacian as laplacian
 

@@ -11,8 +11,6 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import load_reference_table
 from lapoly.ehrhart import (
     _poly_mul,
-    dilation_antisymmetry_holds,
-    dilation_coefficient,
     ehrhart_counts,
     hstar_dilate,
     hstar_from_counts,
@@ -31,6 +29,8 @@ from lapoly.triangulate import (
 )
 from oracles import (
     boundary_signatures,
+    dilation_antisymmetry_holds,
+    dilation_coefficient,
     ehrhart_polynomial,
     esd_face_enumerator,
     esd_h_polynomial,

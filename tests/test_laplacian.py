@@ -5,7 +5,7 @@ import pytest
 
 import lapoly.laplacian as laplacian
 import lapoly.linalg as la
-from lapoly.complexes import boundary_of_simplex, from_facets
+from lapoly.complexes import SimplicialComplex, boundary_of_simplex, from_facets
 from lapoly.laplacian import (
     LaplacianOrderingError,
     interior_polytope_vertices,
@@ -15,7 +15,8 @@ from lapoly.laplacian import (
     reduce_full_dim,
     reduced_vertices,
 )
-from oracles import dense_laplacian, full_simplex, homology_dimension, rank
+from lapoly.triangulate import laplacian_triangulation
+from oracles import dense_laplacian, det_int, full_simplex, homology_dimension, rank
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,10 +34,28 @@ def test_closed_form_small_d():
 
 
 def test_closed_form_matches_construction_up_to_d6():
-    # the constructor itself cross-checks the permuted laplacian_matrix
-    for d in range(0, 7):
+    # the materialised route, for every d up to 10: the assembled and the
+    # dense Laplacian of the built complex
+    for d in range(0, 11):
+        c = boundary_of_simplex(d + 1)
         lap = laplacian_boundary_simplex(d)
-        assert lap == [list(col) for col in zip(*lap)]
+        assert lap == laplacian_matrix(c, d) == dense_laplacian(c, d), d
+
+
+def test_simplex_family_builds_no_complex(monkeypatch):
+    # the closed forms stand alone: no complex is built and no Laplacian
+    # assembled, at any d
+    def refuse(*args):
+        raise AssertionError("materialised the simplex boundary")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    monkeypatch.setattr(laplacian, "laplacian_matrix", refuse)
+    for d in range(0, 41):
+        assert len(laplacian_boundary_simplex(d)) == d + 2
+        assert len(reduce_full_dim(d)[0].points) == (d + 2 if d else 1)
+        if d >= 2 and d % 2 == 0:
+            assert len(interior_polytope_vertices(d)) == d + 2
+    assert laplacian_triangulation(4).carrier.points == reduce_full_dim(4)[0].points
 
 
 def test_four_cycle_laplacian_entries():
@@ -240,12 +259,12 @@ def test_affine_hull_even_d_sums():
 def test_reduce_full_dim():
     p2, transform = reduce_full_dim(2)
     assert sorted(p2.points) == sorted([(1, -1), (-1, 1), (3, 1), (1, 3)])
-    assert transform is not None and abs(la.det_int(transform)) == 1
+    assert transform is not None and det_int(transform) == 1
     p1, _ = reduce_full_dim(1)
     assert p1.normalized_volume() == 3
     p0, transform0 = reduce_full_dim(0)
     assert transform0 is None and p0.points == ((),)
-    for d in range(1, 7):
+    for d in range(1, 13):
         p, transform = reduce_full_dim(d)
         n = d + 2
         assert p.ambient_dim == (d if d % 2 == 0 else d + 1)
@@ -259,7 +278,7 @@ def test_reduce_full_dim():
             [sum(a * b for a, b in zip(row, col)) for row in transform]
             for col in zip(*laplacian_boundary_simplex(d))
         ]
-        assert len(transform) == n and abs(la.det_int(transform)) == 1
+        assert len(transform) == n and det_int(transform) == 1
         assert {tuple(im[:drop]) for im in images} == {constant}
         assert tuple(tuple(im[drop:]) for im in images) == p.points
 

@@ -10,13 +10,12 @@ from lapoly.linalg import (
     _back_substitute,
     _echelon,
     _pivot_minor,
-    det_int,
     hnf,
     snf_with_transform,
     solve_int,
 )
 from lapoly.polytope import LatticePolytope
-from oracles import point_in_hull, primitive_vector, rank, rref, ub_form
+from oracles import det_int, point_in_hull, primitive_vector, rank, rref, ub_form
 
 
 def det_cofactor(m):

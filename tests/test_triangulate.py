@@ -12,7 +12,7 @@ from lapoly.budgets import BudgetError
 from lapoly.cli import hstar_by_method, load_reference_table
 from lapoly.complexes import from_facets
 from lapoly.laplacian import interior_polytope_vertices, reduce_full_dim
-from lapoly.linalg import det_int, solve_int
+from lapoly.linalg import solve_int
 from lapoly.polytope import LatticePolytope, gale_evenness_sets
 from lapoly.triangulate import (
     Triangulation,
@@ -27,7 +27,7 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
-from oracles import (covector_fold_values, f_from_h, face_census, fan_cells, f_vector,
+from oracles import (covector_fold_values, det_int, f_from_h, face_census, fan_cells, f_vector,
                      h_from_f, nullspace, point_in_hull, primitive_vector, simplex_det,
                      ub_form)
 from test_linalg import simplices_interior_overlap, solve
