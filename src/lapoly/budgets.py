@@ -18,8 +18,9 @@ class BudgetError(RuntimeError):
 
 
 def parse_budget(text):
-    """A budget given as text, by flag or environment: an integer >= 0."""
-    if not text.isdecimal():
+    """A budget given as text, by flag or environment: an integer >= 0,
+    in ASCII digits only."""
+    if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"need an integer >= 0, got {text!r}")
     return int(text)
 

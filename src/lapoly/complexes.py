@@ -92,12 +92,22 @@ def boundary_of_simplex(d_plus_1):
     return SimplicialComplex(range(1, n + 1), faces)
 
 
+def _label(token):
+    """The integer that a label token spells; a label is -?[0-9]+ in
+    ASCII, so `int`'s underscores, plus sign and other digits are refused."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"label {token!r} is not an integer")
+    return int(token)
+
+
 def read_complex_file(path):
     """Parse the complex file format used by the CLI.
 
     UTF-8 text; `#` starts a comment; the first non-comment line must be
     `order: v1 v2 ... vn`; every following non-empty line is one facet as
-    space-separated labels.  Labels are integers.
+    space-separated labels.  Labels are integers in ASCII digits with an
+    optional leading minus sign; any other token is a ValueError.
     """
     ordering = None
     facets = []
@@ -109,9 +119,9 @@ def read_complex_file(path):
             if ordering is None:
                 if not line.startswith("order:"):
                     raise ValueError("first non-comment line must be 'order: ...'")
-                ordering = [int(tok) for tok in line[len("order:") :].split()]
+                ordering = [_label(tok) for tok in line[len("order:") :].split()]
                 continue
-            facets.append([int(tok) for tok in line.split()])
+            facets.append([_label(tok) for tok in line.split()])
     if ordering is None:
         raise ValueError("missing 'order:' line")
     if not facets:

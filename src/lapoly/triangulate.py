@@ -63,7 +63,9 @@ class Triangulation:
     replaced, never edited in place, and assigning either drops it.
     Assigning either, or `carrier`, also empties `checks`, whose records
     would otherwise vouch for the new triangulation.  Both the constructor
-    and an assignment store pool points as int tuples and cells sorted.
+    and an assignment store pool points as int tuples and cells sorted,
+    and refuse a cell entry that is not an int index into the pool
+    (ValueError).
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
@@ -78,15 +80,30 @@ class Triangulation:
     def __setattr__(self, name, value):
         if name == "vertex_pool":
             value = [int_tuple(p) for p in value]
+            # the constructor assigns the pool before there are cells
+            if any(c[-1] >= len(value) for c in getattr(self, "cells", ())):
+                raise ValueError("a cell indexes past the end of the new pool")
         elif name == "cells":
-            # keep a cell that is already a sorted tuple: a copy of every
-            # cell would hold two full cell lists at once
-            value = [c if (s := tuple(sorted(c))) == c else s for c in value]
+            value = [self._sorted_cell(c) for c in value]
         if name in ("vertex_pool", "cells", "carrier"):
             object.__setattr__(self, "checks", {})
             if name != "carrier":
                 object.__setattr__(self, "_walk", None)
         object.__setattr__(self, name, value)
+
+    def _sorted_cell(self, c):
+        """c as a sorted tuple, c itself when it already is one (a copy of
+        every cell would hold two full cell lists at once).  Every entry
+        must be an int index into the pool (ValueError): the sorted ends
+        bound them, and their sum is an int only if each one is."""
+        try:
+            s = tuple(sorted(c))
+            ok = s and isinstance(sum(s), int) and 0 <= s[0] and s[-1] < len(self.vertex_pool)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"cell {c!r} is not a set of indices into the vertex pool")
+        return c if s == c else s
 
     @property
     def heights(self):
@@ -589,14 +606,24 @@ def is_regular(t, heights=None):
     strict folds on a valid triangulation certify that the lower envelope
     of the lifted vertices projects exactly onto it (the local-folding
     criterion).  Without a usable witness the strict system is solved as
-    an exact LP maximizing the minimum fold slack (positive optimum iff
-    regular); the LP is refused above `LP_CELL_LIMIT` cells.  Fold values
-    come from the ridge walk over the cells (`_walk_of`, shared with
-    `verify_triangulation`), never from the construction: one covector
-    pass per height vector.  The LP's coefficients are those of the unit
-    heights of the used vertices, and the heights it finds are checked
-    again on the walk before they are returned (AssertionError if a fold
-    is not positive).
+    an exact LP: maximize s subject to s <= fold for every fold and
+    s <= 1, over heights h >= 0 of the used vertices and s >= 0.  The LP is
+    refused above `LP_CELL_LIMIT` cells.  Fold values come from the ridge
+    walk over the cells (`_walk_of`, shared with `verify_triangulation`),
+    never from the construction: one covector pass per height vector.
+    The LP's coefficients are those of the unit heights of the used
+    vertices, and the heights it finds are checked again on the walk
+    before they are returned (AssertionError if a fold is not positive).
+
+    The sign constraints lose no witness, so the optimum is 1 exactly when
+    t is regular and 0 otherwise.  A fold value is the height of a vertex
+    above the affine interpolation of h over a cell, so adding a constant
+    to every height leaves it unchanged; and folds are linear in h.  If
+    some h makes every fold positive, scaling it makes every fold at
+    least 1 and shifting it makes it >= 0, so s = 1 is feasible.  If
+    none does, every h has a fold <= 0, which bounds s by 0; and s = 0
+    with zero heights is feasible.  The right-hand sides are 0 and 1, as
+    `lp.solve_lp` requires, and s <= 1 bounds the objective.
 
     Heights must be one int or Fraction per pool point (ValueError).  A
     record in `t.checks["regular"]` is dropped before the check and
@@ -631,13 +658,12 @@ def is_regular(t, heights=None):
     a_ub.append([0] * len(used) + [1])
     b_ub = [0] * len(folds) + [1]
     objective = [0] * len(used) + [1]
-    res = lp.solve_lp(objective, a_ub, b_ub)
-    assert res.status == lp.OPTIMAL
-    if res.value <= 0:
+    value, lifted = lp.solve_lp(objective, a_ub, b_ub)
+    if value == 0:
         return False, None
     found = [Fraction(0)] * len(t.vertex_pool)
-    for v, x in zip(used, res.x):
-        found[v] = x
+    for v, h in zip(used, lifted):
+        found[v] = h
     if not all(v > 0 for v in walk.fold_values(found)):
         raise AssertionError("LP heights fail a fold of the walk")
     t.checks["regular"] = {"witness": "lp", "folds": len(folds),

@@ -162,14 +162,18 @@ def test_hstar_rejects_d_below_one(d, method):
     assert main(["hstar", "--d", str(d), "--method", method]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("flag", ["--budget-points", "--budget-cells"])
-def test_negative_budget_is_input_error(flag):
-    r = run_cli(flag, "-5", "hstar", "--d", "5", "--method", "fundamental")
+@pytest.mark.parametrize("flag,value", [
+    pytest.param(flag, value, id=flag + suffix)
+    for flag in ("--budget-points", "--budget-cells")
+    for value, suffix in (("-5", ""), ("\uff11\uff10", "-fullwidth-10"))
+])
+def test_negative_budget_is_input_error(flag, value):
+    r = run_cli(flag, value, "hstar", "--d", "5", "--method", "fundamental")
     assert r.returncode == EXIT_INPUT
     assert "need an integer >= 0" in r.stderr
 
 
-@pytest.mark.parametrize("value", ["-5", "abc"])
+@pytest.mark.parametrize("value", ["-5", "abc", pytest.param("\u0663", id="arabic-indic-3")])
 @pytest.mark.parametrize("variable", ["LAPOLY_BUDGET_POINTS", "LAPOLY_BUDGET_CELLS"])
 @pytest.mark.parametrize("argv", [
     ["hstar", "--d", "5", "--method", "fundamental"],

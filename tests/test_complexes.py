@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lapoly.cli import EXIT_INPUT, main
 from lapoly.complexes import boundary_of_simplex, from_facets, read_complex_file
 from oracles import (boundary_matrix, f_from_h, f_vector, full_simplex, h_from_f,
                      homology_dimension)
@@ -149,3 +150,25 @@ def test_read_complex_file(tmp_path):
     empty.write_text("order: 1 2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_complex_file(empty)
+
+
+@pytest.mark.parametrize("order,facet", [
+    pytest.param("1_0 2", "1 10", id="underscore"),  # int() reads 1_0 as 10
+    pytest.param("\u0661 2", "1 2", id="arabic-indic-1"),
+    pytest.param("+1 2", "1 2", id="plus-sign"),
+    pytest.param("1 2", "1 \uff12", id="fullwidth-2-in-facet"),
+    pytest.param("- 2", "2", id="bare-minus"),
+])
+def test_read_complex_file_labels_are_ascii_integers(order, facet, tmp_path, capsys):
+    path = tmp_path / "labels.cplx"
+    path.write_text(f"order: {order}\n{facet}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="is not an integer"):
+        read_complex_file(path)
+    assert main(["build", "--complex", str(path), "--k", "0"]) == EXIT_INPUT
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def test_read_complex_file_takes_negative_labels(tmp_path):
+    path = tmp_path / "negative.cplx"
+    path.write_text("order: -1 2 -30\n-1 2\n2 -30\n", encoding="utf-8")
+    assert read_complex_file(path).vertices == (-1, 2, -30)

@@ -15,7 +15,18 @@ from lapoly.linalg import (
     solve_int,
 )
 from lapoly.polytope import LatticePolytope
-from oracles import det_int, point_in_hull, primitive_vector, rank, rref, ub_form
+from oracles import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    det_int,
+    point_in_hull,
+    primitive_vector,
+    rank,
+    reference_lp,
+    rref,
+    ub_form,
+)
 
 
 def det_cofactor(m):
@@ -87,10 +98,10 @@ def simplices_interior_overlap(cell_a, cell_b):
         a_ub.append(row)  # s - coord_j <= 0
     a_ub.append([0] * (nvars - 1) + [1])  # s <= 1
     b_ub += [0] * (na + nb) + [1]
-    res = lp.solve_lp([0] * (na + nb) + [1], a_ub, b_ub)
-    if res.status == lp.INFEASIBLE:
+    res = reference_lp([0] * (na + nb) + [1], a_ub, b_ub)
+    if res.status == INFEASIBLE:
         return False
-    assert res.status == lp.OPTIMAL
+    assert res.status == OPTIMAL
     return res.value > 0
 
 
@@ -266,13 +277,13 @@ def test_saturation_basis():
 
 
 def test_lp_optimum_and_statuses():
-    res = lp.solve_lp([1, 1], a_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]],
-                      b_ub=[2, 3, 0, 0])
-    assert res.status == lp.OPTIMAL and res.value == 5
+    res = reference_lp([1, 1], a_ub=[[1, 0], [0, 1], [-1, 0], [0, -1]],
+                        b_ub=[2, 3, 0, 0])
+    assert res.status == OPTIMAL and res.value == 5
     # x >= 4 and x = 3, the equality as two rows
-    assert lp.solve_lp([1], a_ub=[[-1], [1], [-1]],
-                       b_ub=[-4, 3, -3]).status == lp.INFEASIBLE
-    assert lp.solve_lp([1], a_ub=[[-1]], b_ub=[0]).status == lp.UNBOUNDED
+    assert reference_lp([1], a_ub=[[-1], [1], [-1]],
+                        b_ub=[-4, 3, -3]).status == INFEASIBLE
+    assert reference_lp([1], a_ub=[[-1]], b_ub=[0]).status == UNBOUNDED
 
 
 def test_lp_against_vertex_enumeration():
@@ -286,7 +297,7 @@ def test_lp_against_vertex_enumeration():
             a_ub.append([rng.randint(-3, 3), rng.randint(-3, 3)])
             b_ub.append(rng.randint(-2, 6))
         c = [rng.randint(-4, 4), rng.randint(-4, 4)]
-        res = lp.solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+        res = reference_lp(c, a_ub=a_ub, b_ub=b_ub)
         best = None
         for i, j in combinations(range(len(a_ub)), 2):
             det = a_ub[i][0] * a_ub[j][1] - a_ub[i][1] * a_ub[j][0]
@@ -298,10 +309,76 @@ def test_lp_against_vertex_enumeration():
                    for k in range(len(a_ub))):
                 val = c[0] * x + c[1] * y
                 best = val if best is None else max(best, val)
-        if res.status == lp.OPTIMAL:
+        if res.status == OPTIMAL:
             assert best is not None and res.value == best
-        elif res.status == lp.INFEASIBLE:
+        elif res.status == INFEASIBLE:
             assert best is None
+
+
+def test_one_phase_lp_against_vertex_enumeration():
+    # max c.x over A x <= b, x >= 0 with b >= 0, in two variables: the
+    # optimum is the best feasible vertex, where two of the rows, the
+    # sign rows included, are tight; it is unbounded iff a ray of the
+    # recession cone, which lies on one row's line, raises c
+    rng = random.Random(5)
+    unbounded = bounded = 0
+    for _ in range(150):
+        a_ub = [[rng.randint(-3, 3), rng.randint(-3, 3)] for _ in range(rng.randint(1, 4))]
+        b_ub = [rng.choice([0, 0, rng.randint(1, 6)]) for _ in a_ub]  # b = 0 rows: degenerate
+        c = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        rows = a_ub + [[-1, 0], [0, -1]]
+        rhs = b_ub + [0, 0]
+
+        def feasible(x, y, b):
+            return all(r[0] * x + r[1] * y <= v for r, v in zip(rows, b))
+
+        rays = [(s * -r[1], s * r[0]) for r in rows for s in (1, -1)]
+        if any(feasible(*r, [0] * len(rows)) and c[0] * r[0] + c[1] * r[1] > 0 for r in rays):
+            assert lp.solve_lp(c, a_ub, b_ub) is None
+            unbounded += 1
+            continue
+        best = None
+        for i, j in combinations(range(len(rows)), 2):
+            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
+            if det == 0:
+                continue
+            x = Fraction(rhs[i] * rows[j][1] - rows[i][1] * rhs[j], det)
+            y = Fraction(rows[i][0] * rhs[j] - rhs[i] * rows[j][0], det)
+            if feasible(x, y, rhs):
+                val = c[0] * x + c[1] * y
+                best = val if best is None else max(best, val)
+        value, x = lp.solve_lp(c, a_ub, b_ub)
+        assert value == best == c[0] * x[0] + c[1] * x[1] and feasible(*x, rhs)
+        bounded += 1
+    assert unbounded >= 20 and bounded >= 20
+
+
+def test_one_phase_lp_agrees_with_the_reference_lp():
+    rng = random.Random(7)
+    statuses = []
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        a_ub = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b_ub = [rng.choice([0, rng.randint(1, 5)]) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        signs = [[-int(k == j) for k in range(n)] for j in range(n)]
+        ref = reference_lp(c, a_ub + signs, b_ub + [0] * n)
+        res = lp.solve_lp(c, a_ub, b_ub)
+        statuses.append(ref.status)
+        if ref.status == UNBOUNDED:
+            assert res is None
+            continue
+        assert ref.status == OPTIMAL
+        value, x = res
+        assert value == ref.value == sum(a * b for a, b in zip(c, x))
+        assert min(x) >= 0 and all(
+            sum(a * b for a, b in zip(row, x)) <= b for row, b in zip(a_ub, b_ub))
+    assert statuses.count(UNBOUNDED) >= 20 and statuses.count(OPTIMAL) >= 20
+
+
+def test_one_phase_lp_rejects_a_negative_right_hand_side():
+    with pytest.raises(ValueError, match="b_ub >= 0"):
+        lp.solve_lp([1], [[1], [-1]], [3, -1])
 
 
 def test_point_in_hull():

@@ -19,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lapoly"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 def names_used(tree):
     """How often each identifier is read or taken as an attribute in
@@ -85,3 +86,16 @@ def test_every_imported_name_is_used():
         used = names_used(tree)
         unused += [f"{name}: {i}" for i in imported_names(tree) if not used[i]]
     assert unused == []
+
+
+def test_oracles_import_nothing_from_the_lp():
+    # the hull and overlap oracles run on the reference LP of `oracles`,
+    # never on the package's own `lapoly.lp`
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    imports = [
+        f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [i for i in imports if (i + ".").startswith("lapoly.lp.")] == []

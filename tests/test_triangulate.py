@@ -27,9 +27,9 @@ from lapoly.triangulate import (
     verify_triangulation,
 )
 from lapoly.triangulate import _half_open_h, _RidgeWalk, _ridge_pass, _walk_of
-from oracles import (covector_fold_values, det_int, f_from_h, face_census, fan_cells, f_vector,
-                     h_from_f, nullspace, point_in_hull, primitive_vector, simplex_det,
-                     ub_form)
+from oracles import (INFEASIBLE, covector_fold_values, det_int, f_from_h, face_census, fan_cells,
+                     f_vector, h_from_f, nullspace, point_in_hull, primitive_vector,
+                     reference_lp, simplex_det, ub_form)
 from test_linalg import simplices_interior_overlap, solve
 
 
@@ -540,8 +540,8 @@ def _meet_in_common_face(t, a, b, facet_cache):
     a_eq += [[1] * na + [0] * nb, [0] * na + [1] * nb]
     b_eq = [0] * (len(a_eq) - 2) + [1, 1]
     objective = [int(v not in shared) for v in sorted(rest_a)] + [0] * nb
-    res = lp.solve_lp(objective, *ub_form(a_eq, b_eq, na + nb))
-    return res.status == lp.INFEASIBLE or res.value == 0
+    res = reference_lp(objective, *ub_form(a_eq, b_eq, na + nb))
+    return res.status == INFEASIBLE or res.value == 0
 
 
 def meets_properly(t):
@@ -1060,6 +1060,34 @@ def test_assignment_stores_what_the_constructor_stores():
     assert verify_triangulation(t)["ok"]
 
 
+@pytest.mark.parametrize("cells", [
+    pytest.param([(0, 1, 5)], id="past-the-pool"),
+    pytest.param([(0, 1, 2), (1, 2, -1)], id="negative"),
+    pytest.param([(0, 1.0, 2)], id="float"),
+    pytest.param([(0, Fraction(1), 2)], id="fraction"),
+    pytest.param([(0, "1", 2)], id="string"),
+    pytest.param([()], id="empty"),
+    pytest.param([3], id="not-a-cell"),
+])
+def test_malformed_cells_are_refused(cells):
+    with pytest.raises(ValueError, match="not a set of indices into the vertex pool"):
+        fixture(SQUARE, cells)
+    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
+    assert verify_triangulation(t)["ok"]
+    with pytest.raises(ValueError, match="not a set of indices into the vertex pool"):
+        t.cells = cells
+    assert t.cells == [(0, 1, 2), (0, 2, 3)] and t.checks["verify"]["ok"]
+
+
+def test_a_pool_too_short_for_the_cells_is_refused():
+    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
+    with pytest.raises(ValueError, match="past the end of the new pool"):
+        t.vertex_pool = SQUARE[:3]
+    assert t.vertex_pool == SQUARE
+    t.vertex_pool = SQUARE[:3] + [(0, 2)]
+    assert t.vertex_pool[3] == (0, 2) and "verify" not in t.checks
+
+
 # sha256 of repr((vertex_pool, cells, heights)): the constructions must
 # reproduce this pool order, these cells and these heights exactly
 GOLDEN = {
@@ -1275,8 +1303,8 @@ def test_lp_heights_are_checked_on_the_walk(monkeypatch):
     solve_lp = lp.solve_lp
 
     def corrupted(*args):
-        res = solve_lp(*args)
-        return lp.LPResult(res.status, [0] * (len(res.x) - 1) + res.x[-1:], res.value)
+        value, x = solve_lp(*args)
+        return value, [0] * (len(x) - 1) + x[-1:]
 
     monkeypatch.setattr(lp, "solve_lp", corrupted)
     t = laplacian_triangulation(2)
