@@ -25,7 +25,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .budgets import BudgetError, cell_budget, parse_budget, point_budget
+from .budgets import BudgetError, cell_budget, parse_budget, parse_int, point_budget
 from .complexes import boundary_of_simplex, read_complex_file
 from .ehrhart import (
     ehrhart_counts,
@@ -314,12 +314,15 @@ def _budget_block(args):
     return {"points": args.budget_points, "cells": args.budget_cells}
 
 
-def _budget(text):
-    """A budget flag's value: a non-negative integer."""
-    try:
-        return parse_budget(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(parse):
+    """`parse` as an argparse type: its ValueError is a usage error
+    (exit 2) that prints its own message."""
+    def read(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
 
 
 @functools.cache
@@ -330,24 +333,24 @@ def build_parser():
         description="Laplacian polytopes: exact facets, triangulations and "
         "h*-vectors.",
     )
-    parser.add_argument("--budget-points", type=_budget, default=None,
+    parser.add_argument("--budget-points", type=_flag(parse_budget), default=None,
                         help="budget for box-scan candidates, parallelepiped "
                         "points and parallelepiped residue-DP states")
-    parser.add_argument("--budget-cells", type=_budget, default=None,
+    parser.add_argument("--budget-cells", type=_flag(parse_budget), default=None,
                         help="cell budget for materialized triangulations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_build = sub.add_parser("build", help="Laplacian polytope of a complex")
-    p_build.add_argument("--boundary-simplex", type=int, default=None,
+    p_build.add_argument("--boundary-simplex", type=_flag(parse_int), default=None,
                          metavar="D", help="use the boundary of the D-simplex")
     p_build.add_argument("--complex", type=str, default=None, metavar="FILE",
                          help="complex file (order: line plus one facet per line)")
-    p_build.add_argument("--k", type=int, required=True,
+    p_build.add_argument("--k", type=_flag(parse_int), required=True,
                          help="Laplacian index")
     p_build.set_defaults(func=cmd_build)
 
     p_hstar = sub.add_parser("hstar", help="h*-vector of the reduced polytope")
-    p_hstar.add_argument("--d", type=int, required=True)
+    p_hstar.add_argument("--d", type=_flag(parse_int), required=True)
     p_hstar.add_argument("--method", default="structural",
                          choices=["structural", "triangulation", "fundamental",
                                   "ehrhart"])
@@ -355,7 +358,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify-table",
                               help="compare against the reference table")
-    p_verify.add_argument("--max-d", type=int, required=True)
+    p_verify.add_argument("--max-d", type=_flag(parse_int), required=True)
     p_verify.add_argument("--table", type=str, default=None,
                           help="alternative reference table (JSON)")
     p_verify.set_defaults(func=cmd_verify_table)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .budgets import parse_int
+
 
 class SimplicialComplex:
     __slots__ = ("vertices", "faces_by_dim")
@@ -92,15 +94,6 @@ def boundary_of_simplex(d_plus_1):
     return SimplicialComplex(range(1, n + 1), faces)
 
 
-def _label(token):
-    """The integer that a label token spells; a label is -?[0-9]+ in
-    ASCII, so `int`'s underscores, plus sign and other digits are refused."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"label {token!r} is not an integer")
-    return int(token)
-
-
 def read_complex_file(path):
     """Parse the complex file format used by the CLI.
 
@@ -119,9 +112,9 @@ def read_complex_file(path):
             if ordering is None:
                 if not line.startswith("order:"):
                     raise ValueError("first non-comment line must be 'order: ...'")
-                ordering = [_label(tok) for tok in line[len("order:") :].split()]
+                ordering = [parse_int(tok, "label") for tok in line[len("order:") :].split()]
                 continue
-            facets.append([_label(tok) for tok in line.split()])
+            facets.append([parse_int(tok, "label") for tok in line.split()])
     if ordering is None:
         raise ValueError("missing 'order:' line")
     if not facets:

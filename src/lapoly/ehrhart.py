@@ -276,9 +276,10 @@ def hstar_dilate(h, dim, r):
 
 
 def _interior_hstar_structural(d):
-    """h* of the interior polytope Q (even d) in closed form: s(t)^2, with
-    s the h-vector of the boundary of the m-th edgewise subdivision B of an
-    (m-1)-simplex, m = d/2 + 1.
+    """h* of the interior polytope Q (even d) in closed form: v(t)^2, with
+    v = h*(m Delta), Delta the unimodular (m-1)-simplex and m = d/2 + 1:
+    the h-vector of the m-th edgewise subdivision B of Delta and of its
+    boundary.
 
     Proof.  The triangulation of Q cones its interior lattice point over a
     boundary complex whose part over a facet of Q is the join of the m-th
@@ -287,15 +288,16 @@ def _interior_hstar_structural(d):
     and one even label (`triangulate.interior_facets`), so that complex is
     the join of the boundaries of B over the odd- and the even-labelled
     simplex.  h is multiplicative under joins, and coning does not change
-    it.  B is an (m-1)-ball with h-vector v, v_m = 0, and for a ball
-    h_i(B) - h_(m-i)(B) = h_i(dB) - h_(i-1)(dB) (Dehn-Sommerville for
-    balls; Stanley, *Combinatorics and Commutative Algebra*, 1996), so the
-    running sums s of v_i - v_(m-i) are h(dB).
+    it.  B is a unimodular triangulation of m Delta, so h(B) = v, and with
+    v_m = v_(-1) = 0, h_i(dB) - h_(i-1)(dB) = v_i - v_(m-i) for 0 <= i < m
+    (Dehn-Sommerville for balls; Stanley, *Combinatorics and Commutative
+    Algebra*, 1996).  m Delta is reflexive, as (1, ..., 1) lies at lattice
+    distance 1 from each of its facets, so v is palindromic of degree
+    m - 1 (Hibi): v_(m-i) = v_(i-1).  The differences telescope, and
+    h_i(dB) = v_i.
     """
-    m = d // 2 + 1
-    v = hstar_dilate((1,), m - 1, m) + (0,)
-    s = tuple(accumulate(v[i] - v[m - i] for i in range(m)))
-    return _poly_mul(s, s)
+    v = hstar_dilate((1,), d // 2, d // 2 + 1)
+    return _poly_mul(v, v)
 
 
 def hstar_structural(d):

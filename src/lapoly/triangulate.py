@@ -54,42 +54,29 @@ LP_CELL_LIMIT = 4000
 class Triangulation:
     """A set of maximal lattice simplices over a shared vertex pool.
 
-    `heights` are proposed lifting heights, or None.  They may be given as
-    a callable of the triangulation, which runs on the first read of
-    `heights`; its list is stored.  Assigning `heights` drops the
-    `checks["regular"]` record, which vouched for the old ones.  The ridge
-    walk of the cells (`_walk_of`) is built by the first checker or
-    heights read that needs it and kept; `cells` and `vertex_pool` are
-    replaced, never edited in place, and assigning either drops it.
-    Assigning either, or `carrier`, also empties `checks`, whose records
-    would otherwise vouch for the new triangulation.  Both the constructor
-    and an assignment store pool points as int tuples and cells sorted,
-    and refuse a cell entry that is not an int index into the pool
-    (ValueError).
+    A value: the constructor stores pool points as int tuples and cells
+    sorted, and refuses a cell entry that is not an int index into the pool
+    (ValueError); no field is ever reassigned (AttributeError).  `heights`
+    are proposed lifting heights, or None.  They may be given as a callable
+    of the triangulation, which runs on the first read of `heights`; its
+    list is stored.  The ridge walk of the cells (`_walk_of`) is built by
+    the first checker or heights read that needs it and kept, and the
+    checkers record what they proved in `checks`.
     """
 
     __slots__ = ("vertex_pool", "cells", "carrier", "_heights", "checks", "_walk")
 
     def __init__(self, vertex_pool, cells, carrier, heights=None):
-        self.vertex_pool = vertex_pool
-        self.cells = cells
-        self.carrier = carrier
-        self._heights = heights
-        self.checks = {}
+        fill = partial(object.__setattr__, self)
+        fill("vertex_pool", [int_tuple(p) for p in vertex_pool])
+        fill("cells", [self._sorted_cell(c) for c in cells])
+        fill("carrier", carrier)
+        fill("_heights", heights)
+        fill("checks", {})
+        fill("_walk", None)
 
     def __setattr__(self, name, value):
-        if name == "vertex_pool":
-            value = [int_tuple(p) for p in value]
-            # the constructor assigns the pool before there are cells
-            if any(c[-1] >= len(value) for c in getattr(self, "cells", ())):
-                raise ValueError("a cell indexes past the end of the new pool")
-        elif name == "cells":
-            value = [self._sorted_cell(c) for c in value]
-        if name in ("vertex_pool", "cells", "carrier"):
-            object.__setattr__(self, "checks", {})
-            if name != "carrier":
-                object.__setattr__(self, "_walk", None)
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"a Triangulation is immutable; cannot assign {name!r}")
 
     def _sorted_cell(self, c):
         """c as a sorted tuple, c itself when it already is one (a copy of
@@ -108,13 +95,8 @@ class Triangulation:
     @property
     def heights(self):
         if callable(self._heights):
-            self._heights = self._heights(self)
+            object.__setattr__(self, "_heights", self._heights(self))
         return self._heights
-
-    @heights.setter
-    def heights(self, value):
-        self.checks.pop("regular", None)
-        self._heights = value
 
     @property
     def dim(self):
@@ -594,7 +576,7 @@ def _compact(values):
 def _walk_of(t):
     """The ridge walk of t's cells, built on first use and kept on t."""
     if t._walk is None:
-        t._walk = _RidgeWalk(t.vertex_pool, t.cells)
+        object.__setattr__(t, "_walk", _RidgeWalk(t.vertex_pool, t.cells))
     return t._walk
 
 
@@ -626,12 +608,11 @@ def is_regular(t, heights=None):
     `lp.solve_lp` requires, and s <= 1 bounds the objective.
 
     Heights must be one int or Fraction per pool point (ValueError).  A
-    record in `t.checks["regular"]` is dropped before the check and
-    written again only on success.
+    record in `t.checks["regular"]` is written only on success; t never
+    changes, so it stays true of t whatever a later call is given.
 
     Returns (regular, heights_or_none).
     """
-    t.checks.pop("regular", None)
     use = heights if heights is not None else t.heights
     if use is not None:
         if len(use) != len(t.vertex_pool) or not all(isinstance(h, (int, Fraction)) for h in use):

@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
-from lapoly.budgets import BudgetError
+from lapoly.budgets import BudgetError, cell_budget, point_budget
 from lapoly.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
     build_parser,
+    hstar_by_method,
     load_reference_table,
     main,
 )
@@ -160,6 +161,35 @@ def test_fundamental_budget_counts_dp_states():
 @pytest.mark.parametrize("d", [0, -1])
 def test_hstar_rejects_d_below_one(d, method):
     assert main(["hstar", "--d", str(d), "--method", method]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["hstar", "--d", "\uff13"], id="d-fullwidth-3"),
+    pytest.param(["hstar", "--d", "1_0"], id="d-underscore"),
+    pytest.param(["hstar", "--d", "+3"], id="d-plus-sign"),
+    pytest.param(["hstar", "--d", " 3"], id="d-space"),
+    pytest.param(["build", "--boundary-simplex", "\uff12", "--k", "1"], id="boundary-simplex-fullwidth-2"),
+    pytest.param(["build", "--boundary-simplex", "2", "--k", "1_1"], id="k-underscore"),
+    pytest.param(["verify-table", "--max-d", "\u0663"], id="max-d-arabic-indic-3"),
+])
+def test_integer_flags_are_ascii_integers(argv, capsys):
+    # the rule of complex-file labels, -?[0-9]+ in ASCII
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [-5, -1, 2.7, "10",
+                                      pytest.param("\uff11\uff10", id="fullwidth-10"), True])
+def test_budget_override_must_be_an_int(override):
+    for budget in (point_budget, cell_budget):
+        with pytest.raises(ValueError, match="a budget must be an int >= 0"):
+            budget(override)
+    assert point_budget(0) == 0 and cell_budget(7) == 7
+    # an input error, not a budget exceeded
+    with pytest.raises(ValueError, match="a budget must be an int >= 0"):
+        hstar_by_method(3, "triangulation", cells_budget=override)
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -661,9 +661,13 @@ def test_nonregular_fixture_is_valid_but_not_regular():
     assert not ok and heights is None
 
 
+def without_heights(t):
+    """t's cells over t's pool in t's carrier, with no heights attached."""
+    return Triangulation(t.vertex_pool, t.cells, t.carrier)
+
+
 def test_is_regular_lp_witness_roundtrip():
-    t = edgewise_of_standard(2, 3)
-    t.heights = None
+    t = without_heights(edgewise_of_standard(2, 3))
     ok, heights = is_regular(t)
     assert ok
     # the found heights themselves certify
@@ -671,8 +675,7 @@ def test_is_regular_lp_witness_roundtrip():
 
 
 def test_is_regular_budget_gate(monkeypatch):
-    t = edgewise_of_standard(2, 2)
-    t.heights = None
+    t = without_heights(edgewise_of_standard(2, 2))
     monkeypatch.setattr("lapoly.triangulate.LP_CELL_LIMIT", 1)
     with pytest.raises(BudgetError):
         is_regular(t)
@@ -708,8 +711,7 @@ def fold_case(name, triangulation_cache):
         t = two_component_fixture()
         return t, random_heights(t)
     if name == "lp_witness":
-        t = edgewise_of_standard(2, 3)
-        t.heights = None
+        t = without_heights(edgewise_of_standard(2, 3))
         ok, heights = is_regular(t)
         assert ok
         return t, heights
@@ -1025,39 +1027,19 @@ def test_even_refinement_walks_its_cone_once(monkeypatch):
     assert not callable(t._heights)
 
 
-def test_reassigning_cells_or_pool_drops_the_walk():
-    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
-    assert verify_triangulation(t)["ok"] and t._walk is not None
-    t.cells = [(0, 1, 2), (0, 1, 3)]
-    assert t._walk is None
-    assert ("overlap", 0, 1) in verify_triangulation(t)["failures"]
-    t.cells = [(0, 1, 2), (0, 2, 3)]
-    assert verify_triangulation(t)["ok"]
-    # the same cells over a pool where the first is flat
-    t.vertex_pool = [(0, 0), (1, 0), (2, 0), (0, 1)]
-    assert t._walk is None
-    assert verify_triangulation(t)["failures"][0] == ("degenerate", 0)
-    with pytest.raises(ValueError, match="degenerate cell"):
-        is_regular(t, heights=[0, 1, 2, 3])
-
-
 def test_assignment_stores_what_the_constructor_stores():
+    # the constructor is the one place where a Triangulation's fields are
+    # stored; unsorted cells are stored sorted, so the shared ridge (1, 2)
+    # reads as one ridge
     pool = [(0, 0), (1, 0), (0, 1), (1, 1)]
     built = fixture(pool, [(0, 1, 2), (2, 1, 3)])
     assert built.cells == [(0, 1, 2), (1, 2, 3)]
     assert verify_triangulation(built)["ok"]
-    # unsorted cells: the shared ridge (1, 2) must read as one ridge
-    t = fixture(pool, [(0, 1, 3), (0, 2, 3)])
-    t.cells = [(0, 1, 2), (2, 1, 3)]
-    assert t.cells == built.cells
-    assert verify_triangulation(t)["ok"]
-    # a non-integral pool point is refused, and the old pool is kept
-    with pytest.raises(ValueError, match="not an integer vector"):
-        t.vertex_pool = [(0, 0), (0.5, 0), (0, 1), (1, 1)]
-    assert t.vertex_pool == pool and t.checks["verify"]["ok"]
-    t.vertex_pool = [(0, 0), (Fraction(2, 2), 0), (0, 1.0), (1, 1)]
+    # pool points become int tuples, and a non-integral one is refused
+    t = fixture([(0, 0), (Fraction(2, 2), 0), (0, 1.0), (1, 1)], [(0, 1, 2), (2, 1, 3)])
     assert t.vertex_pool == pool and type(t.vertex_pool[2][1]) is int
-    assert verify_triangulation(t)["ok"]
+    with pytest.raises(ValueError, match="not an integer vector"):
+        fixture([(0, 0), (0.5, 0), (0, 1), (1, 1)], [(0, 1, 2), (2, 1, 3)])
 
 
 @pytest.mark.parametrize("cells", [
@@ -1072,20 +1054,21 @@ def test_assignment_stores_what_the_constructor_stores():
 def test_malformed_cells_are_refused(cells):
     with pytest.raises(ValueError, match="not a set of indices into the vertex pool"):
         fixture(SQUARE, cells)
-    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
-    assert verify_triangulation(t)["ok"]
-    with pytest.raises(ValueError, match="not a set of indices into the vertex pool"):
-        t.cells = cells
-    assert t.cells == [(0, 1, 2), (0, 2, 3)] and t.checks["verify"]["ok"]
 
 
-def test_a_pool_too_short_for_the_cells_is_refused():
-    t = fixture(SQUARE, [(0, 1, 2), (0, 2, 3)])
-    with pytest.raises(ValueError, match="past the end of the new pool"):
-        t.vertex_pool = SQUARE[:3]
-    assert t.vertex_pool == SQUARE
-    t.vertex_pool = SQUARE[:3] + [(0, 2)]
-    assert t.vertex_pool[3] == (0, 2) and "verify" not in t.checks
+@pytest.mark.parametrize("name", ["cells", "vertex_pool", "carrier", "heights", "checks",
+                                  "_heights", "_walk", "dim", "extra"])
+def test_a_triangulation_is_never_reassigned(name):
+    t = laplacian_triangulation(2)
+    assert verify_triangulation(t)["ok"] and is_regular(t)[0]
+    fields = {field: getattr(t, field) for field in ("cells", "vertex_pool", "carrier",
+                                                     "heights", "_walk")}
+    checks = dict(t.checks)
+    with pytest.raises(AttributeError):
+        setattr(t, name, None)
+    for field, value in fields.items():
+        assert getattr(t, field) is value
+    assert t.checks == checks and h_vector_of(t) == (1, 10, 5, 0)
 
 
 # sha256 of repr((vertex_pool, cells, heights)): the constructions must
@@ -1252,20 +1235,6 @@ def test_heights_walk_runs_once_on_first_read(d, monkeypatch, triangulation_cach
     assert first == triangulation_cache(d).heights
 
 
-def test_reassigned_heights_drop_the_regularity_record():
-    t = laplacian_triangulation(2)
-    assert is_regular(t)[0] and t.checks["regular"]["witness"] == "heights"
-    t.heights = [0] * len(t.vertex_pool)
-    assert "regular" not in t.checks
-    assert is_regular(t, t.heights) == (False, None)
-    assert "regular" not in t.checks
-    # a failed check with explicit heights also drops an earlier record
-    t.heights = None
-    assert is_regular(t)[0] and t.checks["regular"]["witness"] == "lp"
-    assert is_regular(t, [0] * len(t.vertex_pool)) == (False, None)
-    assert "regular" not in t.checks
-
-
 def test_is_regular_accepts_only_exact_heights_of_the_pool_length():
     t = laplacian_triangulation(2)
     good = list(t.heights)
@@ -1273,9 +1242,10 @@ def test_is_regular_accepts_only_exact_heights_of_the_pool_length():
         assert is_regular(t)[0] and "regular" in t.checks
         with pytest.raises(ValueError, match="one int or Fraction per pool point"):
             is_regular(t, bad)
-        assert "regular" not in t.checks
+        # t never changes, so the record of its own heights stands
+        assert t.checks["regular"]["witness"] == "heights"
     # attached heights are held to the same rule
-    t.heights = [float(h) for h in good]
+    t = Triangulation(t.vertex_pool, t.cells, t.carrier, heights=[float(h) for h in good])
     with pytest.raises(ValueError, match="one int or Fraction per pool point"):
         is_regular(t)
     assert is_regular(t, [Fraction(h) for h in good])[0]
@@ -1290,8 +1260,7 @@ def test_triangulation_pool_rejects_non_integral_points():
 
 
 def test_heights_set_to_none_takes_lp_path():
-    t = laplacian_triangulation(2)
-    t.heights = None
+    t = without_heights(laplacian_triangulation(2))
     assert t.heights is None
     ok, found = is_regular(t)
     assert ok and t.checks["regular"]["witness"] == "lp"
@@ -1307,8 +1276,7 @@ def test_lp_heights_are_checked_on_the_walk(monkeypatch):
         return value, [0] * (len(x) - 1) + x[-1:]
 
     monkeypatch.setattr(lp, "solve_lp", corrupted)
-    t = laplacian_triangulation(2)
-    t.heights = None
+    t = without_heights(laplacian_triangulation(2))
     with pytest.raises(AssertionError, match="LP heights fail a fold"):
         is_regular(t)
 
@@ -1431,31 +1399,6 @@ def test_h_vector_refuses_unverified_triangulations():
         with pytest.raises(ValueError, match="verify_triangulation accepts"):
             h_vector_of(bad)
         assert bad.checks["verify"]["ok"] is False
-
-
-def test_replacing_cells_pool_or_carrier_drops_the_proofs():
-    t = laplacian_triangulation(2)
-    cells, pool, carrier = t.cells, t.vertex_pool, t.carrier
-    assert h_vector_of(t) == (1, 10, 5, 0) and t.checks["verify"]["ok"]
-    assert is_regular(t)[0] and "regular" in t.checks
-    t.cells = cells[1:]
-    assert t.checks == {}
-    with pytest.raises(ValueError, match="verify_triangulation accepts"):
-        h_vector_of(t)
-    t.cells = cells
-    assert t.checks == {} and h_vector_of(t) == (1, 10, 5, 0)
-    t.vertex_pool = [(x + 1, y) for x, y in pool]
-    assert t.checks == {}
-    with pytest.raises(ValueError, match="verify_triangulation accepts"):
-        h_vector_of(t)
-    t.vertex_pool = pool
-    assert h_vector_of(t) == (1, 10, 5, 0)
-    # a new carrier keeps the walk, but not the proof against the old one
-    walk = t._walk
-    t.carrier = LatticePolytope([tuple(2 * x for x in p) for p in carrier.points])
-    assert t.checks == {} and t._walk is walk
-    with pytest.raises(ValueError, match="verify_triangulation accepts"):
-        h_vector_of(t)
 
 
 def test_half_open_count_refuses_a_point_on_a_ridge_hyperplane():
